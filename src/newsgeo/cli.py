@@ -25,9 +25,6 @@ from .errors import (ConfigurationError, DataIntegrityError, DependencyError,
 
 logger = logging.getLogger(__name__)
 
-STAGES = ("synth", "ingest", "classify", "geolocate", "attributes", "scale",
-          "regress", "diffusion", "connectivity", "contagion", "report")
-
 EXIT_CODES = {
     ConfigurationError: 2,
     DependencyError: 3,
@@ -99,7 +96,7 @@ def stage_ingest(cfg, outdir):
     ledger = corpus_ingest.StreamLedger()
     mentions_path = _out(outdir, "mentions.csv")
     n_mentions = 0
-    with open(archive, encoding="utf-8") as fh, \
+    with open(archive, "rb") as fh, \
          open(mentions_path, "w", newline="", encoding="utf-8") as out:
         writer = csv.writer(out)
         writer.writerow(["comment_id", "author", "subreddit", "created_utc",
@@ -176,7 +173,7 @@ def stage_geolocate(cfg, outdir):
     map_path = _require(_synth_path(cfg.subreddit_map, outdir,
                                     "subreddit_states.csv"), "synth")
     subreddit_states = geolocation.load_subreddit_state_map(map_path)
-    with open(archive, encoding="utf-8") as fh:
+    with open(archive, "rb") as fh:
         locations, summary = geolocation.assign_user_states(
             corpus_ingest.stream_comments(fh), subreddit_states)
     rows = [[loc.author, loc.state or "",
@@ -397,7 +394,7 @@ def stage_connectivity(cfg, outdir):
     centroids = interaction.load_centroids(cent_path)
     state_subs = geolocation.load_subreddit_state_map(map_path) \
         if os.path.exists(map_path) else None
-    with open(archive, encoding="utf-8") as fh:
+    with open(archive, "rb") as fh:
         records = list(corpus_ingest.stream_comments(fh))
     author_index = corpus_ingest.build_author_index(records)
     pairs = interaction.build_interaction_pairs(
@@ -491,31 +488,26 @@ def stage_contagion(cfg, outdir):
                             for label in summary}, started)
 
 
+# stage artifact -> (stage that writes it, name in the report bundle)
+REPORT_SOURCES = {
+    "tallies.csv": ("classify", "table1.csv"),
+    "regression_suite.csv": ("regress", "table3.csv"),
+    "reach.csv": ("diffusion", "fig3a.csv"),
+    "cascade_times.csv": ("diffusion", "fig3b.csv"),
+    "connectivity.csv": ("connectivity", "fig5.csv"),
+    "contagion_summary.json": ("contagion", "contagion.json"),
+}
+
+
 def stage_report(cfg, outdir):
     started = time.monotonic()
-    required = {
-        "tallies.csv": "classify",
-        "regression_suite.csv": "regress",
-        "reach.csv": "diffusion",
-        "cascade_times.csv": "diffusion",
-        "connectivity.csv": "connectivity",
-        "contagion_summary.json": "contagion",
-    }
     report_dir = os.path.join(outdir, "report")
     os.makedirs(report_dir, exist_ok=True)
     copied = []
-    for name, stage_hint in required.items():
+    for name, (stage_hint, target) in REPORT_SOURCES.items():
         src = _require(os.path.join(outdir, name), stage_hint)
         with open(src, "rb") as fh:
             data = fh.read()
-        target = {
-            "tallies.csv": "table1.csv",
-            "regression_suite.csv": "table3.csv",
-            "reach.csv": "fig3a.csv",
-            "cascade_times.csv": "fig3b.csv",
-            "connectivity.csv": "fig5.csv",
-            "contagion_summary.json": "contagion.json",
-        }[name]
         with open(os.path.join(report_dir, target), "wb") as fh:
             fh.write(data)
         copied.append(target)
@@ -528,7 +520,7 @@ def stage_report(cfg, outdir):
     with open(os.path.join(report_dir, "summary.json"), "w",
               encoding="utf-8") as fh:
         json.dump(bundle, fh, indent=1, sort_keys=True)
-    return _write_manifest(outdir, "report", sorted(required), {},
+    return _write_manifest(outdir, "report", sorted(REPORT_SOURCES), {},
                            {"artifacts": len(copied)}, started)
 
 
@@ -545,6 +537,7 @@ STAGE_FUNCS = {
     "contagion": stage_contagion,
     "report": stage_report,
 }
+STAGES = tuple(STAGE_FUNCS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -555,16 +548,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None,
                         help="JSON run configuration file")
     parser.add_argument("--out-dir", required=True)
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("-v", "--verbose", action="store_true")
     return parser
-
-
-def run(stage: str, cfg: config_mod.RunConfig, outdir: str) -> dict:
-    if stage not in STAGE_FUNCS:
-        raise ConfigurationError(f"unknown stage {stage!r}")
-    return STAGE_FUNCS[stage](cfg, outdir)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -575,11 +561,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = config_mod.config_load(args.config) if args.config \
             else config_mod.RunConfig()
-        if args.threads is not None:
-            cfg.threads = args.threads
         if args.seed is not None:
             cfg.seed = args.seed
-        run(args.stage, cfg, args.out_dir)
+        STAGE_FUNCS[args.stage](cfg, args.out_dir)
     except NewsgeoError as exc:
         logger.error("%s: %s", type(exc).__name__, exc)
         for klass, code in EXIT_CODES.items():

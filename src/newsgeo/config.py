@@ -20,7 +20,6 @@ class RunConfig:
     populations: str | None = None
     centroids: str | None = None
     attributes: str | None = None
-    trust_scores: str | None = None
     # analysis parameters
     bin_km: float = 100.0
     damping: float = 0.85
@@ -32,7 +31,6 @@ class RunConfig:
     residual_intercept: bool = True
     reach_qualify: str = "at_least"
     cascade_ks: list[int] = field(default_factory=lambda: [2, 3, 5])
-    threads: int = 1
     seed: int = 0
     # synth stage parameters (passed through to SynthConfig)
     synth: dict = field(default_factory=dict)
@@ -85,7 +83,5 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigurationError(f"bad value for key 'min_states': {cfg.min_states}")
     if not 0.0 < cfg.alpha < 1.0:
         raise ConfigurationError(f"bad value for key 'alpha': {cfg.alpha}")
-    if cfg.threads < 1:
-        raise ConfigurationError(f"bad value for key 'threads': {cfg.threads}")
     if any(k < 2 for k in cfg.cascade_ks):
         raise ConfigurationError("bad value for key 'cascade_ks': entries must be >= 2")

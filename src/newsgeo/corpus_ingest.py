@@ -1,9 +1,8 @@
 """Streaming ingestion of newline-delimited comment archives.
 
-One JSON record per line (Pushshift layout by default). Parsing is
-single-pass and tolerant: malformed lines are counted and skipped, never
-abort the stream. Field names are remappable so non-Pushshift dumps can be
-read without rewriting them first.
+One JSON record per line in the Pushshift comment layout. Parsing is
+single-pass and tolerant: malformed lines (invalid JSON or UTF-8, missing
+fields, wrong field types) are counted and skipped, never abort the stream.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 from urllib.parse import urlsplit
 
@@ -50,61 +49,51 @@ class UrlMention:
     host: str
 
 
-@dataclass(frozen=True)
-class FieldMap:
-    """Maps archive JSON keys onto CommentRecord fields."""
-
-    comment_id: str = "id"
-    author: str = "author"
-    subreddit: str = "subreddit"
-    created_utc: str = "created_utc"
-    body: str = "body"
-    parent_id: str = "parent_id"
-    link_id: str = "link_id"
-
-
 @dataclass
 class StreamLedger:
-    """Per-stream counters; merges associatively across shards."""
+    """Per-stream counters."""
 
     records: int = 0
     malformed: int = 0
     deleted_author: int = 0
 
-    def merge(self, other: "StreamLedger") -> "StreamLedger":
-        return StreamLedger(
-            records=self.records + other.records,
-            malformed=self.malformed + other.malformed,
-            deleted_author=self.deleted_author + other.deleted_author,
-        )
-
 
 _VALID_PARENT_PREFIXES = ("t1_", "t3_")
 
 
-def _parse_line(line: str, fmap: FieldMap) -> CommentRecord | None:
+def _timestamp(value) -> int:
+    """Seconds from an int, an integral float or a numeric string; booleans
+    and fractional floats are ValueErrors rather than silently coerced."""
+    if isinstance(value, bool) or \
+       isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"bad timestamp {value!r}")
+    return int(value)
+
+
+def _parse_line(line: str | bytes) -> CommentRecord | None:
+    # bytes are decoded by json.loads; invalid UTF-8 is a ValueError there
     try:
         obj = json.loads(line)
-    except ValueError:
+    except (ValueError, RecursionError):
         return None
     if not isinstance(obj, dict):
         return None
     try:
-        comment_id = str(obj[fmap.comment_id])
-        author = str(obj[fmap.author])
-        subreddit = str(obj[fmap.subreddit])
-        created = int(obj[fmap.created_utc])
-        body = str(obj[fmap.body])
+        comment_id = str(obj["id"])
+        author = str(obj["author"])
+        subreddit = str(obj["subreddit"])
+        created = _timestamp(obj["created_utc"])
+        body = str(obj["body"])
     except (KeyError, TypeError, ValueError):
         return None
     if not comment_id or created <= 0:
         return None
-    parent = obj.get(fmap.parent_id)
+    parent = obj.get("parent_id")
     if parent is not None:
         parent = str(parent)
         if not parent.startswith(_VALID_PARENT_PREFIXES):
             return None
-    link = obj.get(fmap.link_id)
+    link = obj.get("link_id")
     return CommentRecord(
         comment_id=comment_id,
         author=author,
@@ -117,24 +106,23 @@ def _parse_line(line: str, fmap: FieldMap) -> CommentRecord | None:
 
 
 def stream_comments(
-    lines: Iterable[str],
-    field_map: FieldMap | None = None,
+    lines: Iterable[str | bytes],
+    *,
     ledger: StreamLedger | None = None,
 ) -> Iterator[CommentRecord]:
-    """Yield CommentRecords from an iterable of NDJSON lines, in file order.
+    """Yield CommentRecords from NDJSON lines (bytes or text), in file order.
 
     Malformed lines are skipped and counted on `ledger`. If more than half of
     the first 10k lines are malformed the stream is almost certainly not a
     comment archive and a FormatError is raised.
     """
-    fmap = field_map or FieldMap()
     led = ledger if ledger is not None else StreamLedger()
     seen = 0
     for line in lines:
         if not line.strip():
             continue
         seen += 1
-        record = _parse_line(line, fmap)
+        record = _parse_line(line)
         if record is None:
             led.malformed += 1
             if seen <= _FORMAT_PROBE_LINES and led.malformed * 2 > seen and seen >= 20:

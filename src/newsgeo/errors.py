@@ -38,14 +38,6 @@ class UndefinedCorrelationError(NewsgeoError):
     """Correlation undefined (constant input)."""
 
 
-class ConvergenceError(NewsgeoError):
-    """Iterative method failed to converge; carries the last iterate."""
-
-    def __init__(self, message, last_iterate=None):
-        self.last_iterate = last_iterate
-        super().__init__(message)
-
-
 class AlignmentError(NewsgeoError):
     """Two keyed collections that must share a key set do not."""
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .corpus_ingest import CommentRecord
 from .errors import ConfigurationError, InsufficientDataError
-from .news_catalog import NewsComment
 from .states import STATE_SET
 from .stats_core import ols_fit
 
@@ -82,7 +81,7 @@ def load_subreddit_state_map(path: str) -> dict[str, str]:
 def tally_user_states(
     corpus: Iterable[CommentRecord], subreddit_states: dict[str, str]
 ) -> dict[str, dict[str, int]]:
-    """Per-author, per-state mapped-comment counts. Merges associatively."""
+    """Per-author, per-state mapped-comment counts."""
     tallies: dict[str, dict[str, int]] = {}
     for rec in corpus:
         if rec.is_deleted_author:
@@ -174,46 +173,3 @@ def adoption_and_scaling(
     fit = ols_fit(np.array(log_pop), np.array(log_users), names=["log_population"])
     return AdoptionResult(rows=rows, beta=fit.coefficient_of("log_population"),
                          r2=fit.r2, excluded_states=excluded)
-
-
-@dataclass
-class CohortStats:
-    users: int
-    mean_comments: float
-    sharer_fraction: dict[str, float]    # label -> fraction with >=1 news comment
-
-
-@dataclass
-class CohortComparison:
-    geotagged: CohortStats
-    non_geotagged: CohortStats
-
-
-def cohort_compare(
-    geotagged: set[str],
-    non_geotagged: set[str],
-    corpus: Iterable[CommentRecord],
-    news_comments: Iterable[NewsComment],
-) -> CohortComparison:
-    """Mean comment volume and per-type news-sharer fractions per cohort."""
-    if not geotagged or not non_geotagged:
-        raise InsufficientDataError("both cohorts must be non-empty")
-    comment_counts: dict[str, int] = {}
-    for rec in corpus:
-        comment_counts[rec.author] = comment_counts.get(rec.author, 0) + 1
-    sharers: dict[str, set[str]] = {}
-    for nc in news_comments:
-        sharers.setdefault(nc.label, set()).add(nc.author)
-
-    def stats_for(cohort: set[str]) -> CohortStats:
-        total = sum(comment_counts.get(a, 0) for a in cohort)
-        fractions = {
-            label: len(authors & cohort) / len(cohort)
-            for label, authors in sorted(sharers.items())
-        }
-        return CohortStats(users=len(cohort),
-                           mean_comments=total / len(cohort),
-                           sharer_fraction=fractions)
-
-    return CohortComparison(geotagged=stats_for(geotagged),
-                            non_geotagged=stats_for(non_geotagged))

@@ -1,9 +1,10 @@
 """User-to-user reply pairs and the distance-binned connectivity profile.
 
-A pair exists when one geotagged user replied to another's comment (or post,
-when a submissions index is supplied). Connectivity at distance d is the
-number of interacting pairs in the d bin divided by the exact number of
-possible geotagged user pairs whose state centroids fall in that bin.
+A pair exists when one geotagged user replied to another's comment. Only
+comments are read, so a reply to a post (a `t3_` parent) is counted as
+unresolved. Connectivity at distance d is the number of interacting pairs in
+the d bin divided by the exact number of possible geotagged user pairs whose
+state centroids fall in that bin.
 """
 
 from __future__ import annotations
@@ -72,14 +73,6 @@ class PairSet:
         pair = (a, b) if a <= b else (b, a)
         self.counts[pair] = self.counts.get(pair, 0) + weight
 
-    def merge(self, other: "PairSet") -> "PairSet":
-        merged = PairSet(counts=dict(self.counts),
-                         unresolved_parents=self.unresolved_parents + other.unresolved_parents,
-                         skipped=self.skipped + other.skipped)
-        for pair, w in other.counts.items():
-            merged.counts[pair] = merged.counts.get(pair, 0) + w
-        return merged
-
 
 def build_interaction_pairs(
     corpus: Iterable[CommentRecord],
@@ -87,12 +80,11 @@ def build_interaction_pairs(
     locations: dict[str, UserLocation],
     scope: str = "all_subreddits",
     state_subreddits: dict[str, str] | None = None,
-    submission_index: dict[str, str] | None = None,
 ) -> PairSet:
     """Extract the unordered reply-pair set between geotagged users.
 
-    t1_ parents resolve through the comment author index, t3_ parents
-    through the optional submissions index (skipped otherwise). Self-replies
+    t1_ parents resolve through the comment author index; t3_ parents
+    (posts) are never in it and count as unresolved. Self-replies
     and pairs involving deleted or non-geotagged users are excluded. Under
     the non-location scope, replies inside state-mapped subreddits do not
     count (the possible-pair denominator is unaffected).
@@ -110,12 +102,7 @@ def build_interaction_pairs(
             pairs.skipped += 1
             continue
         prefix, _, raw_id = rec.parent_id.partition("_")
-        if prefix == "t1":
-            parent_author = author_index.get(raw_id)
-        elif prefix == "t3" and submission_index is not None:
-            parent_author = submission_index.get(raw_id)
-        else:
-            parent_author = None
+        parent_author = author_index.get(raw_id) if prefix == "t1" else None
         if parent_author is None:
             pairs.unresolved_parents += 1
             continue

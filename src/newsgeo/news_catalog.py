@@ -11,7 +11,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .corpus_ingest import DELETED_AUTHOR, UrlMention, host_of
+from .corpus_ingest import DELETED_AUTHOR, UrlMention
 from .errors import ConfigurationError
 
 logger = logging.getLogger(__name__)
@@ -46,20 +46,12 @@ class NewsComment:
 
 @dataclass
 class TypeTally:
-    """Per-label tallies; merges associatively across shards."""
+    """Per-label sets of distinct comments, users, sites and URLs."""
 
     comments: set = field(default_factory=set)
     users: set = field(default_factory=set)
     sites: set = field(default_factory=set)
     urls: set = field(default_factory=set)
-
-    def merge(self, other: "TypeTally") -> "TypeTally":
-        return TypeTally(
-            comments=self.comments | other.comments,
-            users=self.users | other.users,
-            sites=self.sites | other.sites,
-            urls=self.urls | other.urls,
-        )
 
     def counts(self) -> dict[str, int]:
         return {
@@ -109,16 +101,9 @@ def load_catalog(label_files: list[tuple[str, str]]) -> DomainCatalog:
     return catalog
 
 
-def normalize_domain(url: str, catalog: DomainCatalog) -> str | None:
-    """Longest catalog entry equal to the URL's host or a dot-boundary
-    suffix of it; None when no entry matches."""
-    host = host_of(url)
-    if host is None:
-        return None
-    return match_host(host, catalog)
-
-
 def match_host(host: str, catalog: DomainCatalog) -> str | None:
+    """Longest catalog entry equal to `host` or a dot-boundary suffix of it;
+    None when no entry matches."""
     labels = host.split(".")
     for i in range(len(labels)):
         candidate = ".".join(labels[i:])

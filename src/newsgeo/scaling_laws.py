@@ -18,11 +18,9 @@ import numpy as np
 from .errors import InsufficientDataError
 from .news_catalog import LABELS
 from .state_attributes import MODEL_GROUPS, StateAttributeTable, zscore
-from .stats_core import OlsResult, StepwiseResult, ols_fit, step_aic
+from .stats_core import StepwiseResult, ols_fit, step_aic
 
 logger = logging.getLogger(__name__)
-
-REGIMES = ("sublinear", "linear", "superlinear", "other")
 
 
 @dataclass
@@ -77,8 +75,6 @@ def fit_scaling(
 class TypeCirculation:
     label: str
     fit: ScalingFit
-    raw_counts: dict[str, int]
-    log_counts: dict[str, float]
     log_users: dict[str, float]
     residuals: dict[str, float]          # the circulation score per state
     normalized: dict[str, float]         # comments per user, zeros kept
@@ -125,8 +121,6 @@ def circulation_residual(
         table.per_type[label] = TypeCirculation(
             label=label,
             fit=fit,
-            raw_counts=dict(per_state),
-            log_counts={s: math.log(usable[s]) for s in sorted(usable)},
             log_users={s: math.log(N[s]) for s in sorted(N)},
             residuals=residuals,
             normalized=rates.get(label, {}),
@@ -148,7 +142,6 @@ class ModelSuiteEntry:
 
 @dataclass
 class ModelSuite:
-    metric: str                          # "residual" or "normalized"
     entries: list[ModelSuiteEntry] = field(default_factory=list)
 
     def get(self, label: str, group: str) -> ModelSuiteEntry:
@@ -163,19 +156,14 @@ def circulation_models(
     attributes: StateAttributeTable,
     groups: list[str] | None = None,
     labels: list[str] | None = None,
-    metric_name: str = "residual",
-    standardize_y: bool = False,
     direction: str = "both",
 ) -> ModelSuite:
-    """Stepwise-selected OLS per (news type, variable group).
-
-    Attributes are z-scored over the complete-case states of each group;
-    the dependent variable is also standardized when the normalized metric
-    is used (`standardize_y`).
-    """
+    """Stepwise-selected OLS of the circulation residual per (news type,
+    variable group). Attributes are z-scored over the complete-case states
+    of each group."""
     groups = groups or list(MODEL_GROUPS)
     labels = labels or [lb for lb in LABELS if lb in metric]
-    suite = ModelSuite(metric=metric_name)
+    suite = ModelSuite()
     for group in groups:
         variables = MODEL_GROUPS[group]
         for label in labels:
@@ -188,10 +176,8 @@ def circulation_models(
                     f"{len(variables)} candidates"
                 )
             y = np.array([per_state[s] for s in states], dtype=float)
-            if standardize_y:
-                y = (y - y.mean()) / y.std(ddof=1)
             candidates = {v: std_table.column(v, states) for v in variables}
-            result = step_aic(candidates, y, direction=direction, start="full")
+            result = step_aic(candidates, y, direction=direction)
             suite.entries.append(ModelSuiteEntry(label=label, group=group,
                                                  states=states, result=result))
     return suite
@@ -213,7 +199,7 @@ def suite_rows(suite: ModelSuite) -> list[dict[str, object]]:
         rows.append({
             "news_type": entry.label,
             "group": entry.group,
-            "metric": suite.metric,
+            "metric": "residual",
             "observations": fit.n,
             "selected": ",".join(entry.result.selected),
             "r2": round(fit.r2, 4),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +28,6 @@ ATTRIBUTE_GROUPS: dict[str, list[str]] = {
 ATTRIBUTE_COLUMNS: list[str] = [
     c for cols in ATTRIBUTE_GROUPS.values() for c in cols
 ]
-# "adoption" is joined from geolocation output rather than sourced from a file
-OPTIONAL_COLUMNS = ["adoption"]
 
 MODEL_GROUPS: dict[str, list[str]] = dict(ATTRIBUTE_GROUPS)
 MODEL_GROUPS["all"] = list(ATTRIBUTE_COLUMNS)
@@ -58,13 +56,6 @@ class StateAttributeTable:
     def column(self, name: str, states: list[str]) -> np.ndarray:
         return np.array([self.values[s][name] for s in states], dtype=float)
 
-    def with_column(self, name: str, data: dict[str, float]) -> "StateAttributeTable":
-        columns = self.columns + [name] if name not in self.columns else self.columns
-        values = {
-            s: {**row, name: data.get(s)} for s, row in self.values.items()
-        }
-        return StateAttributeTable(columns=list(columns), values=values)
-
 
 def load_attributes(path: str) -> StateAttributeTable:
     """Read the attribute CSV (header `state` plus known columns)."""
@@ -73,7 +64,7 @@ def load_attributes(path: str) -> StateAttributeTable:
         header = reader.fieldnames or []
         if "state" not in header:
             raise ConfigurationError("attribute CSV is missing a 'state' column")
-        known = set(ATTRIBUTE_COLUMNS) | set(OPTIONAL_COLUMNS)
+        known = set(ATTRIBUTE_COLUMNS)
         for col in header:
             if col != "state" and col not in known:
                 raise ConfigurationError(f"unknown attribute column {col!r}")

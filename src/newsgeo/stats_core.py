@@ -187,10 +187,6 @@ def pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return r, p
 
 
-def aic(fit: OlsResult) -> float:
-    return fit.aic
-
-
 @dataclass(frozen=True)
 class StepRecord:
     action: str                 # "start" | "add" | "drop"
@@ -210,19 +206,16 @@ def step_aic(
     candidates: dict[str, np.ndarray],
     y: np.ndarray,
     direction: str = "both",
-    start: str = "full",
 ) -> StepwiseResult:
     """Greedy stepwise selection by AIC.
 
-    From the start model, repeatedly apply the single add/drop move that most
+    From the full model, repeatedly apply the single add/drop move that most
     lowers AIC; stop when no move lowers it. Ties break toward fewer
     predictors, then lexicographic variable order. Always fits with an
     intercept.
     """
     if direction not in ("both", "forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
-    if start not in ("full", "empty"):
-        raise ValueError(f"unknown start {start!r}")
     names = sorted(candidates)
     y = np.asarray(y, dtype=float)
 
@@ -233,7 +226,7 @@ def step_aic(
             X = np.empty((len(y), 0))
         return ols_fit(X, y, names=list(subset), intercept=True)
 
-    current: tuple[str, ...] = tuple(names) if start == "full" else ()
+    current: tuple[str, ...] = tuple(names)
     current_fit = fit_subset(current)
     trace = [StepRecord("start", None, current_fit.aic, current)]
 

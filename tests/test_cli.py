@@ -1,8 +1,12 @@
+import dataclasses
+import inspect
 import json
 import os
+import re
 
 import pytest
 
+from newsgeo import cli
 from newsgeo.cli import STAGES, main
 from newsgeo.config import RunConfig, config_from_dict, config_load
 from newsgeo.errors import ConfigurationError
@@ -55,11 +59,21 @@ class TestConfig:
         ("min_states", 1),
         ("cascade_ks", [1, 2]),
         ("alpha", 2.0),
-        ("threads", 0),
     ])
     def test_bad_value_names_key(self, key, value):
         with pytest.raises(ConfigurationError, match=key):
             config_from_dict({key: value})
+
+
+def test_every_config_field_is_read_by_the_cli():
+    # a key no stage reads is a dead knob: wire it up or delete it
+    source = inspect.getsource(cli)
+    read = set(re.findall(r"\bcfg\.(\w+)\b(?!\s*=[^=])", source))
+    if "cfg.catalog_files()" in source:
+        read |= {f.name for f in dataclasses.fields(RunConfig)
+                 if f.name.startswith("catalog_")}
+    unread = {f.name for f in dataclasses.fields(RunConfig)} - read
+    assert not unread, f"config keys never read by a stage: {sorted(unread)}"
 
 
 class TestExitCodes:
@@ -164,6 +178,27 @@ class TestPipeline:
         assert first.keys() == second.keys()
         for rel in first:
             assert first[rel] == second[rel], f"{rel} differs between runs"
+
+
+def test_invalid_utf8_line_is_counted_not_fatal(tmp_path):
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    out = str(tmp_path / "out")
+    assert main(["synth", "--config", cfg, "--out-dir", out]) == 0
+    manifest = os.path.join(out, "manifests", "ingest.json")
+    assert main(["ingest", "--config", cfg, "--out-dir", out]) == 0
+    before = json.loads(open(manifest).read())["rows"]
+
+    archive = os.path.join(out, "synth", "archive.ndjson")
+    with open(archive, "rb") as fh:
+        lines = fh.readlines()
+    target = next(i for i, line in enumerate(lines) if b'"body":"' in line)
+    lines[target] = lines[target].replace(b'"body":"', b'"body":"\xff\xfe', 1)
+    with open(archive, "wb") as fh:
+        fh.writelines(lines)
+    assert main(["ingest", "--config", cfg, "--out-dir", out]) == 0
+    after = json.loads(open(manifest).read())["rows"]
+    assert after["malformed"] == before["malformed"] + 1
+    assert after["records"] == before["records"] - 1
 
 
 class TestParameterPropagation:

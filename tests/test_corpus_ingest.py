@@ -1,10 +1,7 @@
-import json
-
 import pytest
 from hypothesis import given, strategies as st
 
 from newsgeo.corpus_ingest import (
-    FieldMap,
     StreamLedger,
     build_author_index,
     extract_urls,
@@ -15,6 +12,13 @@ from newsgeo.corpus_ingest import (
 from newsgeo.errors import DataIntegrityError, FormatError
 
 from conftest import make_record, ndjson_line
+
+
+_LINE = ndjson_line("c0", body="see https://a.com/x", parent_id="t1_p").encode()
+# the valid line with a few arbitrary bytes spliced in somewhere
+_CORRUPTED_LINE = st.tuples(st.integers(0, len(_LINE)),
+                            st.binary(min_size=1, max_size=4)).map(
+    lambda cut: _LINE[:cut[0]] + cut[1] + _LINE[cut[0]:])
 
 
 class TestStreamComments:
@@ -50,19 +54,41 @@ class TestStreamComments:
         assert [r.comment_id for r in records] == ["c1"]
         assert ledger.malformed == 1
 
-    def test_custom_field_map(self):
-        line = json.dumps({"cid": "x1", "who": "bob", "sub": "news",
-                           "ts": 123, "text": "hi"})
-        fmap = FieldMap(comment_id="cid", author="who", subreddit="sub",
-                        created_utc="ts", body="text")
-        (rec,) = stream_comments([line], field_map=fmap)
-        assert rec.comment_id == "x1" and rec.author == "bob"
+    @pytest.mark.parametrize("line", [
+        ndjson_line("c0", created_utc=True),
+        ndjson_line("c0", created_utc=False),
+        ndjson_line("c0", created_utc=1_451_606_400.5),
+        ndjson_line("c0").replace("1451606400", "Infinity"),
+        ndjson_line("c0", body="@@").encode().replace(b"@@", b"\xff\xfe"),
+        b"[" * 100_000,
+    ], ids=["true", "false", "fractional", "infinity", "invalid-utf8",
+            "deep-nesting"])
+    def test_bad_line_counts_as_malformed(self, line):
+        ledger = StreamLedger()
+        records = list(stream_comments([line, ndjson_line("c1")], ledger=ledger))
+        assert [r.comment_id for r in records] == ["c1"]
+        assert ledger.malformed == 1
 
-    def test_ledger_merge_is_associative(self):
-        a = StreamLedger(records=3, malformed=1, deleted_author=0)
-        b = StreamLedger(records=5, malformed=0, deleted_author=2)
-        merged = a.merge(b)
-        assert (merged.records, merged.malformed, merged.deleted_author) == (8, 1, 2)
+    @pytest.mark.parametrize("created", [1_451_606_400, 1_451_606_400.0,
+                                         "1451606400"],
+                             ids=["int", "integral-float", "numeric-string"])
+    def test_integral_timestamps_accepted(self, created):
+        line = ndjson_line("c0", created_utc=created)
+        for raw in (line, line.encode()):
+            (rec,) = stream_comments([raw])
+            assert rec.created_utc == 1_451_606_400
+
+    @given(st.lists(st.one_of(st.binary(max_size=120), st.just(_LINE),
+                              _CORRUPTED_LINE), max_size=40))
+    def test_arbitrary_byte_lines_only_raise_format_error(self, lines):
+        ledger = StreamLedger()
+        try:
+            records = list(stream_comments(lines, ledger=ledger))
+        except FormatError:
+            return
+        assert len(records) == ledger.records
+        assert ledger.records + ledger.malformed == \
+            sum(1 for line in lines if line.strip())
 
 
 class TestExtractUrls:

@@ -6,13 +6,11 @@ from newsgeo.errors import ConfigurationError, InsufficientDataError
 from newsgeo.geolocation import (
     adoption_and_scaling,
     assign_user_states,
-    cohort_compare,
     load_subreddit_state_map,
     resolve_assignments,
     state_user_counts,
     tally_user_states,
 )
-from newsgeo.news_catalog import NewsComment
 
 from conftest import make_record
 
@@ -166,39 +164,6 @@ class TestAdoption:
         locations, _ = resolve_assignments({"u": {"WA": 1}})
         with pytest.raises(InsufficientDataError):
             adoption_and_scaling(locations, {"WA": 100, "CA": 100})
-
-
-class TestCohorts:
-    def news(self, comment_id, author, label):
-        return NewsComment(comment_id=comment_id, author=author, subreddit="s",
-                           created_utc=1, url="https://x.com/a", host="x.com",
-                           domain="x.com", label=label)
-
-    def test_identical_cohorts_identical_stats(self):
-        corpus = posts("a", "general", 3) + posts("b", "general", 5)
-        news = [self.news("c1", "a", "fake")]
-        cmp = cohort_compare({"a", "b"}, {"a", "b"}, corpus, news)
-        assert cmp.geotagged == cmp.non_geotagged
-
-    def test_planted_rates(self, rng):
-        geo = {f"g{i}" for i in range(50)}
-        non = {f"n{i}" for i in range(40)}
-        corpus = []
-        for a in sorted(geo):
-            corpus += posts(a, "general", 4)
-        for a in sorted(non):
-            corpus += posts(a, "general", 2)
-        sharers = sorted(geo)[:10]
-        news = [self.news(f"c{i}", a, "fake") for i, a in enumerate(sharers)]
-        cmp = cohort_compare(geo, non, corpus, news)
-        assert cmp.geotagged.mean_comments == pytest.approx(4.0)
-        assert cmp.non_geotagged.mean_comments == pytest.approx(2.0)
-        assert cmp.geotagged.sharer_fraction["fake"] == pytest.approx(0.2)
-        assert cmp.non_geotagged.sharer_fraction["fake"] == 0.0
-
-    def test_empty_cohort_raises(self):
-        with pytest.raises(InsufficientDataError):
-            cohort_compare(set(), {"a"}, [], [])
 
 
 def test_state_user_counts():

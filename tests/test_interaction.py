@@ -114,11 +114,14 @@ class TestBuildPairs:
             build_interaction_pairs([], {}, {},
                                     scope="non_location_subreddits")
 
-    def test_t3_parent_with_submission_index(self):
-        corpus = [make_record("c1", author="a", parent_id="t3_post9")]
-        pairs = build_interaction_pairs(
-            corpus, {}, self.locations(), submission_index={"post9": "b"})
-        assert pairs.counts == {("a", "b"): 1}
+    def test_t3_parent_is_unresolved(self):
+        # only comments are read, so a reply to a post has no known parent
+        corpus = [make_record("post9", author="b"),
+                  make_record("c1", author="a", parent_id="t3_post9")]
+        index = build_author_index(corpus)
+        pairs = build_interaction_pairs(corpus, index, self.locations())
+        assert pairs.counts == {}
+        assert pairs.unresolved_parents == 1
 
     def test_brute_force_over_reply_plan(self, rng):
         users = [f"u{i}" for i in range(200)]

@@ -1,12 +1,12 @@
 import pytest
 
-from newsgeo.corpus_ingest import UrlMention
+from newsgeo.corpus_ingest import UrlMention, host_of
 from newsgeo.errors import ConfigurationError
 from newsgeo.news_catalog import (
     DomainCatalog,
     classify_mentions,
     load_catalog,
-    normalize_domain,
+    match_host,
     validate_trust_scores,
 )
 
@@ -73,13 +73,17 @@ class TestLoadCatalog:
 
 
 class TestNormalizeDomain:
+    """URL -> catalog domain, as ingest (host_of) and classify (match_host)
+    compose it."""
+
     def test_subdomain_suffix_match(self, catalog):
-        assert normalize_domain("https://www.nytimes.com/2019/x", catalog) == \
-            "nytimes.com"
+        url = "https://www.nytimes.com/2019/x"
+        assert match_host(host_of(url), catalog) == "nytimes.com"
 
     def test_dot_boundary_enforced(self, catalog):
         fake = DomainCatalog(entries={"breitbart.com": "fake"})
-        assert normalize_domain("https://notbreitbart.com/x", fake) is None
+        url = "https://notbreitbart.com/x"
+        assert match_host(host_of(url), fake) is None
 
     def test_exhaustive_suffix_oracle(self, rng):
         entries = {f"base{i}.com": "fake" for i in range(50)}
@@ -100,7 +104,7 @@ class TestNormalizeDomain:
                 if cand in entries:
                     expected = cand
                     break
-            assert normalize_domain(url, cat) == expected
+            assert match_host(host_of(url), cat) == expected
 
 
 class TestClassifyMentions:
