@@ -2,7 +2,8 @@
 
 One JSON record per line in the Pushshift comment layout. Parsing is
 single-pass and tolerant: malformed lines (invalid JSON or UTF-8, missing
-fields, wrong field types) are counted and skipped, never abort the stream.
+fields, wrong field types, a string field holding a lone UTF-16 surrogate)
+are counted and skipped, never abort the stream.
 """
 
 from __future__ import annotations
@@ -60,6 +61,11 @@ class StreamLedger:
 
 _VALID_PARENT_PREFIXES = ("t1_", "t3_")
 
+# Only a \uD800-\uDFFF escape decodes to a lone surrogate, which no UTF-8
+# writer can encode; lines holding one are the only ones checked for it.
+_BYTE_ESCAPES = (b"\\ud", b"\\uD")
+_TEXT_ESCAPES = ("\\ud", "\\uD")
+
 
 def _timestamp(value) -> int:
     """Seconds from an int, an integral float or a numeric string; booleans
@@ -94,6 +100,14 @@ def _parse_line(line: str | bytes) -> CommentRecord | None:
         if not parent.startswith(_VALID_PARENT_PREFIXES):
             return None
     link = obj.get("link_id")
+    link = str(link) if link is not None else None
+    lower, upper = _TEXT_ESCAPES if isinstance(line, str) else _BYTE_ESCAPES
+    if lower in line or upper in line:
+        try:
+            "".join((comment_id, author, subreddit, body, parent or "",
+                     link or "")).encode("utf-8")
+        except UnicodeEncodeError:
+            return None
     return CommentRecord(
         comment_id=comment_id,
         author=author,
@@ -101,7 +115,7 @@ def _parse_line(line: str | bytes) -> CommentRecord | None:
         created_utc=created,
         body=body,
         parent_id=parent,
-        link_id=str(link) if link is not None else None,
+        link_id=link,
     )
 
 

@@ -68,6 +68,7 @@ class PairSet:
     counts: dict[tuple[str, str], int] = field(default_factory=dict)
     unresolved_parents: int = 0
     skipped: int = 0
+    self_replies: int = 0
 
     def add(self, a: str, b: str, weight: int = 1) -> None:
         pair = (a, b) if a <= b else (b, a)
@@ -84,10 +85,11 @@ def build_interaction_pairs(
     """Extract the unordered reply-pair set between geotagged users.
 
     t1_ parents resolve through the comment author index; t3_ parents
-    (posts) are never in it and count as unresolved. Self-replies
-    and pairs involving deleted or non-geotagged users are excluded. Under
-    the non-location scope, replies inside state-mapped subreddits do not
-    count (the possible-pair denominator is unaffected).
+    (posts) are never in it and count as unresolved. Replies by deleted
+    authors are ignored; every other reply counts once: as a pair event, an
+    unresolved parent, a self-reply, or skipped (a non-geotagged user, or a
+    reply inside a state-mapped subreddit under the non-location scope; the
+    possible-pair denominator is unaffected).
     """
     if scope not in SCOPES:
         raise ConfigurationError(f"unknown scope {scope!r}")
@@ -107,6 +109,7 @@ def build_interaction_pairs(
             pairs.unresolved_parents += 1
             continue
         if parent_author == rec.author:
+            pairs.self_replies += 1
             continue
         loc_a = locations.get(rec.author)
         loc_b = locations.get(parent_author)
@@ -137,9 +140,13 @@ class ConnectivityProfile:
 
 
 def _bin_of(distance: float, same_state: bool, bin_km: float) -> float:
+    """Bin of a pair: 0 within a state, else the centroid distance rounded
+    to the nearest multiple of `bin_km`, halves up (150 km -> 200 at 100 km
+    bins). Cross-state pairs under bin_km/2 share bin 0 with same-state
+    pairs."""
     if same_state:
         return 0.0
-    return round(distance / bin_km) * bin_km
+    return math.floor(distance / bin_km + 0.5) * bin_km
 
 
 def connectivity_profile(

@@ -1,14 +1,17 @@
 import dataclasses
+import glob
 import inspect
 import json
 import os
 import re
+import shutil
 
 import pytest
 
 from newsgeo import cli
 from newsgeo.cli import STAGES, main
 from newsgeo.config import RunConfig, config_from_dict, config_load
+from newsgeo.corpus_ingest import stream_comments
 from newsgeo.errors import ConfigurationError
 
 
@@ -180,7 +183,81 @@ class TestPipeline:
             assert first[rel] == second[rel], f"{rel} differs between runs"
 
 
-def test_invalid_utf8_line_is_counted_not_fatal(tmp_path):
+# artifact -> (a stage that cannot run without it, the stage that writes it)
+CONSUMERS = {
+    "synth/archive.ndjson": ("ingest", "synth"),
+    "synth/subreddit_states.csv": ("geolocate", "synth"),
+    "synth/centroids.csv": ("connectivity", "synth"),
+    "synth/attributes.csv": ("attributes", "synth"),
+    "synth/catalog_*.txt": ("classify", "synth"),
+    "mentions.csv": ("classify", "ingest"),
+    "news_comments.csv": ("diffusion", "classify"),
+    "tallies.csv": ("report", "classify"),
+    "user_locations.csv": ("scale", "geolocate"),
+    "residuals.csv": ("regress", "scale"),
+    "regression_suite.csv": ("report", "regress"),
+    "reach.csv": ("report", "diffusion"),
+    "cascade_times.csv": ("report", "diffusion"),
+    "connectivity.csv": ("report", "connectivity"),
+    "contagion_summary.json": ("report", "contagion"),
+}
+
+
+class TestStageInputs:
+    def test_every_stage_artifact_has_a_consumer_case(self):
+        assert set(cli.PRODUCERS) <= set(CONSUMERS)
+        for artifact, stage in cli.PRODUCERS.items():
+            assert CONSUMERS[artifact][1] == stage
+
+    @pytest.mark.parametrize("artifact", sorted(CONSUMERS))
+    def test_missing_artifact_names_its_producer(self, outdir, tmp_path,
+                                                 caplog, artifact):
+        consumer, producer = CONSUMERS[artifact]
+        out = str(tmp_path / "out")
+        shutil.copytree(outdir, out)
+        removed = glob.glob(os.path.join(out, artifact))
+        assert removed
+        for path in removed:
+            os.remove(path)
+        cfg = write_config(tmp_path, PIPELINE_CONFIG)
+        assert main([consumer, "--config", cfg, "--out-dir", out]) == 3
+        assert f"run the {producer!r} stage first" in caplog.text
+
+    @pytest.mark.parametrize("key", ["archive", "catalog_fake"])
+    def test_missing_configured_input_exits_3(self, outdir, tmp_path, key):
+        stage = {"archive": "ingest", "catalog_fake": "classify"}[key]
+        out = str(tmp_path / "out")
+        shutil.copytree(outdir, out)
+        cfg = write_config(tmp_path, dict(PIPELINE_CONFIG,
+                                          **{key: str(tmp_path / "no.txt")}))
+        assert main([stage, "--config", cfg, "--out-dir", out]) == 3
+
+    @pytest.mark.parametrize("stage,optional", [
+        ("geolocate", "populations.csv"),
+        ("connectivity", "subreddit_states.csv"),
+        ("contagion", "attributes.csv"),
+    ])
+    def test_manifest_lists_optional_inputs(self, outdir, stage, optional):
+        manifest = json.loads(open(os.path.join(
+            outdir, "manifests", f"{stage}.json")).read())
+        assert os.path.join(outdir, "synth", optional) in manifest["inputs"]
+        assert all(os.path.exists(p) for p in manifest["inputs"])
+
+    def test_connectivity_manifest_counts_every_reply(self, outdir):
+        rows = json.loads(open(os.path.join(
+            outdir, "manifests", "connectivity.json")).read())["rows"]
+        with open(os.path.join(outdir, "synth", "archive.ndjson"), "rb") as fh:
+            replies = sum(1 for r in stream_comments(fh)
+                          if r.parent_id is not None and not r.is_deleted_author)
+        assert replies == rows["pair_events"] + rows["unresolved_parents"] + \
+            rows["skipped"] + rows["self_replies"]
+
+
+@pytest.mark.parametrize("old,new", [
+    (b'"body":"', b'"body":"\xff\xfe'),
+    (b'"author":"', b'"author":"\\ud800'),
+], ids=["invalid-utf8", "lone-surrogate"])
+def test_invalid_utf8_line_is_counted_not_fatal(tmp_path, old, new):
     cfg = write_config(tmp_path, PIPELINE_CONFIG)
     out = str(tmp_path / "out")
     assert main(["synth", "--config", cfg, "--out-dir", out]) == 0
@@ -191,8 +268,9 @@ def test_invalid_utf8_line_is_counted_not_fatal(tmp_path):
     archive = os.path.join(out, "synth", "archive.ndjson")
     with open(archive, "rb") as fh:
         lines = fh.readlines()
-    target = next(i for i, line in enumerate(lines) if b'"body":"' in line)
-    lines[target] = lines[target].replace(b'"body":"', b'"body":"\xff\xfe', 1)
+    # a line with a URL, so a bad author would reach mentions.csv
+    target = next(i for i, line in enumerate(lines) if b"http" in line)
+    lines[target] = lines[target].replace(old, new, 1)
     with open(archive, "wb") as fh:
         fh.writelines(lines)
     assert main(["ingest", "--config", cfg, "--out-dir", out]) == 0

@@ -61,13 +61,22 @@ class TestStreamComments:
         ndjson_line("c0").replace("1451606400", "Infinity"),
         ndjson_line("c0", body="@@").encode().replace(b"@@", b"\xff\xfe"),
         b"[" * 100_000,
+        ndjson_line("c0", author="a\ud800"),
+        ndjson_line("c0", body="see https://a.com/\udc00x").encode(),
     ], ids=["true", "false", "fractional", "infinity", "invalid-utf8",
-            "deep-nesting"])
+            "deep-nesting", "surrogate-author", "surrogate-url"])
     def test_bad_line_counts_as_malformed(self, line):
         ledger = StreamLedger()
         records = list(stream_comments([line, ndjson_line("c1")], ledger=ledger))
         assert [r.comment_id for r in records] == ["c1"]
         assert ledger.malformed == 1
+
+    def test_escaped_surrogate_pair_accepted(self):
+        line = ndjson_line("c0", author="a\U0001F600")
+        assert "\\ud83d\\ude00" in line
+        for raw in (line, line.encode()):
+            (rec,) = stream_comments([raw])
+            assert rec.author == "a\U0001F600"
 
     @pytest.mark.parametrize("created", [1_451_606_400, 1_451_606_400.0,
                                          "1451606400"],

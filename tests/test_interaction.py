@@ -3,15 +3,17 @@ from itertools import combinations
 
 import pytest
 
-from newsgeo.corpus_ingest import build_author_index
+from newsgeo.corpus_ingest import build_author_index, stream_comments
 from newsgeo.errors import ConfigurationError
-from newsgeo.geolocation import UserLocation
+from newsgeo.geolocation import UserLocation, assign_user_states
 from newsgeo.interaction import (
     PairSet,
+    _bin_of,
     build_interaction_pairs,
     centroid_distance,
     connectivity_profile,
 )
+from newsgeo.synth import SynthConfig, generate
 
 from conftest import make_record
 
@@ -75,6 +77,7 @@ class TestBuildPairs:
         index = build_author_index(corpus)
         pairs = build_interaction_pairs(corpus, index, self.locations())
         assert pairs.counts == {}
+        assert pairs.self_replies == 1
 
     def test_unordered_symmetry(self):
         corpus = [make_record("p1", author="b"), reply("c1", "a", "p1"),
@@ -143,6 +146,45 @@ class TestBuildPairs:
         pairs = build_interaction_pairs(corpus, index, locations)
         assert pairs.counts == expected
 
+    @pytest.mark.parametrize("scope", ["all_subreddits",
+                                       "non_location_subreddits"])
+    def test_every_reply_is_counted_once(self, scope):
+        out = generate(SynthConfig(seed=5, n_states=6, base_users=6.0,
+                                   tie_user_fraction=0.1,
+                                   deleted_comment_fraction=0.05,
+                                   interaction_users_per_state=3,
+                                   connectivity_base=0.5))
+        corpus = list(stream_comments(out.archive.splitlines()))
+        locations, _ = assign_user_states(corpus, out.subreddit_states)
+        # plant the drops the generator does not make
+        target = next(r for r in corpus if r.author in locations)
+        corpus += [reply("x1", target.author, target.comment_id),
+                   make_record("x2", author=target.author, parent_id="t3_p"),
+                   reply("x3", "not-geotagged", target.comment_id)]
+        pairs = build_interaction_pairs(
+            corpus, build_author_index(corpus), locations, scope=scope,
+            state_subreddits=out.subreddit_states)
+        replies = sum(1 for r in corpus
+                      if r.parent_id is not None and not r.is_deleted_author)
+        assert replies == sum(pairs.counts.values()) + \
+            pairs.unresolved_parents + pairs.skipped + pairs.self_replies
+        assert pairs.self_replies >= 1 and pairs.unresolved_parents >= 1
+        assert pairs.skipped >= 1 and pairs.counts
+
+
+class TestBinOf:
+    @pytest.mark.parametrize("d_km,expected", [
+        (149.9, 100.0), (150.0, 200.0), (250.0, 300.0), (350.0, 400.0),
+        (450.0, 500.0)])
+    def test_halves_round_up(self, d_km, expected):
+        got = _bin_of(d_km, same_state=False, bin_km=100.0)
+        assert got == expected
+        assert isinstance(got, float)
+
+    def test_near_cross_state_pair_shares_bin_zero(self):
+        assert _bin_of(49.9, same_state=False, bin_km=100.0) == 0.0
+        assert _bin_of(0.0, same_state=True, bin_km=100.0) == 0.0
+
 
 class TestConnectivityProfile:
     def test_three_users_full_clique(self):
@@ -189,7 +231,8 @@ class TestConnectivityProfile:
             if sa == sb:
                 key = 0.0
             else:
-                key = round(centroid_distance(sa, sb, CENTROIDS) / 100) * 100.0
+                key = math.floor(
+                    centroid_distance(sa, sb, CENTROIDS) / 100 + 0.5) * 100.0
             possible[key] = possible.get(key, 0) + 1
             if tuple(sorted((a, b))) in chosen:
                 interacting[key] = interacting.get(key, 0) + 1
