@@ -43,6 +43,7 @@ EXIT_CODES = {
 # artifact a stage requires -> the stage that writes it; everything under
 # synth/ is written by the synth stage
 PRODUCERS = {
+    "comments.csv": "ingest",
     "mentions.csv": "ingest",
     "news_comments.csv": "classify",
     "tallies.csv": "classify",
@@ -76,12 +77,14 @@ class Run:
 
     def input(self, name, configured=None, optional=False):
         """Path of input `name`: the configured path if set, else the
-        artifact under `outdir`. A missing optional input is None; a missing
-        required one raises DependencyError naming the stage that writes it."""
+        artifact under `outdir`. A missing optional artifact is None; any
+        other missing input raises DependencyError."""
         path = configured or os.path.join(self.outdir, name)
         if os.path.exists(path):
             self.inputs.append(path)
             return path
+        if configured:
+            raise DependencyError(f"configured input {path!r} does not exist")
         if optional:
             return None
         producer = "synth" if name.startswith("synth/") else PRODUCERS[name]
@@ -120,10 +123,12 @@ class Run:
 
 
 def _read_records(path, cls):
-    """Yield the `cls` records of a CSV written by `Run.write_records`; int
-    fields are parsed, the rest stay strings."""
+    """Yield the `cls` records of a CSV written by `Run.write_records`: int
+    fields parsed, empty `str | None` fields None, the rest strings."""
     columns = dataclasses.fields(cls)
     ints = [i for i, f in enumerate(columns) if f.type in (int, "int")]
+    nullable = [i for i, f in enumerate(columns)
+                if f.type in (str | None, "str | None")]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -133,6 +138,8 @@ def _read_records(path, cls):
         for row in reader:
             for i in ints:
                 row[i] = int(row[i])
+            for i in nullable:
+                row[i] = row[i] or None
             yield cls(*row)
 
 
@@ -154,10 +161,11 @@ def stage_synth(cfg, run):
 def stage_ingest(cfg, run):
     ledger = corpus_ingest.StreamLedger()
     with open(run.input("synth/archive.ndjson", cfg.archive), "rb") as fh:
-        records = corpus_ingest.stream_comments(fh, ledger=ledger)
-        n_mentions = run.write_records(
-            "mentions.csv", corpus_ingest.UrlMention,
-            corpus_ingest.iter_url_mentions(records))
+        records = list(corpus_ingest.stream_comments(fh, ledger=ledger))
+    run.write_records("comments.csv", corpus_ingest.Comment, records)
+    n_mentions = run.write_records(
+        "mentions.csv", corpus_ingest.UrlMention,
+        corpus_ingest.iter_url_mentions(records))
     return {}, {"records": ledger.records, "malformed": ledger.malformed,
                 "deleted_author": ledger.deleted_author,
                 "mentions": n_mentions}
@@ -195,17 +203,14 @@ def stage_classify(cfg, run):
 
 
 def stage_geolocate(cfg, run):
-    archive = run.input("synth/archive.ndjson", cfg.archive)
+    comments_path = run.input("comments.csv")
     subreddit_states = geolocation.load_subreddit_state_map(
         run.input("synth/subreddit_states.csv", cfg.subreddit_map))
-    with open(archive, "rb") as fh:
-        locations, summary = geolocation.assign_user_states(
-            corpus_ingest.stream_comments(fh), subreddit_states)
-    n_authors = run.write_csv(
-        "user_locations.csv", ["author", "state", "counts_json"],
-        [[loc.author, loc.state or "",
-          json.dumps(loc.state_counts, sort_keys=True)]
-         for loc in (locations[a] for a in sorted(locations))])
+    locations, summary = geolocation.assign_user_states(
+        _read_records(comments_path, corpus_ingest.Comment), subreddit_states)
+    n_authors = run.write_records(
+        "user_locations.csv", geolocation.UserLocation,
+        (locations[a] for a in sorted(locations)))
     summary_doc = dataclasses.asdict(summary)
     pop_path = run.input("synth/populations.csv", cfg.populations,
                          optional=True)
@@ -232,13 +237,9 @@ def _read_populations(path):
 
 
 def _read_locations(path):
-    """author -> UserLocation; the per-state counts column is not decoded,
-    as no stage past geolocate reads it."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        return {author: geolocation.UserLocation(author, state or None)
-                for author, state, _ in reader}
+    """author -> UserLocation"""
+    return {loc.author: loc
+            for loc in _read_records(path, geolocation.UserLocation)}
 
 
 def stage_attributes(cfg, run):
@@ -364,7 +365,7 @@ def stage_diffusion(cfg, run):
 
 
 def stage_connectivity(cfg, run):
-    archive = run.input("synth/archive.ndjson", cfg.archive)
+    comments_path = run.input("comments.csv")
     locations = _read_locations(run.input("user_locations.csv"))
     centroids = interaction.load_centroids(
         run.input("synth/centroids.csv", cfg.centroids))
@@ -372,8 +373,7 @@ def stage_connectivity(cfg, run):
                          optional=True)
     state_subs = geolocation.load_subreddit_state_map(map_path) \
         if map_path else None
-    with open(archive, "rb") as fh:
-        records = list(corpus_ingest.stream_comments(fh))
+    records = list(_read_records(comments_path, corpus_ingest.Comment))
     author_index = corpus_ingest.build_author_index(records)
     pairs = interaction.build_interaction_pairs(
         records, author_index, locations, scope=cfg.scope,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 from urllib.parse import urlsplit
 
@@ -26,18 +26,23 @@ _FORMAT_PROBE_LINES = 10_000
 
 
 @dataclass(frozen=True)
-class CommentRecord:
+class Comment:
+    """A parsed comment without its body, as stored in `comments.csv`."""
+
     comment_id: str
     author: str
     subreddit: str
     created_utc: int
-    body: str
     parent_id: str | None = None
-    link_id: str | None = None
 
     @property
     def is_deleted_author(self) -> bool:
         return self.author == DELETED_AUTHOR
+
+
+@dataclass(frozen=True)
+class CommentRecord(Comment):
+    body: str = field(kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -99,13 +104,11 @@ def _parse_line(line: str | bytes) -> CommentRecord | None:
         parent = str(parent)
         if not parent.startswith(_VALID_PARENT_PREFIXES):
             return None
-    link = obj.get("link_id")
-    link = str(link) if link is not None else None
     lower, upper = _TEXT_ESCAPES if isinstance(line, str) else _BYTE_ESCAPES
     if lower in line or upper in line:
         try:
-            "".join((comment_id, author, subreddit, body, parent or "",
-                     link or "")).encode("utf-8")
+            "".join((comment_id, author, subreddit, body,
+                     parent or "")).encode("utf-8")
         except UnicodeEncodeError:
             return None
     return CommentRecord(
@@ -115,7 +118,6 @@ def _parse_line(line: str | bytes) -> CommentRecord | None:
         created_utc=created,
         body=body,
         parent_id=parent,
-        link_id=link,
     )
 
 
@@ -203,7 +205,7 @@ def iter_url_mentions(records: Iterable[CommentRecord]) -> Iterator[UrlMention]:
             )
 
 
-def build_author_index(records: Iterable[CommentRecord]) -> dict[str, str]:
+def build_author_index(records: Iterable[Comment]) -> dict[str, str]:
     """comment_id -> author for every non-deleted-author comment.
 
     Raises DataIntegrityError on a duplicate id with conflicting authors.

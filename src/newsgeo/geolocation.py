@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .corpus_ingest import CommentRecord
+from .corpus_ingest import Comment
 from .errors import ConfigurationError, InsufficientDataError
 from .states import STATE_SET
 from .stats_core import ols_fit
@@ -26,7 +26,6 @@ logger = logging.getLogger(__name__)
 class UserLocation:
     author: str
     state: str | None                       # None means unassigned (tie)
-    state_counts: dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -79,7 +78,7 @@ def load_subreddit_state_map(path: str) -> dict[str, str]:
 
 
 def tally_user_states(
-    corpus: Iterable[CommentRecord], subreddit_states: dict[str, str]
+    corpus: Iterable[Comment], subreddit_states: dict[str, str]
 ) -> dict[str, dict[str, int]]:
     """Per-author, per-state mapped-comment counts."""
     tallies: dict[str, dict[str, int]] = {}
@@ -111,8 +110,7 @@ def resolve_assignments(
             single += 1
         if len(counts) <= 2:
             at_most_two += 1
-        locations[author] = UserLocation(author=author, state=state,
-                                         state_counts=dict(counts))
+        locations[author] = UserLocation(author=author, state=state)
     n = len(tallies)
     summary = AssignmentSummary(
         mapped_authors=n,
@@ -126,7 +124,7 @@ def resolve_assignments(
 
 
 def assign_user_states(
-    corpus: Iterable[CommentRecord], subreddit_states: dict[str, str]
+    corpus: Iterable[Comment], subreddit_states: dict[str, str]
 ) -> tuple[dict[str, UserLocation], AssignmentSummary]:
     return resolve_assignments(tally_user_states(corpus, subreddit_states))
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .corpus_ingest import CommentRecord
+from .corpus_ingest import Comment
 from .errors import ConfigurationError, NewsgeoError
 from .geolocation import UserLocation, state_user_counts
 from .states import STATE_SET
@@ -76,7 +76,7 @@ class PairSet:
 
 
 def build_interaction_pairs(
-    corpus: Iterable[CommentRecord],
+    corpus: Iterable[Comment],
     author_index: dict[str, str],
     locations: dict[str, UserLocation],
     scope: str = "all_subreddits",

@@ -199,7 +199,7 @@ def test_criterion_06_connectivity(capsys):
         for i, s in enumerate(states):
             for j in range(20):
                 users[f"u_{s}_{j}"] = s
-        locations = {u: UserLocation(author=u, state=s, state_counts={})
+        locations = {u: UserLocation(author=u, state=s)
                      for u, s in users.items()}
         names = sorted(users)
         pairs = PairSet()

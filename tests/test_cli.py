@@ -5,13 +5,15 @@ import json
 import os
 import re
 import shutil
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from newsgeo import cli
 from newsgeo.cli import STAGES, main
 from newsgeo.config import RunConfig, config_from_dict, config_load
-from newsgeo.corpus_ingest import stream_comments
+from newsgeo.corpus_ingest import Comment, stream_comments
 from newsgeo.errors import ConfigurationError
 
 
@@ -190,6 +192,7 @@ CONSUMERS = {
     "synth/centroids.csv": ("connectivity", "synth"),
     "synth/attributes.csv": ("attributes", "synth"),
     "synth/catalog_*.txt": ("classify", "synth"),
+    "comments.csv": ("geolocate", "ingest"),
     "mentions.csv": ("classify", "ingest"),
     "news_comments.csv": ("diffusion", "classify"),
     "tallies.csv": ("report", "classify"),
@@ -223,14 +226,31 @@ class TestStageInputs:
         assert main([consumer, "--config", cfg, "--out-dir", out]) == 3
         assert f"run the {producer!r} stage first" in caplog.text
 
-    @pytest.mark.parametrize("key", ["archive", "catalog_fake"])
-    def test_missing_configured_input_exits_3(self, outdir, tmp_path, key):
-        stage = {"archive": "ingest", "catalog_fake": "classify"}[key]
+    @pytest.mark.parametrize("key", ["archive", "catalog_fake",
+                                     "subreddit_map", "populations"])
+    def test_missing_configured_input_exits_3(self, outdir, tmp_path, caplog,
+                                              key):
+        stage = {"archive": "ingest", "catalog_fake": "classify",
+                 "subreddit_map": "geolocate",
+                 "populations": "geolocate"}[key]
         out = str(tmp_path / "out")
         shutil.copytree(outdir, out)
-        cfg = write_config(tmp_path, dict(PIPELINE_CONFIG,
-                                          **{key: str(tmp_path / "no.txt")}))
+        missing = str(tmp_path / "no.txt")
+        cfg = write_config(tmp_path, dict(PIPELINE_CONFIG, **{key: missing}))
         assert main([stage, "--config", cfg, "--out-dir", out]) == 3
+        assert f"configured input {missing!r} does not exist" in caplog.text
+        assert "stage first" not in caplog.text
+
+    def test_only_ingest_reads_the_archive(self, outdir, tmp_path):
+        out = str(tmp_path / "out")
+        shutil.copytree(outdir, out)
+        os.remove(os.path.join(out, "synth", "archive.ndjson"))
+        cfg = write_config(tmp_path, PIPELINE_CONFIG)
+        for stage in ("geolocate", "connectivity"):
+            assert main([stage, "--config", cfg, "--out-dir", out]) == 0
+        expected = artifact_bytes(outdir)
+        del expected[os.path.join("synth", "archive.ndjson")]
+        assert artifact_bytes(out) == expected
 
     @pytest.mark.parametrize("stage,optional", [
         ("geolocate", "populations.csv"),
@@ -251,6 +271,25 @@ class TestStageInputs:
                           if r.parent_id is not None and not r.is_deleted_author)
         assert replies == rows["pair_events"] + rows["unresolved_parents"] + \
             rows["skipped"] + rows["self_replies"]
+
+
+# commas, quotes, line breaks and non-ASCII text must survive the CSV codec
+_cell = st.text(st.sampled_from(',"\r\n x\u00e9\u4e2d')) | \
+    st.text(st.characters(blacklist_categories=("Cs",)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.builds(Comment, comment_id=_cell, author=_cell,
+                          subreddit=_cell,
+                          created_utc=st.integers(1, 2**40),
+                          parent_id=st.none() | st.just("t1_x"))))
+def test_comment_rows_round_trip(comments):
+    with tempfile.TemporaryDirectory() as tmp:
+        run = cli.Run(tmp)
+        assert run.write_records("comments.csv", Comment, comments) == \
+            len(comments)
+        path = os.path.join(tmp, "comments.csv")
+        assert list(cli._read_records(path, Comment)) == comments
 
 
 @pytest.mark.parametrize("old,new", [

@@ -31,7 +31,7 @@ def news(cid, author, url, ts, label="fake"):
 
 
 def loc(author, state):
-    return UserLocation(author=author, state=state, state_counts={})
+    return UserLocation(author=author, state=state)
 
 
 class TestBuildTimelines:

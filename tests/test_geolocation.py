@@ -68,7 +68,7 @@ class TestAssignment:
         corpus = posts("a", "seattle", 1) + posts("a", "knitting", 50)
         locations, _ = assign_user_states(corpus, SUB_MAP)
         assert locations["a"].state == "WA"
-        assert locations["a"].state_counts == {"WA": 1}
+        assert tally_user_states(corpus, SUB_MAP) == {"a": {"WA": 1}}
 
     def test_summary_fractions(self):
         corpus = (posts("single", "seattle", 2)

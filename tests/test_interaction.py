@@ -19,7 +19,7 @@ from conftest import make_record
 
 
 def loc(author, state):
-    return UserLocation(author=author, state=state, state_counts={})
+    return UserLocation(author=author, state=state)
 
 
 CENTROIDS = {
