@@ -14,6 +14,7 @@ writes every manifest, listing each input the stage read.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import itertools
@@ -103,19 +104,26 @@ class Run:
             writer.writerows(rows)
         return len(rows)
 
-    def write_records(self, name, cls, records):
-        """Write dataclass records as CSV, one column per field in field
-        order (read back by `_read_records`); returns the record count."""
+    @contextlib.contextmanager
+    def record_writer(self, name, cls):
+        """Open `name` as CSV with one column per field of dataclass `cls`
+        in field order (read back by `_read_records`), and yield a function
+        that writes one record and returns it."""
         header = [f.name for f in dataclasses.fields(cls)]
         row_of = operator.attrgetter(*header)
-        n = 0
         with open(self.out(name), "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for record in records:
+
+            def write(record):
                 writer.writerow(row_of(record))
-                n += 1
-        return n
+                return record
+            yield write
+
+    def write_records(self, name, cls, records):
+        """Write dataclass records with `record_writer`; returns the count."""
+        with self.record_writer(name, cls) as write:
+            return sum(1 for _ in map(write, records))
 
     def write_json(self, name, doc):
         with open(self.out(name), "w", encoding="utf-8") as fh:
@@ -124,8 +132,11 @@ class Run:
 
 def _read_records(path, cls):
     """Yield the `cls` records of a CSV written by `Run.write_records`: int
-    fields parsed, empty `str | None` fields None, the rest strings."""
+    fields parsed, empty `str | None` fields None, the rest strings. A
+    wrong header, a row with the wrong number of fields or an int field
+    that does not parse raises FormatError."""
     columns = dataclasses.fields(cls)
+    width = len(columns)
     ints = [i for i, f in enumerate(columns) if f.type in (int, "int")]
     nullable = [i for i, f in enumerate(columns)
                 if f.type in (str | None, "str | None")]
@@ -136,8 +147,15 @@ def _read_records(path, cls):
             raise FormatError(f"{path}: header {header} does not match "
                               f"the {cls.__name__} fields")
         for row in reader:
-            for i in ints:
-                row[i] = int(row[i])
+            if len(row) != width:
+                raise FormatError(f"{path}: line {reader.line_num} has "
+                                  f"{len(row)} fields, expected {width}")
+            try:
+                for i in ints:
+                    row[i] = int(row[i])
+            except ValueError:
+                raise FormatError(f"{path}: line {reader.line_num}: "
+                                  f"{row[i]!r} is not an integer") from None
             for i in nullable:
                 row[i] = row[i] or None
             yield cls(*row)
@@ -159,16 +177,21 @@ def stage_synth(cfg, run):
 
 
 def stage_ingest(cfg, run):
+    # one pass: each parsed comment is written to comments.csv on its way to
+    # the URL extractor, so the parsed archive is never held in memory
     ledger = corpus_ingest.StreamLedger()
-    with open(run.input("synth/archive.ndjson", cfg.archive), "rb") as fh:
-        records = list(corpus_ingest.stream_comments(fh, ledger=ledger))
-    run.write_records("comments.csv", corpus_ingest.Comment, records)
-    n_mentions = run.write_records(
-        "mentions.csv", corpus_ingest.UrlMention,
-        corpus_ingest.iter_url_mentions(records))
+    with open(run.input("synth/archive.ndjson", cfg.archive), "rb") as fh, \
+            run.record_writer("comments.csv",
+                              corpus_ingest.Comment) as write_comment:
+        records = map(write_comment,
+                      corpus_ingest.stream_comments(fh, ledger=ledger))
+        n_mentions = run.write_records(
+            "mentions.csv", corpus_ingest.UrlMention,
+            corpus_ingest.iter_url_mentions(records, ledger=ledger))
     return {}, {"records": ledger.records, "malformed": ledger.malformed,
                 "deleted_author": ledger.deleted_author,
-                "mentions": n_mentions}
+                "mentions": n_mentions,
+                "urls_without_host": ledger.urls_without_host}
 
 
 def _load_catalog(cfg, run):

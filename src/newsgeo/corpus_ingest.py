@@ -57,11 +57,13 @@ class UrlMention:
 
 @dataclass
 class StreamLedger:
-    """Per-stream counters."""
+    """Counters of one pass over an archive: comments parsed and lines
+    skipped by `stream_comments`, URLs skipped by `iter_url_mentions`."""
 
     records: int = 0
     malformed: int = 0
     deleted_author: int = 0
+    urls_without_host: int = 0
 
 
 _VALID_PARENT_PREFIXES = ("t1_", "t3_")
@@ -188,12 +190,22 @@ def host_of(url: str) -> str | None:
     return host or None
 
 
-def iter_url_mentions(records: Iterable[CommentRecord]) -> Iterator[UrlMention]:
-    """Compose stream + extract into a deterministic UrlMention stream."""
+def iter_url_mentions(
+    records: Iterable[CommentRecord],
+    *,
+    ledger: StreamLedger | None = None,
+) -> Iterator[UrlMention]:
+    """A UrlMention for every URL in each record's body, in order.
+
+    A URL with no host (`http:///x`) is skipped and counted on `ledger`, so
+    URLs extracted = mentions + `ledger.urls_without_host`.
+    """
+    led = ledger if ledger is not None else StreamLedger()
     for rec in records:
         for url in extract_urls(rec.body):
             host = host_of(url)
             if host is None:
+                led.urls_without_host += 1
                 continue
             yield UrlMention(
                 comment_id=rec.comment_id,

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from .errors import (
     InsufficientDataError,
@@ -74,6 +73,14 @@ def _check_rank(design: np.ndarray, names: list[str]) -> None:
             raise SingularDesignError(names[j])
 
 
+def _two_sided_p(t, df):
+    """2 * P(T_df > |t|) for Student-t statistics `t` (scalar or array)."""
+    # imported here, not at module level: every stage runs in its own
+    # process, and most stages never compute a p-value
+    from scipy.special import stdtr
+    return 2.0 * stdtr(df, -np.abs(t))
+
+
 def aic_from_rss(n: int, rss: float, edf: int) -> tuple[float, bool]:
     """AIC = n*ln(RSS/n) + 2*edf (extract-AIC convention, constants dropped)."""
     if rss <= 0.0:
@@ -126,7 +133,7 @@ def ols_fit(
     stderr = np.sqrt(np.maximum(np.diag(xtx_inv), 0.0) * sigma2)
     with np.errstate(divide="ignore", invalid="ignore"):
         tstats = np.where(stderr > 0, coef / stderr, np.inf * np.sign(coef))
-    pvalues = 2.0 * sps.t.sf(np.abs(tstats), df_resid)
+    pvalues = _two_sided_p(tstats, df_resid)
 
     if intercept:
         tss = float(np.sum((y - y.mean()) ** 2))
@@ -183,8 +190,7 @@ def pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     if abs(r) == 1.0:
         return r, 0.0
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    p = 2.0 * float(sps.t.sf(abs(t), n - 2))
-    return r, p
+    return r, float(_two_sided_p(t, n - 2))
 
 
 @dataclass(frozen=True)

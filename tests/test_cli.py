@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import glob
 import inspect
@@ -5,6 +6,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from newsgeo import cli
 from newsgeo.cli import STAGES, main
 from newsgeo.config import RunConfig, config_from_dict, config_load
-from newsgeo.corpus_ingest import Comment, stream_comments
+from newsgeo.corpus_ingest import Comment, extract_urls, stream_comments
 from newsgeo.errors import ConfigurationError
 
 
@@ -271,6 +274,62 @@ class TestStageInputs:
                           if r.parent_id is not None and not r.is_deleted_author)
         assert replies == rows["pair_events"] + rows["unresolved_parents"] + \
             rows["skipped"] + rows["self_replies"]
+
+
+def test_ingest_manifest_counts_urls_without_host(outdir, tmp_path):
+    out = str(tmp_path / "out")
+    shutil.copytree(outdir, out)
+    archive = os.path.join(out, "synth", "archive.ndjson")
+    with open(archive, "a", encoding="utf-8") as fh:
+        for i, url in enumerate(["http:///x", "https://:80/p",
+                                 "http://www./a https://planted.example/b"]):
+            fh.write(json.dumps({"id": f"hostless{i}", "author": "planter",
+                                 "subreddit": "general",
+                                 "created_utc": 1_451_606_400,
+                                 "body": f"see {url}"}) + "\n")
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    assert main(["ingest", "--config", cfg, "--out-dir", out]) == 0
+    rows = json.loads(open(os.path.join(
+        out, "manifests", "ingest.json")).read())["rows"]
+    with open(archive, "rb") as fh:
+        extracted = sum(len(extract_urls(r.body)) for r in stream_comments(fh))
+    assert rows["urls_without_host"] == 3
+    assert extracted == rows["mentions"] + rows["urls_without_host"]
+
+
+@pytest.mark.parametrize("artifact,change", [
+    (artifact, change)
+    for artifact in ("comments.csv", "mentions.csv", "news_comments.csv",
+                     "user_locations.csv")
+    for change in ("short", "long", "not-int")
+    if change != "not-int" or artifact != "user_locations.csv"])
+def test_bad_codec_row_exits_5(outdir, tmp_path, artifact, change):
+    out = str(tmp_path / "out")
+    shutil.copytree(outdir, out)
+    path = os.path.join(out, artifact)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    row = rows[-1]
+    if change == "short":
+        row = row[:-1]
+    elif change == "long":
+        row = row + ["extra"]
+    else:
+        row[header.index("created_utc")] = "soon"
+    with open(path, "a", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(row)
+    with open(path, "rb") as fh:
+        line = len(fh.read().splitlines())
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    # a separate process, as the README runs stages, so a traceback shows
+    proc = subprocess.run(
+        [sys.executable, "-m", "newsgeo.cli", CONSUMERS[artifact][0],
+         "--config", cfg, "--out-dir", out], capture_output=True, text=True,
+        env=dict(os.environ,
+                 PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))))
+    assert proc.returncode == 5, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"FormatError: {path}: line {line}" in proc.stderr
 
 
 # commas, quotes, line breaks and non-ASCII text must survive the CSV codec

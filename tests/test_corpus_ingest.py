@@ -144,6 +144,26 @@ class TestHostOf:
         assert host_of("https:///nope") is None
 
 
+def test_every_extracted_url_is_a_mention_or_counted(rng):
+    # URLs extracted = mentions + urls_without_host, host-less URLs planted
+    hostless = ["http:///x", "https://:80/p", "http://www./a", "http://[::1/q"]
+    records = []
+    planted = 0
+    for i in range(500):
+        urls = [f"https://site{i}-{j}.com/a"
+                for j in range(rng.integers(0, 3))]
+        if rng.random() < 0.3:
+            urls.append(hostless[i % len(hostless)])
+            planted += 1
+        records.append(make_record(f"c{i}", body="see " + " and ".join(urls)))
+    ledger = StreamLedger()
+    mentions = list(iter_url_mentions(records, ledger=ledger))
+    extracted = sum(len(extract_urls(r.body)) for r in records)
+    assert planted > 0
+    assert ledger.urls_without_host == planted
+    assert extracted == len(mentions) + ledger.urls_without_host
+
+
 class TestAuthorIndex:
     def test_two_distinct_authors(self):
         records = [make_record("c1", author="a"), make_record("c2", author="b")]

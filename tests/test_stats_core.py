@@ -1,13 +1,20 @@
 """Kernel tests against independent oracles: normal-equations solves,
-numerical t-CDF quadrature, and exhaustive best-subset AIC search."""
+numerical t-CDF quadrature, scipy.stats' t distribution, and exhaustive
+best-subset AIC search."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats as sps
 from scipy.integrate import quad
+
+import newsgeo
 
 from newsgeo.errors import (
     InsufficientDataError,
@@ -259,3 +266,60 @@ class TestStepAic:
         result = step_aic(candidates, y)
         aics = [step.aic for step in result.trace]
         assert all(b < a for a, b in zip(aics, aics[1:]))
+
+
+class TestPValues:
+    """p-values are 2 * stdtr(df, -|t|), bit-for-bit what scipy.stats gives."""
+
+    @staticmethod
+    def t_sf_pvalues(t, df):
+        return 2.0 * sps.t.sf(np.abs(t), df)
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(newsgeo.__file__))
+        code = ("import sys, newsgeo.cli; print(sorted("
+                "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.stdout.strip() == "[]"
+
+    def test_ols_pvalues_equal_t_sf(self, rng):
+        for df in range(1, 61):
+            x = rng.standard_normal(df + 2)
+            noise = rng.standard_normal(df + 2)
+            fits = [ols_fit(x, noise),                # moderate t
+                    ols_fit(x, x + 1e-9 * noise)]     # large t
+            for fit in fits:
+                assert fit.df_resid == df
+                assert np.array_equal(fit.pvalues,
+                                      self.t_sf_pvalues(fit.tstats, df)), df
+
+    @pytest.mark.parametrize("X,y,intercept,kind", [
+        (np.empty((3, 0)), [5.0, 5.0, 5.0], True, "inf"),       # zero stderr
+        ([1.0, 0.0, 0.0], [0.0, 5.0, -5.0], False, "zero"),
+        (np.empty((2, 0)), [-1.0, 1.0], True, "tiny"),
+    ])
+    def test_ols_boundary_t(self, X, y, intercept, kind):
+        fit = ols_fit(np.asarray(X), np.asarray(y), intercept=intercept)
+        t = abs(fit.tstats[0])
+        assert {"inf": t == np.inf, "zero": t == 0.0,
+                "tiny": 0.0 < t < 1e-12}[kind]
+        assert np.array_equal(fit.pvalues,
+                              self.t_sf_pvalues(fit.tstats, fit.df_resid))
+
+    def test_pearson_p_equals_t_sf(self, rng):
+        for df in range(1, 61):
+            n = df + 2
+            x = rng.standard_normal(n)
+            noise = rng.standard_normal(n)
+            for y in (noise, x + 1e-6 * noise):
+                r, p = pearson(x, y)
+                assert abs(r) < 1.0
+                t = r * math.sqrt((n - 2) / (1.0 - r * r))
+                assert p == float(self.t_sf_pvalues(t, df)), df
+
+    def test_pearson_zero_r(self):
+        r, p = pearson([1.0, 2.0, 3.0, 4.0], [1.0, -1.0, -1.0, 1.0])
+        assert r == 0.0
+        assert p == float(self.t_sf_pvalues(0.0, 2)) == 1.0
