@@ -2,13 +2,14 @@
 
 Each subcommand is one stage: it reads its declared inputs, writes its
 artifacts under the output directory, and drops a machine-readable manifest.
+`all` runs every stage after `synth` in order, in one process.
 All cross-stage artifacts are flat CSV/NDJSON so any stage can be inspected
 or replaced by hand. Stage outputs are pure functions of (inputs, config,
 seed); reruns are byte-identical apart from manifest timestamps.
 
 A stage function resolves and writes files through its `Run` and returns
-its manifest parameters and row counts; `main` times every stage and
-writes every manifest, listing each input the stage read.
+its manifest parameters and row counts; `_run_stage` times every stage
+and writes every manifest, listing each input the stage read.
 """
 
 from __future__ import annotations
@@ -343,15 +344,14 @@ def stage_regress(cfg, run):
     resid_path = run.input("residuals.csv")
     attrs = state_attributes.load_attributes(
         run.input("synth/attributes.csv", cfg.attributes))
-    suite = scaling_laws.circulation_models(
-        _read_residuals(resid_path), attrs, direction=cfg.aic_direction)
+    suite = scaling_laws.circulation_models(_read_residuals(resid_path), attrs)
     rows = scaling_laws.suite_rows(suite)
     run.write_json("regression_suite.json", rows)
     header = sorted({k for r in rows for k in r},
                     key=lambda k: (k not in ("news_type", "group", "metric"), k))
     n_models = run.write_csv("regression_suite.csv", header,
                              [[r.get(k, "") for k in header] for r in rows])
-    return {"direction": cfg.aic_direction}, {"models": n_models}
+    return {}, {"models": n_models}
 
 
 def _load_timelines(run):
@@ -507,7 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="newsgeo",
         description="Geographic news-circulation analysis pipeline")
-    parser.add_argument("stage", choices=STAGES)
+    parser.add_argument("stage", choices=STAGES + ("all",),
+                        help="one stage, or 'all' for every stage after "
+                             "synth in order")
     parser.add_argument("--config", default=None,
                         help="JSON run configuration file")
     parser.add_argument("--out-dir", required=True)
@@ -516,35 +518,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_stage(stage, cfg, outdir):
+    """Run one stage and write its manifest."""
+    started = time.monotonic()
+    run = Run(outdir)
+    parameters, rows = STAGE_FUNCS[stage](cfg, run)
+    run.write_json(f"manifests/{stage}.json", {
+        "stage": stage,
+        "inputs": sorted(run.inputs),
+        "parameters": parameters,
+        "rows": rows,
+        "wall_time_s": round(time.monotonic() - started, 3),
+        "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    })
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s")
+    # `all` analyses inputs, so it leaves out synth; it stops at the first
+    # stage that fails, keeping the manifests of the stages before it
+    stages = STAGES[1:] if args.stage == "all" else (args.stage,)
+    stage = args.stage
     try:
         cfg = config_mod.config_load(args.config) if args.config \
             else config_mod.RunConfig()
         if args.seed is not None:
             cfg.seed = args.seed
-        started = time.monotonic()
-        run = Run(args.out_dir)
-        parameters, rows = STAGE_FUNCS[args.stage](cfg, run)
-        run.write_json(f"manifests/{args.stage}.json", {
-            "stage": args.stage,
-            "inputs": sorted(run.inputs),
-            "parameters": parameters,
-            "rows": rows,
-            "wall_time_s": round(time.monotonic() - started, 3),
-            "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        })
+        for stage in stages:
+            _run_stage(stage, cfg, args.out_dir)
     except NewsgeoError as exc:
-        logger.error("%s: %s", type(exc).__name__, exc)
+        logger.error("%s: %s: %s", stage, type(exc).__name__, exc)
         for klass, code in EXIT_CODES.items():
             if isinstance(exc, klass):
                 return code
         return 1
     except OSError as exc:
-        logger.error("I/O error: %s", exc)
+        logger.error("%s: I/O error: %s", stage, exc)
         return 6
     return 0
 

@@ -27,7 +27,6 @@ class RunConfig:
     alpha: float = 0.05
     scope: str = "all_subreddits"
     rule: str = "chain"
-    aic_direction: str = "both"
     residual_intercept: bool = True
     reach_qualify: str = "at_least"
     cascade_ks: list[int] = field(default_factory=lambda: [2, 3, 5])
@@ -69,9 +68,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigurationError(f"bad value for key 'scope': {cfg.scope!r}")
     if cfg.rule not in ("chain", "star"):
         raise ConfigurationError(f"bad value for key 'rule': {cfg.rule!r}")
-    if cfg.aic_direction not in ("both", "forward", "backward"):
-        raise ConfigurationError(
-            f"bad value for key 'aic_direction': {cfg.aic_direction!r}")
     if cfg.reach_qualify not in ("at_least", "exactly"):
         raise ConfigurationError(
             f"bad value for key 'reach_qualify': {cfg.reach_qualify!r}")

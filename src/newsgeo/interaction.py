@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .corpus_ingest import Comment
-from .errors import ConfigurationError, NewsgeoError
+from .errors import ConfigurationError
 from .geolocation import UserLocation, state_user_counts
 from .states import STATE_SET
 
@@ -45,14 +45,16 @@ def load_centroids(path: str) -> dict[str, tuple[float, float]]:
 def centroid_distance(
     a: str, b: str, centroids: dict[str, tuple[float, float]]
 ) -> float:
-    """Haversine great-circle km between state centroids; 0 for a == b."""
+    """Haversine great-circle km between state centroids; 0 for a == b. A
+    state with no centroid raises ConfigurationError naming it."""
     if a == b:
         return 0.0
     try:
         lat1, lon1 = centroids[a]
         lat2, lon2 = centroids[b]
     except KeyError as exc:
-        raise NewsgeoError(f"no centroid for state {exc.args[0]!r}") from exc
+        raise ConfigurationError(f"no centroid for state {exc.args[0]!r} "
+                                 f"in centroid file") from exc
     phi1, phi2 = math.radians(lat1), math.radians(lat2)
     dphi = phi2 - phi1
     dlam = math.radians(lon2 - lon1)

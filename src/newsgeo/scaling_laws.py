@@ -156,7 +156,6 @@ def circulation_models(
     attributes: StateAttributeTable,
     groups: list[str] | None = None,
     labels: list[str] | None = None,
-    direction: str = "both",
 ) -> ModelSuite:
     """Stepwise-selected OLS of the circulation residual per (news type,
     variable group). Attributes are z-scored over the complete-case states
@@ -177,7 +176,7 @@ def circulation_models(
                 )
             y = np.array([per_state[s] for s in states], dtype=float)
             candidates = {v: std_table.column(v, states) for v in variables}
-            result = step_aic(candidates, y, direction=direction)
+            result = step_aic(candidates, y)
             suite.entries.append(ModelSuiteEntry(label=label, group=group,
                                                  states=states, result=result))
     return suite

@@ -211,7 +211,6 @@ class StepwiseResult:
 def step_aic(
     candidates: dict[str, np.ndarray],
     y: np.ndarray,
-    direction: str = "both",
 ) -> StepwiseResult:
     """Greedy stepwise selection by AIC.
 
@@ -220,8 +219,6 @@ def step_aic(
     predictors, then lexicographic variable order. Always fits with an
     intercept.
     """
-    if direction not in ("both", "forward", "backward"):
-        raise ValueError(f"unknown direction {direction!r}")
     names = sorted(candidates)
     y = np.asarray(y, dtype=float)
 
@@ -236,22 +233,18 @@ def step_aic(
     current_fit = fit_subset(current)
     trace = [StepRecord("start", None, current_fit.aic, current)]
 
-    allow_drop = direction in ("both", "backward")
-    allow_add = direction in ("both", "forward")
     while True:
         moves: list[tuple[float, int, tuple[str, ...], str, str, OlsResult]] = []
-        if allow_drop:
-            for v in current:
-                subset = tuple(u for u in current if u != v)
-                f = fit_subset(subset)
-                moves.append((f.aic, len(subset), subset, "drop", v, f))
-        if allow_add:
-            for v in names:
-                if v in current:
-                    continue
-                subset = tuple(sorted(current + (v,)))
-                f = fit_subset(subset)
-                moves.append((f.aic, len(subset), subset, "add", v, f))
+        for v in current:
+            subset = tuple(u for u in current if u != v)
+            f = fit_subset(subset)
+            moves.append((f.aic, len(subset), subset, "drop", v, f))
+        for v in names:
+            if v in current:
+                continue
+            subset = tuple(sorted(current + (v,)))
+            f = fit_subset(subset)
+            moves.append((f.aic, len(subset), subset, "add", v, f))
         if not moves:
             break
         moves.sort(key=lambda m: (m[0], m[1], m[2]))

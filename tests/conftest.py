@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -21,6 +22,20 @@ def ndjson_line(comment_id, author="alice", subreddit="general",
     if parent_id is not None:
         rec["parent_id"] = parent_id
     return json.dumps(rec)
+
+
+def artifact_bytes(outdir):
+    """Every file a run wrote under `outdir` except the timestamped
+    manifests: relative path -> bytes."""
+    found = {}
+    for root, _, names in os.walk(outdir):
+        if os.path.basename(root) == "manifests":
+            continue
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                found[os.path.relpath(path, outdir)] = fh.read()
+    return found
 
 
 @pytest.fixture

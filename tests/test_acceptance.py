@@ -28,7 +28,7 @@ from newsgeo.scaling_laws import (circulation_residual, classify_exponent,
 from newsgeo.stats_core import ols_fit, step_aic
 from newsgeo.states import STATE_CODES
 
-from conftest import make_record
+from conftest import artifact_bytes, make_record
 from test_contagion import pagerank_dense_oracle, random_graph
 from test_contagion import timeline as contagion_timeline
 from test_stats_core import (exhaustive_best_subset_aic, ols_normal_equations,
@@ -379,26 +379,11 @@ E2E_CONFIG = {
               "cascade_states_range": [2, 8]},
 }
 
-E2E_STAGES = ("synth", "ingest", "classify", "geolocate", "scale", "regress",
-              "diffusion", "connectivity", "contagion", "report")
-
 
 def _run_e2e(cfg_path, outdir):
-    for stage in E2E_STAGES:
-        code = cli_main([stage, "--config", cfg_path, "--out-dir", outdir])
-        assert code == 0, f"stage {stage} exited {code}"
-
-
-def _artifact_bytes(outdir):
-    found = {}
-    for root, _, names in os.walk(outdir):
-        if os.path.basename(root) == "manifests":
-            continue
-        for name in names:
-            path = os.path.join(root, name)
-            with open(path, "rb") as fh:
-                found[os.path.relpath(path, outdir)] = fh.read()
-    return found
+    args = ["--config", cfg_path, "--out-dir", outdir]
+    assert cli_main(["synth", *args]) == 0
+    assert cli_main(["all", *args]) == 0
 
 
 def test_criterion_10_end_to_end(capsys, tmp_path):
@@ -435,8 +420,8 @@ def test_criterion_10_end_to_end(capsys, tmp_path):
         # byte-identical rerun (manifests carry timestamps and are excluded)
         outdir2 = str(tmp_path / "out2")
         _run_e2e(str(cfg_path), outdir2)
-        first = _artifact_bytes(outdir)
-        second = _artifact_bytes(outdir2)
+        first = artifact_bytes(outdir)
+        second = artifact_bytes(outdir2)
         assert first.keys() == second.keys()
         for rel in first:
             assert first[rel] == second[rel], f"{rel} differs between runs"

@@ -13,11 +13,13 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from newsgeo import cli
+from newsgeo import cli, errors
 from newsgeo.cli import STAGES, main
 from newsgeo.config import RunConfig, config_from_dict, config_load
 from newsgeo.corpus_ingest import Comment, extract_urls, stream_comments
-from newsgeo.errors import ConfigurationError
+from newsgeo.errors import ConfigurationError, NewsgeoError
+
+from conftest import artifact_bytes
 
 
 PIPELINE_CONFIG = {
@@ -101,24 +103,34 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path / "out")]) == 6
 
 
-def run_pipeline(cfg_path, outdir):
-    for stage in STAGES:
-        code = main([stage, "--config", cfg_path, "--out-dir", outdir])
-        assert code == 0, f"stage {stage} exited {code}"
+# the exit code the README documents for each error class
+DOCUMENTED_EXIT_CODES = {
+    "ConfigurationError": 2,
+    "DependencyError": 3,
+    "DataIntegrityError": 4,
+    "FormatError": 5,
+    # data too thin or too degenerate for a fit
+    "InsufficientDataError": 1,
+    "SingularDesignError": 1,
+    "DegenerateVariableError": 1,
+    "UndefinedCorrelationError": 1,
+    "AlignmentError": 1,
+}
 
 
-def artifact_bytes(outdir):
-    """Every produced file except the timestamped manifests."""
-    found = {}
-    for root, _, names in os.walk(outdir):
-        if os.path.basename(root) == "manifests":
-            continue
-        for name in names:
-            path = os.path.join(root, name)
-            rel = os.path.relpath(path, outdir)
-            with open(path, "rb") as fh:
-                found[rel] = fh.read()
-    return found
+@pytest.mark.parametrize("klass", [
+    klass for _, klass in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(klass, NewsgeoError) and klass is not NewsgeoError],
+    ids=lambda klass: klass.__name__)
+def test_error_class_exits_with_documented_code(tmp_path, monkeypatch, klass):
+    assert klass.__name__ in DOCUMENTED_EXIT_CODES, \
+        f"{klass.__name__} has no documented exit code"
+
+    def fail(cfg, run):
+        raise klass("planted")
+    monkeypatch.setitem(cli.STAGE_FUNCS, "report", fail)
+    assert main(["report", "--out-dir", str(tmp_path)]) == \
+        DOCUMENTED_EXIT_CODES[klass.__name__]
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +138,8 @@ def outdir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("pipeline")
     cfg = write_config(tmp, PIPELINE_CONFIG)
     out = str(tmp / "out")
-    run_pipeline(cfg, out)
+    assert main(["synth", "--config", cfg, "--out-dir", out]) == 0
+    assert main(["all", "--config", cfg, "--out-dir", out]) == 0
     return out
 
 
@@ -178,14 +191,29 @@ class TestPipeline:
         assert summary["unassigned"] == len(ledger["tie_authors"])
 
     def test_rerun_is_byte_identical(self, outdir, tmp_path):
+        # the reference for `all`: one call per stage, as the README runs them
         cfg = write_config(tmp_path, PIPELINE_CONFIG)
         out2 = str(tmp_path / "out2")
-        run_pipeline(cfg, out2)
+        for stage in STAGES:
+            assert main([stage, "--config", cfg, "--out-dir", out2]) == 0, \
+                stage
         first = artifact_bytes(outdir)
         second = artifact_bytes(out2)
         assert first.keys() == second.keys()
         for rel in first:
             assert first[rel] == second[rel], f"{rel} differs between runs"
+
+    def test_all_stops_at_first_failing_stage(self, outdir, tmp_path, caplog):
+        out = tmp_path / "out"
+        shutil.copytree(os.path.join(outdir, "synth"), out / "synth")
+        os.remove(out / "synth" / "centroids.csv")
+        cfg = write_config(tmp_path, PIPELINE_CONFIG)
+        assert main(["all", "--config", cfg, "--out-dir", str(out)]) == 3
+        assert "connectivity: DependencyError" in caplog.text
+        finished = STAGES[1:STAGES.index("connectivity")]
+        assert "diffusion" in finished
+        assert sorted(os.listdir(out / "manifests")) == \
+            sorted(f"{stage}.json" for stage in finished)
 
 
 # artifact -> (a stage that cannot run without it, the stage that writes it)
@@ -249,8 +277,8 @@ class TestStageInputs:
         shutil.copytree(outdir, out)
         os.remove(os.path.join(out, "synth", "archive.ndjson"))
         cfg = write_config(tmp_path, PIPELINE_CONFIG)
-        for stage in ("geolocate", "connectivity"):
-            assert main([stage, "--config", cfg, "--out-dir", out]) == 0
+        assert main(["geolocate", "--config", cfg, "--out-dir", out]) == 0
+        assert main(["connectivity", "--config", cfg, "--out-dir", out]) == 0
         expected = artifact_bytes(outdir)
         del expected[os.path.join("synth", "archive.ndjson")]
         assert artifact_bytes(out) == expected
@@ -295,6 +323,21 @@ def test_ingest_manifest_counts_urls_without_host(outdir, tmp_path):
         extracted = sum(len(extract_urls(r.body)) for r in stream_comments(fh))
     assert rows["urls_without_host"] == 3
     assert extracted == rows["mentions"] + rows["urls_without_host"]
+
+
+def test_missing_centroid_exits_2(outdir, tmp_path, caplog):
+    out = str(tmp_path / "out")
+    shutil.copytree(outdir, out)
+    with open(os.path.join(out, "user_locations.csv"), newline="") as fh:
+        state = min(row["state"] for row in csv.DictReader(fh) if row["state"])
+    path = os.path.join(out, "synth", "centroids.csv")
+    with open(path, encoding="utf-8") as fh:
+        lines = [line for line in fh if not line.startswith(f"{state},")]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    assert main(["connectivity", "--config", cfg, "--out-dir", out]) == 2
+    assert f"ConfigurationError: no centroid for state {state!r}" in caplog.text
 
 
 @pytest.mark.parametrize("artifact,change", [
@@ -378,26 +421,19 @@ def test_invalid_utf8_line_is_counted_not_fatal(tmp_path, old, new):
 
 
 class TestParameterPropagation:
-    def test_min_states_reaches_contagion(self, tmp_path):
-        cfg_data = dict(PIPELINE_CONFIG)
-        cfg_data["synth"] = dict(cfg_data["synth"], n_states=10)
+    def test_min_states_reaches_contagion(self, outdir, tmp_path):
         out = str(tmp_path / "out")
-        cfg = write_config(tmp_path, cfg_data)
-        for stage in ("synth", "ingest", "classify", "geolocate"):
-            assert main([stage, "--config", cfg, "--out-dir", out]) == 0
-        strict = dict(cfg_data, min_states=8)
-        strict_path = tmp_path / "strict.json"
-        strict_path.write_text(json.dumps(strict))
-        assert main(["contagion", "--config", str(strict_path),
-                     "--out-dir", out]) == 0
-        loose = json.loads(open(os.path.join(
-            out, "contagion_summary.json")).read())
-        strict_urls = {lb: loose[lb]["urls"] for lb in loose}
-        assert main(["contagion", "--config", cfg, "--out-dir", out]) == 0
-        base = json.loads(open(os.path.join(
-            out, "contagion_summary.json")).read())
-        for lb in base:
-            assert strict_urls[lb] <= base[lb]["urls"]
+        shutil.copytree(outdir, out)
+        strict = write_config(tmp_path, dict(PIPELINE_CONFIG, min_states=8))
+        assert main(["contagion", "--config", strict, "--out-dir", out]) == 0
+
+        def urls(root):
+            summary = json.loads(open(os.path.join(
+                root, "contagion_summary.json")).read())
+            return {lb: summary[lb]["urls"] for lb in summary}
+        base, strict_urls = urls(outdir), urls(out)
+        assert all(strict_urls[lb] <= base[lb] for lb in base)
+        assert strict_urls != base
 
     def test_seed_flag_overrides_config(self, tmp_path):
         out_a = str(tmp_path / "a")
