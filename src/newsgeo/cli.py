@@ -27,9 +27,7 @@ import shutil
 import sys
 import time
 
-from . import (config as config_mod, contagion, corpus_ingest, diffusion,
-               geolocation, interaction, news_catalog, scaling_laws,
-               state_attributes, synth)
+from . import config as config_mod
 from .errors import (ConfigurationError, DataIntegrityError, DependencyError,
                      FormatError, NewsgeoError)
 
@@ -168,6 +166,7 @@ def _read_records(path, cls):
 # --------------------------------------------------------------------------
 
 def stage_synth(cfg, run):
+    from . import synth
     synth_params = dict(cfg.synth)
     synth_params.setdefault("seed", cfg.seed)
     scfg = synth.SynthConfig.from_dict(synth_params)
@@ -178,6 +177,7 @@ def stage_synth(cfg, run):
 
 
 def stage_ingest(cfg, run):
+    from . import corpus_ingest
     # one pass: each parsed comment is written to comments.csv on its way to
     # the URL extractor, so the parsed archive is never held in memory
     ledger = corpus_ingest.StreamLedger()
@@ -196,6 +196,7 @@ def stage_ingest(cfg, run):
 
 
 def _load_catalog(cfg, run):
+    from . import news_catalog
     files = [(run.input(f"synth/catalog_{label}.txt", path), label)
              for path, label in cfg.catalog_files()]
     if not files:
@@ -210,23 +211,28 @@ def _load_catalog(cfg, run):
 
 
 def stage_classify(cfg, run):
+    from . import corpus_ingest, news_catalog
     mentions_path = run.input("mentions.csv")
     catalog = _load_catalog(cfg, run)
     tallies = {}
+    ledger = news_catalog.MatchLedger()
     n_news = run.write_records(
         "news_comments.csv", news_catalog.NewsComment,
         news_catalog.classify_mentions(
             _read_records(mentions_path, corpus_ingest.UrlMention),
-            catalog, tallies))
+            catalog, tallies, ledger=ledger))
     run.write_csv("tallies.csv",
                   ["news_type", "unique_comments", "unique_users",
                    "unique_sites", "unique_urls"],
                   [[label, *tallies.get(label, news_catalog.TypeTally())
                     .counts().values()] for label in news_catalog.LABELS])
-    return {"catalog_counts": catalog.label_counts()}, {"news_comments": n_news}
+    return ({"catalog_counts": catalog.label_counts()},
+            {"mentions": ledger.mentions, "news_comments": n_news,
+             "unmatched": ledger.unmatched})
 
 
 def stage_geolocate(cfg, run):
+    from . import corpus_ingest, geolocation
     comments_path = run.input("comments.csv")
     subreddit_states = geolocation.load_subreddit_state_map(
         run.input("synth/subreddit_states.csv", cfg.subreddit_map))
@@ -262,11 +268,13 @@ def _read_populations(path):
 
 def _read_locations(path):
     """author -> UserLocation"""
+    from . import geolocation
     return {loc.author: loc
             for loc in _read_records(path, geolocation.UserLocation)}
 
 
 def stage_attributes(cfg, run):
+    from . import state_attributes
     table = state_attributes.load_attributes(
         run.input("synth/attributes.csv", cfg.attributes))
     variables = [c for c in table.columns
@@ -290,6 +298,7 @@ def stage_attributes(cfg, run):
 
 
 def _state_type_counts(news_path, locations):
+    from . import news_catalog
     counts = {}
     for nc in _read_records(news_path, news_catalog.NewsComment):
         loc = locations.get(nc.author)
@@ -304,6 +313,7 @@ def _state_type_counts(news_path, locations):
 
 
 def stage_scale(cfg, run):
+    from . import geolocation, scaling_laws
     news_path = run.input("news_comments.csv")
     locations = _read_locations(run.input("user_locations.csv"))
     users = geolocation.state_user_counts(locations)
@@ -341,6 +351,7 @@ def _read_residuals(path):
 
 
 def stage_regress(cfg, run):
+    from . import scaling_laws, state_attributes
     resid_path = run.input("residuals.csv")
     attrs = state_attributes.load_attributes(
         run.input("synth/attributes.csv", cfg.attributes))
@@ -356,6 +367,7 @@ def stage_regress(cfg, run):
 
 def _load_timelines(run):
     """URL timelines of the classified news comments, with author states."""
+    from . import diffusion, news_catalog
     news_path = run.input("news_comments.csv")
     locations = _read_locations(run.input("user_locations.csv"))
     return diffusion.build_url_timelines(
@@ -363,6 +375,7 @@ def _load_timelines(run):
 
 
 def stage_diffusion(cfg, run):
+    from . import diffusion
     timelines = _load_timelines(run)
     reach_rows = []
     time_rows = []
@@ -388,6 +401,7 @@ def stage_diffusion(cfg, run):
 
 
 def stage_connectivity(cfg, run):
+    from . import corpus_ingest, geolocation, interaction
     comments_path = run.input("comments.csv")
     locations = _read_locations(run.input("user_locations.csv"))
     centroids = interaction.load_centroids(
@@ -426,6 +440,7 @@ def stage_connectivity(cfg, run):
 
 
 def stage_contagion(cfg, run):
+    from . import contagion, news_catalog, state_attributes
     timelines = _load_timelines(run)
     attr_path = run.input("synth/attributes.csv", cfg.attributes,
                           optional=True)

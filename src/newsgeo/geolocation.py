@@ -12,12 +12,9 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .corpus_ingest import Comment
 from .errors import ConfigurationError, InsufficientDataError
 from .states import STATE_SET
-from .stats_core import ols_fit
 
 logger = logging.getLogger(__name__)
 
@@ -149,6 +146,12 @@ def adoption_and_scaling(
     locations: dict[str, UserLocation], populations: dict[str, int]
 ) -> AdoptionResult:
     """Adoption per state plus the log-log OLS fit of users vs population."""
+    # imported here: `diffusion` and `connectivity` import this module for
+    # UserLocation alone and never load numpy
+    import numpy as np
+
+    from .stats_core import ols_fit
+
     users = state_user_counts(locations)
     rows = []
     excluded = []

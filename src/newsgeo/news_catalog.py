@@ -45,6 +45,15 @@ class NewsComment:
 
 
 @dataclass
+class MatchLedger:
+    """Counters of one `classify_mentions` pass: mentions read, and those
+    whose host matched no catalog entry."""
+
+    mentions: int = 0
+    unmatched: int = 0
+
+
+@dataclass
 class TypeTally:
     """Per-label sets of distinct comments, users, sites and URLs."""
 
@@ -116,17 +125,24 @@ def classify_mentions(
     mentions: Iterable[UrlMention],
     catalog: DomainCatalog,
     tallies: dict[str, TypeTally] | None = None,
+    *,
+    ledger: MatchLedger | None = None,
 ) -> Iterator[NewsComment]:
     """Emit one NewsComment per (comment, matched URL).
 
     When `tallies` is given (label -> TypeTally), comment-level tallies are
     accumulated in place: a comment counts once per news type even if it
     holds several same-type URLs. The deleted-author sentinel counts for
-    comment/site/url tallies but never as a user.
+    comment/site/url tallies but never as a user. Mentions read and mentions
+    left unmatched are counted on `ledger`, so mentions read = NewsComments
+    emitted + `ledger.unmatched`.
     """
+    led = ledger if ledger is not None else MatchLedger()
     for mention in mentions:
+        led.mentions += 1
         domain = match_host(mention.host, catalog)
         if domain is None:
+            led.unmatched += 1
             continue
         label = catalog.entries[domain]
         if tallies is not None:

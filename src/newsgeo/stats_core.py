@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,8 +39,6 @@ class OlsResult:
     coefficients: np.ndarray      # intercept first when fitted with one
     stderr: np.ndarray
     tstats: np.ndarray
-    pvalues: np.ndarray
-    stars: list[str]
     r2: float
     adj_r2: float
     resid_se: float
@@ -53,6 +52,16 @@ class OlsResult:
     n: int
     rss: float
     intercept: bool
+
+    # computed when first read: p-values load scipy, and a stage that reads
+    # only coefficients and fit statistics never needs it
+    @cached_property
+    def pvalues(self) -> np.ndarray:
+        return _two_sided_p(self.tstats, self.df_resid)
+
+    @cached_property
+    def stars(self) -> list[str]:
+        return [significance_stars(p) for p in self.pvalues]
 
     @property
     def k(self) -> int:
@@ -75,8 +84,9 @@ def _check_rank(design: np.ndarray, names: list[str]) -> None:
 
 def _two_sided_p(t, df):
     """2 * P(T_df > |t|) for Student-t statistics `t` (scalar or array)."""
-    # imported here, not at module level: every stage runs in its own
-    # process, and most stages never compute a p-value
+    # imported here, not at module level: a process loads scipy only once
+    # it computes a p-value. Most stages, run one by one, never do; under
+    # `newsgeo all` the stages share one process, which loads it once.
     from scipy.special import stdtr
     return 2.0 * stdtr(df, -np.abs(t))
 
@@ -133,7 +143,6 @@ def ols_fit(
     stderr = np.sqrt(np.maximum(np.diag(xtx_inv), 0.0) * sigma2)
     with np.errstate(divide="ignore", invalid="ignore"):
         tstats = np.where(stderr > 0, coef / stderr, np.inf * np.sign(coef))
-    pvalues = _two_sided_p(tstats, df_resid)
 
     if intercept:
         tss = float(np.sum((y - y.mean()) ** 2))
@@ -154,8 +163,6 @@ def ols_fit(
         coefficients=coef,
         stderr=stderr,
         tstats=np.asarray(tstats, dtype=float),
-        pvalues=np.asarray(pvalues, dtype=float),
-        stars=[significance_stars(pv) for pv in pvalues],
         r2=r2,
         adj_r2=adj_r2,
         resid_se=math.sqrt(sigma2) if df_resid > 0 else float("nan"),

@@ -248,23 +248,25 @@ def generate(config: SynthConfig) -> SynthOutput:
     # --- interaction pairs with distance-decay probability --------------
     interaction_pairs: list[list[str]] = []
     if config.interaction_users_per_state > 0 and config.connectivity_base > 0:
-        sampled: list[tuple[str, str]] = []   # (author, state)
-        for s in states:
+        sampled: list[tuple[str, int]] = []   # (author, state position)
+        for i, s in enumerate(states):
             take = min(config.interaction_users_per_state, len(state_users[s]))
-            sampled.extend((a, s) for a in state_users[s][:take])
+            sampled.extend((a, i) for a in state_users[s][:take])
+        # pair probability by the distance between the two states' positions
+        p_at_gap = []
+        for gap in range(n):
+            d = gap * config.state_spacing_km
+            if d == 0:
+                p = config.connectivity_base
+            else:
+                p = config.connectivity_base * \
+                    (d / 100.0) ** (-config.connectivity_gamma)
+            p_at_gap.append(min(p, 1.0))
         for x in range(len(sampled)):
-            a_author, a_state = sampled[x]
+            a_author, a_pos = sampled[x]
             for y in range(x + 1, len(sampled)):
-                b_author, b_state = sampled[y]
-                d = abs(states.index(a_state) - states.index(b_state)) * \
-                    config.state_spacing_km
-                if d == 0:
-                    p = config.connectivity_base
-                else:
-                    p = config.connectivity_base * \
-                        (d / 100.0) ** (-config.connectivity_gamma)
-                p = min(p, 1.0)
-                if rng_inter.random() < p:
+                b_author, b_pos = sampled[y]
+                if rng_inter.random() < p_at_gap[abs(a_pos - b_pos)]:
                     t = stamp(rng_inter)
                     parent = new_comment(a_author, GENERAL_SUBREDDIT, t,
                                          "starting a thread")
@@ -299,8 +301,8 @@ def generate(config: SynthConfig) -> SynthOutput:
 
     # --- serialize the archive ------------------------------------------
     records.sort(key=lambda r: (r["created_utc"], r["id"]))
-    lines = [json.dumps(r, sort_keys=True, separators=(",", ":"))
-             for r in records]
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    lines = [encode(r) for r in records]
     if config.n_malformed_lines > 0:
         step = max(1, len(lines) // (config.n_malformed_lines + 1))
         for m in range(config.n_malformed_lines):

@@ -325,6 +325,26 @@ def test_ingest_manifest_counts_urls_without_host(outdir, tmp_path):
     assert extracted == rows["mentions"] + rows["urls_without_host"]
 
 
+@pytest.mark.parametrize("dropped", [None, "satire"])
+def test_classify_manifest_accounts_for_every_mention(outdir, tmp_path,
+                                                      dropped):
+    # with a label's catalog gone, its mentions match nothing
+    out = str(tmp_path / "out")
+    shutil.copytree(outdir, out)
+    if dropped:
+        os.remove(os.path.join(out, "synth", f"catalog_{dropped}.txt"))
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    assert main(["classify", "--config", cfg, "--out-dir", out]) == 0
+    rows = json.loads(open(os.path.join(
+        out, "manifests", "classify.json")).read())["rows"]
+    ledger = json.loads(open(os.path.join(
+        out, "synth", "ledger.json")).read())
+    assert rows["mentions"] == ledger["url_mention_total"]
+    assert rows["unmatched"] == \
+        (sum(ledger["news_tallies"][dropped].values()) if dropped else 0)
+    assert rows["mentions"] == rows["news_comments"] + rows["unmatched"]
+
+
 def test_missing_centroid_exits_2(outdir, tmp_path, caplog):
     out = str(tmp_path / "out")
     shutil.copytree(outdir, out)

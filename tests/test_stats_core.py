@@ -277,8 +277,9 @@ class TestPValues:
 
     def test_importing_the_cli_loads_no_scipy(self):
         src = os.path.dirname(os.path.dirname(newsgeo.__file__))
-        code = ("import sys, newsgeo.cli; print(sorted("
-                "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        # nor numpy: tests/test_imports.py holds each stage's import budget
+        code = ("import sys, newsgeo.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('numpy', 'scipy')))")
         proc = subprocess.run([sys.executable, "-c", code], check=True,
                               capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=src))
