@@ -31,7 +31,8 @@ from . import config as config_mod
 from .errors import (ConfigurationError, DataIntegrityError, DependencyError,
                      FormatError, NewsgeoError)
 
-logger = logging.getLogger(__name__)
+# a fixed name, so `python -m newsgeo.cli` logs as the console script does
+logger = logging.getLogger("newsgeo.cli")
 
 EXIT_CODES = {
     ConfigurationError: 2,
@@ -259,11 +260,10 @@ def stage_geolocate(cfg, run):
 
 
 def _read_populations(path):
-    populations = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            populations[row["state"].strip().upper()] = int(row["population"])
-    return populations
+    from .states import number, read_table, state_code
+    return {state_code(state, where): number(int, population, where)
+            for (state, population), where in read_table(
+                path, ("state", "population"))}
 
 
 def _read_locations(path):
@@ -342,11 +342,11 @@ def stage_scale(cfg, run):
 
 
 def _read_residuals(path):
+    from .states import number, read_table
     metric = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            metric.setdefault(row["news_type"], {})[row["state"]] = \
-                float(row["residual"])
+    for (label, state, residual, _), where in read_table(
+            path, ("news_type", "state", "residual", "normalized")):
+        metric.setdefault(label, {})[state] = number(float, residual, where)
     return metric
 
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import types
+import typing
+from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
 
@@ -46,21 +48,58 @@ class RunConfig:
 def config_load(path: str) -> RunConfig:
     """Load and validate a JSON run configuration; unknown keys rejected."""
     with open(path, encoding="utf-8") as fh:
-        text = fh.read().strip()
-    data = json.loads(text) if text else {}
+        try:
+            text = fh.read().strip()
+            data = json.loads(text) if text else {}
+        except ValueError as exc:   # not UTF-8, or not JSON
+            raise ConfigurationError(f"{path} is not valid JSON: {exc}") \
+                from None
     if not isinstance(data, dict):
         raise ConfigurationError("config file must hold a JSON object")
     return config_from_dict(data)
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    known = {f.name: f for f in fields(RunConfig)}
-    for key in data:
-        if key not in known:
-            raise ConfigurationError(f"unknown config key {key!r}")
+    check_keys(RunConfig, data, "config key")
     cfg = RunConfig(**data)
     _validate(cfg)
     return cfg
+
+
+def check_keys(cls, data: dict, what: str) -> None:
+    """ConfigurationError naming the first key of `data` that is not a field
+    of dataclass `cls`, or whose JSON value does not fit the field's type
+    (a list stands for a tuple, an integer for a float)."""
+    hints = typing.get_type_hints(cls)
+    for key, value in data.items():
+        if key not in hints:
+            raise ConfigurationError(f"unknown {what} {key!r}")
+        if not _fits(value, hints[key]):
+            hint = hints[key]
+            raise ConfigurationError(
+                f"bad type for {what} {key!r}: {value!r} is not "
+                f"{hint.__name__ if isinstance(hint, type) else hint}")
+
+
+def _fits(value, hint) -> bool:
+    """Whether the JSON value `value` fits the type `hint`."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        return any(_fits(value, arg) for arg in args)
+    if origin is tuple:
+        return isinstance(value, list) and len(value) == len(args) and \
+            all(map(_fits, value, args))
+    if origin is list:
+        return isinstance(value, list) and all(_fits(v, args[0])
+                                               for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            isinstance(k, str) and _fits(v, args[1]) for k, v in value.items())
+    if hint is float:
+        hint = (int, float)
+    # JSON true/false are bools, which Python also counts as ints
+    return isinstance(value, hint) and \
+        (hint is bool or not isinstance(value, bool))
 
 
 def _validate(cfg: RunConfig) -> None:

@@ -140,9 +140,8 @@ def cascade_times(
         if (qualify == "at_least" and reach < k) or \
            (qualify == "exactly" and reach != k):
             continue
+        # both qualifiers keep only timelines that reach k, so this is a time
         t = tl.time_to_reach(unit, k)
-        if t is None:
-            continue
         per_label.setdefault(tl.label, []).append(t / SECONDS_PER_DAY)
     out: dict[str, CascadeStat] = {}
     for label, days in sorted(per_label.items()):

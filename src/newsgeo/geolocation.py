@@ -7,14 +7,13 @@ deleted-author sentinel never contribute.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from typing import Iterable
 
 from .corpus_ingest import Comment
 from .errors import ConfigurationError, InsufficientDataError
-from .states import STATE_SET
+from .states import read_table, state_code
 
 logger = logging.getLogger(__name__)
 
@@ -44,33 +43,13 @@ class AdoptionRow:
 
 
 def load_subreddit_state_map(path: str) -> dict[str, str]:
-    """CSV `subreddit,state_code` -> lowercase subreddit -> state code.
-
-    Codes outside the 50 states (e.g. DC) and conflicting duplicate rows are
-    configuration errors.
-    """
+    """Table `subreddit,state` -> lowercase subreddit -> state code."""
     mapping: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].strip().startswith("#"):
-                continue
-            if row[0].strip().lower() == "subreddit":
-                continue
-            if len(row) < 2:
-                raise ConfigurationError(f"bad subreddit map row: {row!r}")
-            subreddit = row[0].strip().lower()
-            state = row[1].strip().upper()
-            if state not in STATE_SET:
-                raise ConfigurationError(
-                    f"{state!r} is not one of the 50 state codes (row {row!r})"
-                )
-            existing = mapping.get(subreddit)
-            if existing is not None and existing != state:
-                raise ConfigurationError(
-                    f"subreddit {subreddit!r} mapped to both {existing} and {state}"
-                )
-            mapping[subreddit] = state
+    for (subreddit, cell), where in read_table(path, ("subreddit", "state")):
+        subreddit, state = subreddit.lower(), state_code(cell, where)
+        if mapping.setdefault(subreddit, state) != state:
+            raise ConfigurationError(f"{where}: {subreddit!r} mapped to both "
+                                     f"{mapping[subreddit]} and {state}")
     return mapping
 
 

@@ -9,7 +9,6 @@ state centroids fall in that bin.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ from typing import Iterable
 from .corpus_ingest import Comment
 from .errors import ConfigurationError
 from .geolocation import UserLocation, state_user_counts
-from .states import STATE_SET
+from .states import number, read_table, state_code
 
 logger = logging.getLogger(__name__)
 
@@ -28,18 +27,11 @@ SCOPES = ("all_subreddits", "non_location_subreddits")
 
 
 def load_centroids(path: str) -> dict[str, tuple[float, float]]:
-    """CSV `state,lat,lon` -> state -> (lat, lon) in degrees."""
-    centroids: dict[str, tuple[float, float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#") or \
-               row[0].strip().lower() == "state":
-                continue
-            state = row[0].strip().upper()
-            if state not in STATE_SET:
-                raise ConfigurationError(f"unknown state {state!r} in centroid file")
-            centroids[state] = (float(row[1]), float(row[2]))
-    return centroids
+    """Table `state,lat,lon` -> state -> (lat, lon) in degrees."""
+    return {state_code(state, where): (number(float, lat, where),
+                                       number(float, lon, where))
+            for (state, lat, lon), where in read_table(
+                path, ("state", "lat", "lon"))}
 
 
 def centroid_distance(

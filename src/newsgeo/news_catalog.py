@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .corpus_ingest import DELETED_AUTHOR, UrlMention
-from .errors import ConfigurationError
+from .errors import ConfigurationError, FormatError
 
 logger = logging.getLogger(__name__)
 
@@ -87,23 +87,28 @@ def load_catalog(label_files: list[tuple[str, str]]) -> DomainCatalog:
     """Build a DomainCatalog from (path, label) pairs.
 
     Conflicts resolve most-severe-wins; an empty result is a configuration
-    error (wrong paths, empty files).
+    error (wrong paths, empty files), and a file that is not UTF-8 a
+    FormatError.
     """
     catalog = DomainCatalog()
     for path, label in label_files:
         if label not in _SEVERITY:
             raise ConfigurationError(f"unknown news label {label!r}")
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                domain = _normalize_entry(line)
-                if domain is None:
-                    continue
-                catalog.provenance.setdefault(domain, [])
-                if path not in catalog.provenance[domain]:
-                    catalog.provenance[domain].append(path)
-                current = catalog.entries.get(domain)
-                if current is None or _SEVERITY[label] < _SEVERITY[current]:
-                    catalog.entries[domain] = label
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise FormatError(f"{path} is not UTF-8") from None
+        for line in lines:
+            domain = _normalize_entry(line)
+            if domain is None:
+                continue
+            catalog.provenance.setdefault(domain, [])
+            if path not in catalog.provenance[domain]:
+                catalog.provenance[domain].append(path)
+            current = catalog.entries.get(domain)
+            if current is None or _SEVERITY[label] < _SEVERITY[current]:
+                catalog.entries[domain] = label
     if not catalog.entries:
         raise ConfigurationError("catalog is empty after loading all label files")
     logger.info("catalog loaded: %s", catalog.label_counts())

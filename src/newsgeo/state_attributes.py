@@ -12,8 +12,9 @@ from .errors import (
     ConfigurationError,
     DataIntegrityError,
     DegenerateVariableError,
+    FormatError,
 )
-from .states import STATE_SET
+from .states import number, state_code
 from .stats_core import pearson
 
 # Canonical attribute columns, grouped the way the regression suites use them.
@@ -58,30 +59,37 @@ class StateAttributeTable:
 
 
 def load_attributes(path: str) -> StateAttributeTable:
-    """Read the attribute CSV (header `state` plus known columns)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        if "state" not in header:
-            raise ConfigurationError("attribute CSV is missing a 'state' column")
-        known = set(ATTRIBUTE_COLUMNS)
-        for col in header:
-            if col != "state" and col not in known:
-                raise ConfigurationError(f"unknown attribute column {col!r}")
-        columns = [c for c in header if c != "state"]
-        values: dict[str, dict[str, float | None]] = {}
-        for row in reader:
-            state = row["state"].strip().upper()
-            if state not in STATE_SET:
-                raise DataIntegrityError(f"unknown state code {state!r}")
-            if state in values:
-                raise DataIntegrityError(f"duplicate state row {state!r}")
-            parsed: dict[str, float | None] = {}
-            for col in columns:
-                cell = (row.get(col) or "").strip()
-                parsed[col] = float(cell) if cell else None
-            _validate_row(state, parsed)
-            values[state] = parsed
+    """Read the attribute CSV (header `state` plus known columns). A state
+    code outside the 50 states is a ConfigurationError, and a cell that is
+    not a number, or a file that is not UTF-8, a FormatError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return _read_attributes(path, csv.DictReader(fh))
+    except UnicodeDecodeError:
+        raise FormatError(f"{path} is not UTF-8") from None
+
+
+def _read_attributes(path: str, reader: csv.DictReader) -> StateAttributeTable:
+    header = reader.fieldnames or []
+    if "state" not in header:
+        raise ConfigurationError("attribute CSV is missing a 'state' column")
+    known = set(ATTRIBUTE_COLUMNS)
+    for col in header:
+        if col != "state" and col not in known:
+            raise ConfigurationError(f"unknown attribute column {col!r}")
+    columns = [c for c in header if c != "state"]
+    values: dict[str, dict[str, float | None]] = {}
+    for row in reader:
+        where = f"{path}: line {reader.line_num}"
+        state = state_code(row["state"], where)
+        if state in values:
+            raise DataIntegrityError(f"duplicate state row {state!r}")
+        parsed: dict[str, float | None] = {}
+        for col in columns:
+            cell = (row.get(col) or "").strip()
+            parsed[col] = number(float, cell, where) if cell else None
+        _validate_row(state, parsed)
+        values[state] = parsed
     return StateAttributeTable(columns=columns, values=values)
 
 

@@ -1,4 +1,10 @@
-"""The 50 U.S. state codes. DC and territories are excluded end to end."""
+"""The 50 U.S. state codes, and the reader of the fixed-column state tables.
+DC and territories are excluded end to end."""
+
+import csv
+import re
+
+from .errors import ConfigurationError, FormatError
 
 STATE_CODES = (
     "AL", "AK", "AZ", "AR", "CA", "CO", "CT", "DE", "FL", "GA",
@@ -9,3 +15,41 @@ STATE_CODES = (
 )
 
 STATE_SET = frozenset(STATE_CODES)
+
+# read_table decodes with "surrogateescape": a byte that is not UTF-8 becomes
+# one of these lone surrogates
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
+
+def read_table(path, columns):
+    """Yield (stripped cells, "<path>: line <n>") per data row; skip blank,
+    `#` and header rows; raise FormatError on non-UTF-8 or wrong width."""
+    with open(path, newline="", encoding="utf-8",
+              errors="surrogateescape") as fh:
+        for row in (reader := csv.reader(fh)):
+            where = f"{path}: line {reader.line_num}"
+            if _NOT_UTF8.search(",".join(row)):
+                raise FormatError(f"{where} is not UTF-8")
+            cells = [c.strip() for c in row]
+            if not any(cells) or cells[0].startswith("#") or \
+                    cells[0].lower() == columns[0]:
+                continue
+            if len(cells) != len(columns):
+                raise FormatError(f"{where} has {len(cells)} fields, "
+                                  f"expected {len(columns)}")
+            yield cells, where
+
+
+def state_code(cell, where):
+    """The upper-cased code; ConfigurationError outside the 50 states."""
+    if (code := cell.strip().upper()) in STATE_SET:
+        return code
+    raise ConfigurationError(f"{where}: {cell!r} is not one of the 50 states")
+
+
+def number(kind, cell, where):
+    """`kind(cell)`; FormatError if the cell does not parse."""
+    try:
+        return kind(cell)
+    except ValueError:
+        raise FormatError(f"{where}: not {kind.__name__}: {cell!r}") from None

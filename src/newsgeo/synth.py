@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .config import check_keys
 from .errors import ConfigurationError
 from .news_catalog import LABELS
 from .states import STATE_CODES
@@ -87,10 +88,7 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SynthConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        for key in data:
-            if key not in known:
-                raise ConfigurationError(f"unknown synth config key {key!r}")
+        check_keys(cls, data, "synth config key")
         cfg = cls(**{k: (tuple(v) if isinstance(v, list) and
                          isinstance(cls.__dataclass_fields__[k].default, tuple)
                          else v)

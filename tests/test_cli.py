@@ -69,6 +69,14 @@ class TestConfig:
         ("min_states", 1),
         ("cascade_ks", [1, 2]),
         ("alpha", 2.0),
+        ("bin_km", "x"),
+        ("cascade_ks", 5),
+        ("cascade_ks", [2.5]),
+        ("min_states", "5"),
+        ("damping", None),
+        ("residual_intercept", "no"),
+        ("seed", True),
+        ("synth", []),
     ])
     def test_bad_value_names_key(self, key, value):
         with pytest.raises(ConfigurationError, match=key):
@@ -97,6 +105,18 @@ class TestExitCodes:
 
     def test_report_before_anything_exits_3(self, tmp_path):
         assert main(["report", "--out-dir", str(tmp_path / "out")]) == 3
+
+    @pytest.mark.parametrize("text", [
+        b'{"bin_km": "x"}', b'{"cascade_ks": 5}', b'{"min_states": "5"}',
+        b'{"damping": null}', b'{"residual_intercept": "no"}',
+        b'{"synth": {"n_states": "50"}}', b'{"seed": ', b'{"rule": "\xff"}'])
+    def test_bad_config_type_or_json_exits_2(self, tmp_path, caplog, text):
+        path = tmp_path / "run.json"
+        path.write_bytes(text)
+        assert main(["synth", "--config", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert "ConfigurationError" in caplog.text
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_exits_6(self, tmp_path):
         assert main(["ingest", "--config", str(tmp_path / "nope.json"),
@@ -345,6 +365,34 @@ def test_classify_manifest_accounts_for_every_mention(outdir, tmp_path,
     assert rows["mentions"] == rows["news_comments"] + rows["unmatched"]
 
 
+def run_cli_process(*args):
+    """Run the CLI as `python -m newsgeo.cli`, as the README runs stages, so
+    that a traceback and the logger name show."""
+    return subprocess.run(
+        [sys.executable, "-m", "newsgeo.cli", *args], capture_output=True,
+        text=True, env=dict(
+            os.environ,
+            PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))))
+
+
+def test_module_run_logs_under_the_package_logger(tmp_path):
+    proc = run_cli_process("ingest", "--out-dir", str(tmp_path / "out"))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("ERROR newsgeo.cli: ingest: "
+                                  "DependencyError: "), proc.stderr
+
+
+def test_non_utf8_catalog_exits_5(outdir, tmp_path, caplog):
+    out = str(tmp_path / "out")
+    shutil.copytree(outdir, out)
+    path = os.path.join(out, "synth", "catalog_fake.txt")
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\xfe")
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    assert main(["classify", "--config", cfg, "--out-dir", out]) == 5
+    assert f"FormatError: {path} is not UTF-8" in caplog.text
+
+
 def test_missing_centroid_exits_2(outdir, tmp_path, caplog):
     out = str(tmp_path / "out")
     shutil.copytree(outdir, out)
@@ -384,15 +432,52 @@ def test_bad_codec_row_exits_5(outdir, tmp_path, artifact, change):
     with open(path, "rb") as fh:
         line = len(fh.read().splitlines())
     cfg = write_config(tmp_path, PIPELINE_CONFIG)
-    # a separate process, as the README runs stages, so a traceback shows
-    proc = subprocess.run(
-        [sys.executable, "-m", "newsgeo.cli", CONSUMERS[artifact][0],
-         "--config", cfg, "--out-dir", out], capture_output=True, text=True,
-        env=dict(os.environ,
-                 PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))))
+    proc = run_cli_process(CONSUMERS[artifact][0], "--config", cfg,
+                           "--out-dir", out)
     assert proc.returncode == 5, proc.stderr
     assert "Traceback" not in proc.stderr
     assert f"FormatError: {path}: line {line}" in proc.stderr
+
+
+# state table, appended row -> the stage that reads it, exit code, error
+HOSTILE_TABLE_ROWS = [
+    ("synth/populations.csv", b"AL,lots", "geolocate", 5, "FormatError"),
+    ("synth/populations.csv", b"AL", "geolocate", 5, "FormatError"),
+    ("synth/populations.csv", b"DC,700000", "geolocate", 2,
+     "ConfigurationError"),
+    ("synth/centroids.csv", b"AL", "connectivity", 5, "FormatError"),
+    ("synth/centroids.csv", b"AL,north,5", "connectivity", 5, "FormatError"),
+    ("synth/attributes.csv", b"WY,lots", "attributes", 5, "FormatError"),
+    ("residuals.csv", b"fake,AL,notanumber,0", "regress", 5, "FormatError"),
+    ("synth/subreddit_states.csv", b"caf\xe9,AL", "geolocate", 5,
+     "FormatError"),
+    ("synth/subreddit_states.csv", b"texasstate,TX,extra", "geolocate", 5,
+     "FormatError"),
+    ("synth/subreddit_states.csv", b"dcstate,DC", "geolocate", 2,
+     "ConfigurationError"),
+]
+
+
+@pytest.mark.parametrize("table,row,stage,code,error", HOSTILE_TABLE_ROWS,
+                         ids=[f"{t.split('/')[-1]}:{r.decode('latin-1')}"
+                              for t, r, *_ in HOSTILE_TABLE_ROWS])
+def test_bad_table_row_exits_with_its_code(outdir, tmp_path, table, row,
+                                           stage, code, error):
+    out = str(tmp_path / "out")
+    shutil.copytree(outdir, out)
+    path = os.path.join(out, table)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    assert b"\nWY," not in data   # so the attributes row is a new state
+    with open(path, "wb") as fh:
+        fh.write(data + row + b"\r\n")
+    line = len(data.splitlines()) + 1
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    proc = run_cli_process(stage, "--config", cfg, "--out-dir", out)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"ERROR newsgeo.cli: {stage}: {error}: {path}: line {line}" \
+        in proc.stderr
 
 
 # commas, quotes, line breaks and non-ASCII text must survive the CSV codec

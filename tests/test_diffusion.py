@@ -193,6 +193,23 @@ class TestCascadeTimes:
                 pytest.approx(float(np.median(expected)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10_000), st.sampled_from("abcdef"),
+                          st.none() | st.sampled_from(["WA", "CA", "TX"])),
+                max_size=12),
+       st.sampled_from(["authors", "states"]))
+def test_time_to_reach_is_a_time_exactly_up_to_the_reach(rows, unit):
+    # cascade_times relies on this: a timeline that qualifies for k has a
+    # time to reach k, so no qualifying timeline is dropped
+    tl = timeline("u", "fake", [event(ts, author, state, f"c{i}")
+                                for i, (ts, author, state) in enumerate(rows)])
+    reach = tl.distinct_units(unit)
+    for k in range(1, reach + 1):
+        t = tl.time_to_reach(unit, k)
+        assert isinstance(t, float) and t >= 0.0
+    assert tl.time_to_reach(unit, reach + 1) is None
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_reach_curves_on_fuzzed_corpora(seed):

@@ -1,7 +1,7 @@
 import pytest
 
 from newsgeo.corpus_ingest import UrlMention, host_of
-from newsgeo.errors import ConfigurationError
+from newsgeo.errors import ConfigurationError, FormatError
 from newsgeo.news_catalog import (
     DomainCatalog,
     classify_mentions,
@@ -51,6 +51,12 @@ class TestLoadCatalog:
         path = tmp_path / "empty.txt"
         path.write_text("# only a comment\n")
         with pytest.raises(ConfigurationError):
+            load_catalog([(str(path), "fake")])
+
+    def test_non_utf8_file_is_format_error(self, tmp_path):
+        path = tmp_path / "fake.txt"
+        path.write_bytes(b"fake.example\n\xff\xfe\n")
+        with pytest.raises(FormatError, match=f"{path} is not UTF-8"):
             load_catalog([(str(path), "fake")])
 
     def test_randomized_overlaps_match_set_algebra(self, tmp_path, rng):

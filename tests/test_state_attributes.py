@@ -7,6 +7,7 @@ from newsgeo.errors import (
     ConfigurationError,
     DataIntegrityError,
     DegenerateVariableError,
+    FormatError,
 )
 from newsgeo.state_attributes import (
     ATTRIBUTE_COLUMNS,
@@ -69,6 +70,24 @@ class TestLoad:
         path = tmp_path / "dup.csv"
         write_csv(path, ["state", "openness"], [["OH", 1.0], ["OH", 2.0]])
         with pytest.raises(DataIntegrityError):
+            load_attributes(str(path))
+
+    def test_unknown_state_rejected(self, tmp_path):
+        path = tmp_path / "dc.csv"
+        write_csv(path, ["state", "openness"], [["OH", 1.0], ["DC", 2.0]])
+        with pytest.raises(ConfigurationError, match="line 3: 'DC'"):
+            load_attributes(str(path))
+
+    def test_non_number_cell_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        write_csv(path, ["state", "openness"], [["OH", "high"]])
+        with pytest.raises(FormatError, match="line 2: not float: 'high'"):
+            load_attributes(str(path))
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"state,openness\nOH,1.0\n\xff\n")
+        with pytest.raises(FormatError, match="not UTF-8"):
             load_attributes(str(path))
 
     def test_bad_swing_value_rejected(self, tmp_path):

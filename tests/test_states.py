@@ -1,0 +1,49 @@
+import pytest
+
+from newsgeo.errors import ConfigurationError, FormatError
+from newsgeo.states import number, read_table, state_code
+
+COLUMNS = ("state", "lat", "lon")
+
+
+def rows(tmp_path, data):
+    path = tmp_path / "table.csv"
+    path.write_bytes(data)
+    return [(cells, where.removeprefix(f"{path}: "))
+            for cells, where in read_table(str(path), COLUMNS)]
+
+
+class TestReadTable:
+    def test_header_is_optional(self, tmp_path):
+        body = b"WA, 47.4 ,-120.5\r\nTX,31.0,-99.9\r\n"
+        cells = [["WA", "47.4", "-120.5"], ["TX", "31.0", "-99.9"]]
+        assert rows(tmp_path, body) == [(cells[0], "line 1"),
+                                        (cells[1], "line 2")]
+        assert rows(tmp_path, b"State,lat,lon\r\n" + body) == \
+            [(cells[0], "line 2"), (cells[1], "line 3")]
+
+    def test_blank_and_comment_rows_skipped(self, tmp_path):
+        data = b"state,lat,lon\n\n# note,x\n ,\nWA,1,2\n"
+        assert rows(tmp_path, data) == [(["WA", "1", "2"], "line 5")]
+
+    @pytest.mark.parametrize("line", [b"WA,1", b"WA,1,2,3"])
+    def test_wrong_field_count(self, tmp_path, line):
+        with pytest.raises(FormatError, match="line 2 has"):
+            rows(tmp_path, b"WA,1,2\n" + line + b"\n")
+
+    def test_not_utf8_names_the_line(self, tmp_path):
+        with pytest.raises(FormatError, match="line 3 is not UTF-8"):
+            rows(tmp_path, b"WA,1,2\nTX,3,4\nCA\xe9,5,6\n")
+
+
+def test_state_code():
+    assert state_code(" wa ", "f: line 1") == "WA"
+    with pytest.raises(ConfigurationError, match="f: line 1: 'DC'"):
+        state_code("DC", "f: line 1")
+
+
+def test_number():
+    assert number(int, "12", "w") == 12
+    assert number(float, "-1.5", "w") == -1.5
+    with pytest.raises(FormatError, match="w: not int: '1.5'"):
+        number(int, "1.5", "w")

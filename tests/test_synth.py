@@ -65,6 +65,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             SynthConfig.from_dict({"not_a_knob": 1})
 
+    @pytest.mark.parametrize("key,value", [
+        ("n_states", "50"), ("base_users", None), ("seed", 1.5),
+        ("cascade_states_range", [2]), ("domains_per_type", {"fake": "5"}),
+        ("circulation_residuals", {"fake": ["x"]})])
+    def test_wrong_type_names_key(self, key, value):
+        with pytest.raises(ConfigurationError, match=key):
+            SynthConfig.from_dict({key: value})
+
     def test_from_dict_round_trip(self):
         cfg = SynthConfig.from_dict({"seed": 3, "n_states": 5,
                                      "cascade_states_range": [2, 4]})
