@@ -134,7 +134,8 @@ def _read_records(path, cls):
     """Yield the `cls` records of a CSV written by `Run.write_records`: int
     fields parsed, empty `str | None` fields None, the rest strings. A
     wrong header, a row with the wrong number of fields or an int field
-    that does not parse raises FormatError."""
+    that does not parse, or a row the csv module rejects, raises
+    FormatError."""
     columns = dataclasses.fields(cls)
     width = len(columns)
     ints = [i for i, f in enumerate(columns) if f.type in (int, "int")]
@@ -142,23 +143,28 @@ def _read_records(path, cls):
                 if f.type in (str | None, "str | None")]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != [f.name for f in columns]:
-            raise FormatError(f"{path}: header {header} does not match "
-                              f"the {cls.__name__} fields")
-        for row in reader:
-            if len(row) != width:
-                raise FormatError(f"{path}: line {reader.line_num} has "
-                                  f"{len(row)} fields, expected {width}")
-            try:
-                for i in ints:
-                    row[i] = int(row[i])
-            except ValueError:
-                raise FormatError(f"{path}: line {reader.line_num}: "
-                                  f"{row[i]!r} is not an integer") from None
-            for i in nullable:
-                row[i] = row[i] or None
-            yield cls(*row)
+        try:
+            header = next(reader, None)
+            if header != [f.name for f in columns]:
+                raise FormatError(f"{path}: header {header} does not match "
+                                  f"the {cls.__name__} fields")
+            for row in reader:
+                if len(row) != width:
+                    raise FormatError(f"{path}: line {reader.line_num} has "
+                                      f"{len(row)} fields, expected {width}")
+                try:
+                    for i in ints:
+                        row[i] = int(row[i])
+                except ValueError:
+                    raise FormatError(
+                        f"{path}: line {reader.line_num}: "
+                        f"{row[i]!r} is not an integer") from None
+                for i in nullable:
+                    row[i] = row[i] or None
+                yield cls(*row)
+        except csv.Error as exc:
+            raise FormatError(f"{path}: line {reader.line_num}: {exc}") \
+                from None
 
 
 # --------------------------------------------------------------------------
@@ -260,10 +266,11 @@ def stage_geolocate(cfg, run):
 
 
 def _read_populations(path):
-    from .states import number, read_table, state_code
-    return {state_code(state, where): number(int, population, where)
-            for (state, population), where in read_table(
-                path, ("state", "population"))}
+    from .states import by_state, number, read_table, state_code
+    return by_state((state_code(state, where), number(int, population, where),
+                     where)
+                    for (state, population), where in read_table(
+                        path, ("state", "population")))
 
 
 def _read_locations(path):

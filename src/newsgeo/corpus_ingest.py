@@ -8,6 +8,7 @@ are counted and skipped, never abort the stream.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
@@ -25,7 +26,9 @@ DELETED_AUTHOR = "[deleted]"
 _FORMAT_PROBE_LINES = 10_000
 
 
-@dataclass(frozen=True)
+# Records are slotted and mutable: a frozen dataclass sets each field through
+# object.__setattr__, which makes building one about four times as slow.
+@dataclass(slots=True)
 class Comment:
     """A parsed comment without its body, as stored in `comments.csv`."""
 
@@ -40,12 +43,12 @@ class Comment:
         return self.author == DELETED_AUTHOR
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CommentRecord(Comment):
     body: str = field(kw_only=True)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class UrlMention:
     comment_id: str
     author: str
@@ -68,11 +71,6 @@ class StreamLedger:
 
 _VALID_PARENT_PREFIXES = ("t1_", "t3_")
 
-# Only a \uD800-\uDFFF escape decodes to a lone surrogate, which no UTF-8
-# writer can encode; lines holding one are the only ones checked for it.
-_BYTE_ESCAPES = (b"\\ud", b"\\uD")
-_TEXT_ESCAPES = ("\\ud", "\\uD")
-
 
 def _timestamp(value) -> int:
     """Seconds from an int, an integral float or a numeric string; booleans
@@ -84,8 +82,11 @@ def _timestamp(value) -> int:
 
 
 def _parse_line(line: str | bytes) -> CommentRecord | None:
-    # bytes are decoded by json.loads; invalid UTF-8 is a ValueError there
+    # bytes are decoded strictly (a UTF-8-encoded surrogate is invalid
+    # UTF-8, and UnicodeDecodeError a ValueError); a leading BOM is dropped
     try:
+        if isinstance(line, bytes):
+            line = line.decode().removeprefix("\ufeff")
         obj = json.loads(line)
     except (ValueError, RecursionError):
         return None
@@ -106,8 +107,9 @@ def _parse_line(line: str | bytes) -> CommentRecord | None:
         parent = str(parent)
         if not parent.startswith(_VALID_PARENT_PREFIXES):
             return None
-    lower, upper = _TEXT_ESCAPES if isinstance(line, str) else _BYTE_ESCAPES
-    if lower in line or upper in line:
+    # only a \uD800-\uDFFF escape decodes to a lone surrogate, which no
+    # UTF-8 writer can encode; lines holding one are the only ones checked
+    if "\\ud" in line or "\\uD" in line:
         try:
             "".join((comment_id, author, subreddit, body,
                      parent or "")).encode("utf-8")
@@ -176,8 +178,20 @@ def extract_urls(body: str) -> list[str]:
     return urls
 
 
+# `url` up to the end of its authority: through the first "://", then up to
+# the first "/", "?" or "#". urlsplit reads the host from that part alone.
+_UP_TO_AUTHORITY = re.compile(r".*?://[^/?#]*", re.DOTALL)
+
+
 def host_of(url: str) -> str | None:
-    """Lowercased authority of `url` with any leading "www." removed."""
+    """Lowercased host of `url` with any leading "www." removed; None when
+    it has none. Each distinct scheme and authority is parsed once."""
+    m = _UP_TO_AUTHORITY.match(url)
+    return _host(m.group() if m else url)
+
+
+@functools.lru_cache(maxsize=4096)
+def _host(url: str) -> str | None:
     try:
         host = urlsplit(url).hostname
     except ValueError:

@@ -14,7 +14,7 @@ SECONDS_PER_DAY = 86_400.0
 UNITS = ("authors", "states")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TimelineEvent:
     created_utc: int
     author: str
@@ -100,10 +100,14 @@ def reach_distribution(
     curves: dict[str, list[tuple[int, float]]] = {}
     for label, values in sorted(reaches.items()):
         n = len(values)
-        kmax = max(values)
+        exactly = [0] * (max(values) + 1)   # [k]: URLs whose reach is k
+        for v in values:
+            exactly[v] += 1
+        at_least = n
         curve = []
-        for k in range(1, kmax + 1):
-            curve.append((k, sum(1 for v in values if v >= k) / n))
+        for k in range(1, len(exactly)):
+            curve.append((k, at_least / n))
+            at_least -= exactly[k]
         curves[label] = curve
     return curves
 

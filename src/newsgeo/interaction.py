@@ -17,7 +17,7 @@ from typing import Iterable
 from .corpus_ingest import Comment
 from .errors import ConfigurationError
 from .geolocation import UserLocation, state_user_counts
-from .states import number, read_table, state_code
+from .states import by_state, number, read_table, state_code
 
 logger = logging.getLogger(__name__)
 
@@ -28,10 +28,11 @@ SCOPES = ("all_subreddits", "non_location_subreddits")
 
 def load_centroids(path: str) -> dict[str, tuple[float, float]]:
     """Table `state,lat,lon` -> state -> (lat, lon) in degrees."""
-    return {state_code(state, where): (number(float, lat, where),
-                                       number(float, lon, where))
-            for (state, lat, lon), where in read_table(
-                path, ("state", "lat", "lon"))}
+    return by_state((state_code(state, where),
+                     (number(float, lat, where), number(float, lon, where)),
+                     where)
+                    for (state, lat, lon), where in read_table(
+                        path, ("state", "lat", "lon")))
 
 
 def centroid_distance(

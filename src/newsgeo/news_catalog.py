@@ -32,7 +32,7 @@ class DomainCatalog:
         return counts
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NewsComment:
     comment_id: str
     author: str
@@ -143,9 +143,13 @@ def classify_mentions(
     emitted + `ledger.unmatched`.
     """
     led = ledger if ledger is not None else MatchLedger()
+    domains: dict[str, str | None] = {}   # host -> match_host(host)
     for mention in mentions:
         led.mentions += 1
-        domain = match_host(mention.host, catalog)
+        host = mention.host
+        if host not in domains:
+            domains[host] = match_host(host, catalog)
+        domain = domains[host]
         if domain is None:
             led.unmatched += 1
             continue
@@ -163,7 +167,7 @@ def classify_mentions(
             subreddit=mention.subreddit,
             created_utc=mention.created_utc,
             url=mention.url,
-            host=mention.host,
+            host=host,
             domain=domain,
             label=label,
         )

@@ -60,17 +60,22 @@ class StateAttributeTable:
 
 def load_attributes(path: str) -> StateAttributeTable:
     """Read the attribute CSV (header `state` plus known columns). A state
-    code outside the 50 states is a ConfigurationError, and a cell that is
-    not a number, or a file that is not UTF-8, a FormatError."""
+    code outside the 50 states is a ConfigurationError, a second row for a
+    state a DataIntegrityError, and a row of another width than the header,
+    a cell that is not a number, or a file that is not UTF-8 a
+    FormatError."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            return _read_attributes(path, csv.DictReader(fh))
+            reader = csv.reader(fh)
+            return _read_attributes(path, reader)
     except UnicodeDecodeError:
         raise FormatError(f"{path} is not UTF-8") from None
+    except csv.Error as exc:
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def _read_attributes(path: str, reader: csv.DictReader) -> StateAttributeTable:
-    header = reader.fieldnames or []
+def _read_attributes(path: str, reader) -> StateAttributeTable:
+    header = next(reader, [])
     if "state" not in header:
         raise ConfigurationError("attribute CSV is missing a 'state' column")
     known = set(ATTRIBUTE_COLUMNS)
@@ -79,14 +84,20 @@ def _read_attributes(path: str, reader: csv.DictReader) -> StateAttributeTable:
             raise ConfigurationError(f"unknown attribute column {col!r}")
     columns = [c for c in header if c != "state"]
     values: dict[str, dict[str, float | None]] = {}
-    for row in reader:
+    for cells in reader:
+        if not cells:
+            continue
         where = f"{path}: line {reader.line_num}"
+        if len(cells) != len(header):
+            raise FormatError(f"{where} has {len(cells)} fields, "
+                              f"expected {len(header)}")
+        row = dict(zip(header, cells))
         state = state_code(row["state"], where)
         if state in values:
-            raise DataIntegrityError(f"duplicate state row {state!r}")
+            raise DataIntegrityError(f"{where}: duplicate state row {state!r}")
         parsed: dict[str, float | None] = {}
         for col in columns:
-            cell = (row.get(col) or "").strip()
+            cell = row[col].strip()
             parsed[col] = number(float, cell, where) if cell else None
         _validate_row(state, parsed)
         values[state] = parsed

@@ -4,7 +4,7 @@ DC and territories are excluded end to end."""
 import csv
 import re
 
-from .errors import ConfigurationError, FormatError
+from .errors import ConfigurationError, DataIntegrityError, FormatError
 
 STATE_CODES = (
     "AL", "AK", "AZ", "AR", "CA", "CO", "CT", "DE", "FL", "GA",
@@ -23,21 +23,38 @@ _NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 def read_table(path, columns):
     """Yield (stripped cells, "<path>: line <n>") per data row; skip blank,
-    `#` and header rows; raise FormatError on non-UTF-8 or wrong width."""
+    `#` and header rows; raise FormatError on non-UTF-8, wrong width or a
+    row the csv module rejects."""
     with open(path, newline="", encoding="utf-8",
               errors="surrogateescape") as fh:
-        for row in (reader := csv.reader(fh)):
-            where = f"{path}: line {reader.line_num}"
-            if _NOT_UTF8.search(",".join(row)):
-                raise FormatError(f"{where} is not UTF-8")
-            cells = [c.strip() for c in row]
-            if not any(cells) or cells[0].startswith("#") or \
-                    cells[0].lower() == columns[0]:
-                continue
-            if len(cells) != len(columns):
-                raise FormatError(f"{where} has {len(cells)} fields, "
-                                  f"expected {len(columns)}")
-            yield cells, where
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                where = f"{path}: line {reader.line_num}"
+                if _NOT_UTF8.search(",".join(row)):
+                    raise FormatError(f"{where} is not UTF-8")
+                cells = [c.strip() for c in row]
+                if not any(cells) or cells[0].startswith("#") or \
+                        cells[0].lower() == columns[0]:
+                    continue
+                if len(cells) != len(columns):
+                    raise FormatError(f"{where} has {len(cells)} fields, "
+                                      f"expected {len(columns)}")
+                yield cells, where
+        except csv.Error as exc:
+            raise FormatError(f"{path}: line {reader.line_num}: {exc}") \
+                from None
+
+
+def by_state(rows):
+    """{state: value} of (state, value, where) rows; a second row for one
+    state is a DataIntegrityError."""
+    table = {}
+    for state, value, where in rows:
+        if state in table:
+            raise DataIntegrityError(f"{where}: duplicate state row {state!r}")
+        table[state] = value
+    return table
 
 
 def state_code(cell, where):

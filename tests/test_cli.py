@@ -455,6 +455,10 @@ HOSTILE_TABLE_ROWS = [
      "FormatError"),
     ("synth/subreddit_states.csv", b"dcstate,DC", "geolocate", 2,
      "ConfigurationError"),
+    ("synth/attributes.csv", b"WY,1.0", "attributes", 5, "FormatError"),
+    ("synth/populations.csv", b"AL,1", "geolocate", 4, "DataIntegrityError"),
+    ("synth/centroids.csv", b"AL,32.8,-86.8", "connectivity", 4,
+     "DataIntegrityError"),
 ]
 
 
@@ -478,6 +482,44 @@ def test_bad_table_row_exits_with_its_code(outdir, tmp_path, table, row,
     assert "Traceback" not in proc.stderr
     assert f"ERROR newsgeo.cli: {stage}: {error}: {path}: line {line}" \
         in proc.stderr
+
+
+@pytest.mark.parametrize("table,stage", [
+    ("synth/populations.csv", "geolocate"),
+    ("synth/attributes.csv", "attributes"),
+    ("mentions.csv", "classify"),
+])
+def test_oversized_field_exits_5(outdir, tmp_path, table, stage):
+    out = str(tmp_path / "out")
+    shutil.copytree(outdir, out)
+    path = os.path.join(out, table)
+    with open(path, "rb") as fh:
+        line = len(fh.read().splitlines()) + 1
+    with open(path, "ab") as fh:
+        fh.write(b"AL," + b"x" * 200_000 + b"\r\n")
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    proc = run_cli_process(stage, "--config", cfg, "--out-dir", out)
+    assert proc.returncode == 5, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"ERROR newsgeo.cli: {stage}: FormatError: {path}: line {line}: " \
+        "field larger than field limit" in proc.stderr
+
+
+def test_utf8_encoded_surrogate_line_is_malformed(outdir, tmp_path):
+    out = str(tmp_path / "out")
+    shutil.copytree(outdir, out)
+    with open(os.path.join(out, "manifests", "ingest.json")) as fh:
+        before = json.load(fh)["rows"]
+    with open(os.path.join(out, "synth", "archive.ndjson"), "ab") as fh:
+        fh.write(b'{"author":"u_\xed\xa0\x80x","body":"hi",'
+                 b'"created_utc":1451607778,"id":"zz1",'
+                 b'"subreddit":"newslinks"}\n')
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    proc = run_cli_process("ingest", "--config", cfg, "--out-dir", out)
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(out, "manifests", "ingest.json")) as fh:
+        after = json.load(fh)["rows"]
+    assert after == dict(before, malformed=before["malformed"] + 1)
 
 
 # commas, quotes, line breaks and non-ASCII text must survive the CSV codec

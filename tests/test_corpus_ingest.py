@@ -1,3 +1,5 @@
+from urllib.parse import urlsplit
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +21,31 @@ _LINE = ndjson_line("c0", body="see https://a.com/x", parent_id="t1_p").encode()
 _CORRUPTED_LINE = st.tuples(st.integers(0, len(_LINE)),
                             st.binary(min_size=1, max_size=4)).map(
     lambda cut: _LINE[:cut[0]] + cut[1] + _LINE[cut[0]:])
+
+# URLs built from the parts urlsplit treats specially: scheme case, "www.",
+# userinfo, ports, bracketed IPv6 (balanced or not), and "?" or "#" right
+# after the authority; `_NOISE` also puts those characters anywhere
+_NOISE = st.text(":/?#@[].%\t\nwW0aZ\u00e9\uff03", max_size=12)
+_URL = st.one_of(
+    st.builds(
+        "".join,
+        st.tuples(
+            st.sampled_from(["http://", "https://", "HTTPS://", "Http://",
+                             "ftp://", "1http://", "http:/", "//", ""]),
+            st.sampled_from(["", "user@", "u:p@", "a@b@"]),
+            st.one_of(
+                st.sampled_from(["www.", "WWW.", ""]).flatmap(
+                    lambda www: st.from_regex(r"[A-Za-z0-9-]{1,8}(\.[a-zA-Z]"
+                                              r"{1,4}){0,2}", fullmatch=True)
+                    .map(lambda name: www + name)),
+                st.sampled_from(["[::1]", "[FE80::1%Eth0]", "[v1.x]",
+                                 "[::1", "::1]", "[not-ip]", ""])),
+            st.sampled_from(["", ":80", ":", ":x", ":8080"]),
+            st.sampled_from(["", "/", "/path", "?", "?q=1", "#", "#frag",
+                             "/a?b#c", "?a/b", "#a/b"]),
+            _NOISE)),
+    _NOISE.map(lambda s: "http://" + s),
+    _NOISE)
 
 
 class TestStreamComments:
@@ -63,13 +90,22 @@ class TestStreamComments:
         b"[" * 100_000,
         ndjson_line("c0", author="a\ud800"),
         ndjson_line("c0", body="see https://a.com/\udc00x").encode(),
+        ndjson_line("c0", author="u_@@x").encode().replace(
+            b"@@", b"\xed\xa0\x80"),
+        ndjson_line("c0").encode("utf-16"),
     ], ids=["true", "false", "fractional", "infinity", "invalid-utf8",
-            "deep-nesting", "surrogate-author", "surrogate-url"])
+            "deep-nesting", "surrogate-author", "surrogate-url",
+            "utf8-encoded-surrogate", "utf-16"])
     def test_bad_line_counts_as_malformed(self, line):
         ledger = StreamLedger()
         records = list(stream_comments([line, ndjson_line("c1")], ledger=ledger))
         assert [r.comment_id for r in records] == ["c1"]
         assert ledger.malformed == 1
+
+    def test_byte_order_mark_dropped(self):
+        line = b"\xef\xbb\xbf" + ndjson_line("c0").encode()
+        (rec,) = stream_comments([line])
+        assert rec.comment_id == "c0"
 
     def test_escaped_surrogate_pair_accepted(self):
         line = ndjson_line("c0", author="a\U0001F600")
@@ -142,6 +178,19 @@ class TestHostOf:
 
     def test_no_host(self):
         assert host_of("https:///nope") is None
+
+    @given(_URL)
+    def test_matches_urlsplit_of_the_whole_url(self, url):
+        assert host_of(url) == _reference_host(url)
+
+
+def _reference_host(url):
+    """host_of's definition, applied to the whole URL with no cache."""
+    try:
+        host = urlsplit(url).hostname
+    except ValueError:
+        return None
+    return (host or "").lower().removeprefix("www.") or None
 
 
 def test_every_extracted_url_is_a_mention_or_counted(rng):

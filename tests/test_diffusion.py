@@ -117,6 +117,22 @@ class TestReach:
             assert curve[k] == pytest.approx(
                 sum(1 for r in reaches if r >= k) / len(reaches))
 
+    @given(st.lists(st.tuples(st.sampled_from(["fake", "satire"]),
+                              st.integers(0, 12)), max_size=60))
+    def test_matches_the_definition(self, reaches):
+        # a timeline of reach r has r distinct authors (and none for r = 0)
+        tls = [timeline(f"u{i}", label,
+                        [event(j, f"a{j}", None, f"c{i}_{j}")
+                         for j in range(r)])
+               for i, (label, r) in enumerate(reaches)]
+        expected = {}
+        for label in sorted({label for label, r in reaches if r}):
+            values = [r for lab, r in reaches if lab == label and r]
+            expected[label] = [
+                (k, sum(v >= k for v in values) / len(values))
+                for k in range(1, max(values) + 1)]
+        assert reach_distribution(tls, "authors") == expected
+
 
 class TestCascadeTimes:
     def test_one_day_to_two_states(self):

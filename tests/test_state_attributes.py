@@ -69,7 +69,17 @@ class TestLoad:
     def test_duplicate_state_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
         write_csv(path, ["state", "openness"], [["OH", 1.0], ["OH", 2.0]])
-        with pytest.raises(DataIntegrityError):
+        with pytest.raises(DataIntegrityError,
+                           match="line 3: duplicate state row 'OH'"):
+            load_attributes(str(path))
+
+    @pytest.mark.parametrize("row", [["WY"], ["WY", 1.0, 2.0]],
+                             ids=["short", "long"])
+    def test_row_of_another_width_rejected(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        write_csv(path, ["state", "openness"], [["OH", 1.0], row])
+        with pytest.raises(FormatError,
+                           match=f"line 3 has {len(row)} fields, expected 2"):
             load_attributes(str(path))
 
     def test_unknown_state_rejected(self, tmp_path):

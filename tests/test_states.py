@@ -1,7 +1,7 @@
 import pytest
 
-from newsgeo.errors import ConfigurationError, FormatError
-from newsgeo.states import number, read_table, state_code
+from newsgeo.errors import ConfigurationError, DataIntegrityError, FormatError
+from newsgeo.states import by_state, number, read_table, state_code
 
 COLUMNS = ("state", "lat", "lon")
 
@@ -34,6 +34,17 @@ class TestReadTable:
     def test_not_utf8_names_the_line(self, tmp_path):
         with pytest.raises(FormatError, match="line 3 is not UTF-8"):
             rows(tmp_path, b"WA,1,2\nTX,3,4\nCA\xe9,5,6\n")
+
+    def test_oversized_field_names_the_line(self, tmp_path):
+        with pytest.raises(FormatError, match="line 2: field larger"):
+            rows(tmp_path, b"WA,1,2\nTX," + b"x" * 200_000 + b",4\n")
+
+
+def test_by_state():
+    assert by_state([("WA", 1, "w1"), ("TX", 2, "w2")]) == {"WA": 1, "TX": 2}
+    with pytest.raises(DataIntegrityError,
+                       match="w3: duplicate state row 'WA'"):
+        by_state([("WA", 1, "w1"), ("TX", 2, "w2"), ("WA", 1, "w3")])
 
 
 def test_state_code():
