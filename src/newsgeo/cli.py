@@ -53,6 +53,7 @@ PRODUCERS = {
     "regression_suite.csv": "regress",
     "reach.csv": "diffusion",
     "cascade_times.csv": "diffusion",
+    "first_exposures.csv": "diffusion",
     "connectivity.csv": "connectivity",
     "contagion_summary.json": "contagion",
 }
@@ -243,8 +244,10 @@ def stage_geolocate(cfg, run):
     comments_path = run.input("comments.csv")
     subreddit_states = geolocation.load_subreddit_state_map(
         run.input("synth/subreddit_states.csv", cfg.subreddit_map))
+    ledger = geolocation.TallyLedger()
     locations, summary = geolocation.assign_user_states(
-        _read_records(comments_path, corpus_ingest.Comment), subreddit_states)
+        _read_records(comments_path, corpus_ingest.Comment), subreddit_states,
+        ledger=ledger)
     n_authors = run.write_records(
         "user_locations.csv", geolocation.UserLocation,
         (locations[a] for a in sorted(locations)))
@@ -262,7 +265,8 @@ def stage_geolocate(cfg, run):
         summary_doc["adoption_r2"] = adoption.r2
         summary_doc["adoption_excluded_states"] = adoption.excluded_states
     run.write_json("geolocate_summary.json", summary_doc)
-    return {}, {"authors": n_authors}
+    return {}, {"authors": n_authors, "assigned": summary.assigned,
+                "tied": summary.unassigned, "unmapped": ledger.unmapped}
 
 
 def _read_populations(path):
@@ -372,39 +376,38 @@ def stage_regress(cfg, run):
     return {}, {"models": n_models}
 
 
-def _load_timelines(run):
-    """URL timelines of the classified news comments, with author states."""
+def stage_diffusion(cfg, run):
     from . import diffusion, news_catalog
     news_path = run.input("news_comments.csv")
     locations = _read_locations(run.input("user_locations.csv"))
-    return diffusion.build_url_timelines(
+    timelines = diffusion.build_url_timelines(
         _read_records(news_path, news_catalog.NewsComment), locations)
-
-
-def stage_diffusion(cfg, run):
-    from . import diffusion
-    timelines = _load_timelines(run)
     reach_rows = []
     time_rows = []
     for unit in diffusion.UNITS:
-        curves = diffusion.reach_distribution(timelines.values(), unit)
+        walk = diffusion.walk(timelines.values(), unit)
+        curves = diffusion.reach_distribution(walk.reaches)
         for label in sorted(curves):
             for k, fraction in curves[label]:
                 reach_rows.append([label, unit, k, f"{fraction:.10g}"])
         for k in cfg.cascade_ks:
-            stats = diffusion.cascade_times(timelines.values(), unit, k,
+            stats = diffusion.cascade_times(walk.spreads, k,
                                             qualify=cfg.reach_qualify)
             for label in sorted(stats):
                 st = stats[label]
                 time_rows.append([label, unit, k, f"{st.mean_days:.10g}",
                                   f"{st.median_days:.10g}", st.n_urls])
+        if unit == "states":
+            exposures = diffusion.first_exposures(walk.spreads)
     run.write_csv("reach.csv", ["news_type", "unit", "k", "fraction"],
                   reach_rows)
     run.write_csv("cascade_times.csv",
                   ["news_type", "unit", "k", "mean_days", "median_days",
                    "n_urls"], time_rows)
+    n_exposures = run.write_records("first_exposures.csv",
+                                    diffusion.FirstExposure, exposures)
     return ({"qualify": cfg.reach_qualify, "ks": cfg.cascade_ks},
-            {"timelines": len(timelines)})
+            {"timelines": len(timelines), "first_exposures": n_exposures})
 
 
 def stage_connectivity(cfg, run):
@@ -447,8 +450,9 @@ def stage_connectivity(cfg, run):
 
 
 def stage_contagion(cfg, run):
-    from . import contagion, news_catalog, state_attributes
-    timelines = _load_timelines(run)
+    from . import contagion, diffusion, news_catalog, state_attributes
+    exposures = list(_read_records(run.input("first_exposures.csv"),
+                                   diffusion.FirstExposure))
     attr_path = run.input("synth/attributes.csv", cfg.attributes,
                           optional=True)
     attrs = state_attributes.load_attributes(attr_path) if attr_path else None
@@ -457,7 +461,7 @@ def stage_contagion(cfg, run):
     scores_by_label = {}
     for label in news_catalog.LABELS:
         graph = contagion.infer_state_network(
-            timelines.values(), label, min_states=cfg.min_states,
+            exposures, label, min_states=cfg.min_states,
             rule=cfg.rule)
         run.write_csv(f"contagion_edges_{label}.csv", ["src", "dst", "weight"],
                       [[s, d, f"{w:.10g}"]

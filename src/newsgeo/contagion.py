@@ -1,10 +1,11 @@
-"""State-to-state contagion graphs from URL timelines.
+"""State-to-state contagion graphs from first-exposure orders.
 
-A URL qualifies when enough distinct states posted it. Its events reduce to
-the first post per state, in time order; the chain rule links consecutive
-first exposures, the star rule links the origin state to every later one.
-Both rules deposit (#states - 1) units of weight per URL, a conservation
-property the tests exploit.
+A URL qualifies when enough distinct states posted it. `diffusion` reduces
+its events to the first post per state, in time order, and writes that
+order to `first_exposures.csv`; the chain rule links consecutive first
+exposures, the star rule links the origin state to every later one. Both
+rules deposit (#states - 1) units of weight per URL, a conservation property
+the tests exploit.
 """
 
 from __future__ import annotations
@@ -12,12 +13,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .diffusion import UrlTimeline
 from .errors import AlignmentError, UndefinedCorrelationError
+
+if TYPE_CHECKING:
+    from .diffusion import FirstExposure
 
 logger = logging.getLogger(__name__)
 
@@ -46,20 +49,8 @@ class StateGraph:
         self.edges[(src, dst)] = self.edges.get((src, dst), 0.0) + weight
 
 
-def first_exposure_order(timeline: UrlTimeline) -> list[str]:
-    """States in order of their first event on the timeline."""
-    order: list[str] = []
-    seen: set[str] = set()
-    for e in timeline.events:
-        if e.state is None or e.state in seen:
-            continue
-        seen.add(e.state)
-        order.append(e.state)
-    return order
-
-
 def infer_state_network(
-    timelines: Iterable[UrlTimeline],
+    exposures: Iterable[FirstExposure],
     news_type: str,
     min_states: int = 5,
     rule: str = "chain",
@@ -69,10 +60,10 @@ def infer_state_network(
         raise ValueError(f"unknown inference rule {rule!r}")
     graph = StateGraph(metadata={"news_type": news_type, "rule": rule,
                                  "min_states": min_states, "urls": 0})
-    for tl in timelines:
-        if tl.label != news_type:
+    for exposure in exposures:
+        if exposure.label != news_type:
             continue
-        order = first_exposure_order(tl)
+        order = exposure.states.split()
         if len(order) < min_states:
             continue
         graph.metadata["urls"] = graph.metadata["urls"] + 1

@@ -1,17 +1,34 @@
-"""Per-URL cascades: reach distributions and time-to-k curves."""
+"""Per-URL cascades: reach distributions, time-to-k curves and the order in
+which states were first exposed to each URL."""
 
 from __future__ import annotations
 
+import operator
 import statistics
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .geolocation import UserLocation
-from .news_catalog import NewsComment
+if TYPE_CHECKING:
+    from .geolocation import UserLocation
+    from .news_catalog import NewsComment
 
 SECONDS_PER_DAY = 86_400.0
 
 UNITS = ("authors", "states")
+_UNIT_OF = {"authors": operator.attrgetter("author"),
+            "states": operator.attrgetter("state")}
+
+
+def _unit_of(unit):
+    """The getter of the event field that `unit` counts: the author, or the
+    state (None when untagged)."""
+    if unit not in _UNIT_OF:
+        raise ValueError(f"unknown unit {unit!r}")
+    return _UNIT_OF[unit]
+
+
+# total order of a timeline: timestamp, then comment id for stable ties
+_EVENT_ORDER = operator.attrgetter("created_utc", "comment_id")
 
 
 @dataclass(slots=True)
@@ -19,8 +36,16 @@ class TimelineEvent:
     created_utc: int
     author: str
     state: str | None
-    subreddit: str
     comment_id: str
+
+
+@dataclass(slots=True)
+class FirstExposure:
+    """A URL's states in the order they were first exposed, space-joined;
+    a row of `first_exposures.csv`."""
+    url: str
+    label: str
+    states: str
 
 
 @dataclass
@@ -30,39 +55,49 @@ class UrlTimeline:
     events: list[TimelineEvent] = field(default_factory=list)
 
     def sort(self) -> None:
-        # total order: timestamp, then comment id for stable ties
-        self.events.sort(key=lambda e: (e.created_utc, e.comment_id))
+        self.events.sort(key=_EVENT_ORDER)
+
+    def spread(self, unit: str) -> Spread:
+        """One walk over the sorted events. A state unit skips untagged
+        events; the seconds count from the first event, tagged or not."""
+        unit_of = _unit_of(unit)
+        units: list[str] = []
+        seconds: list[int] = []
+        if self.events:
+            first = self.events[0].created_utc
+            seen = set()
+            for e in self.events:
+                key = unit_of(e)
+                if key is None or key in seen:
+                    continue
+                seen.add(key)
+                units.append(key)
+                seconds.append(e.created_utc - first)
+        return self, units, seconds
 
     def distinct_units(self, unit: str) -> int:
-        if unit == "authors":
-            return len({e.author for e in self.events})
-        if unit == "states":
-            return len({e.state for e in self.events if e.state is not None})
-        raise ValueError(f"unknown unit {unit!r}")
+        return len(self.spread(unit)[1])
 
     def time_to_reach(self, unit: str, k: int) -> float | None:
         """Seconds from the first event to the one that first raises the
         distinct-unit count to k; None if k is never reached."""
-        if not self.events:
-            return None
-        first_ts = self.events[0].created_utc
-        seen: set[str] = set()
-        for e in self.events:
-            key = e.author if unit == "authors" else e.state
-            if unit == "states" and key is None:
-                continue
-            seen.add(key)
-            if len(seen) >= k:
-                return float(e.created_utc - first_ts)
-        return None
+        seconds = self.spread(unit)[2]
+        return float(seconds[k - 1]) if 0 < k <= len(seconds) else None
+
+
+# A timeline's spread over one unit, from one walk over its events:
+# (timeline, units, seconds). `units` are its distinct authors or states in
+# the order they first appear, and `seconds` the time from the timeline's
+# first event to each one's first appearance. Its reach is len(units).
+Spread = tuple[UrlTimeline, list[str], list[int]]
 
 
 def build_url_timelines(
     news_comments: Iterable[NewsComment],
     locations: dict[str, UserLocation],
 ) -> dict[str, UrlTimeline]:
-    """One timeline per distinct URL; events carry the author's state when
-    the author is geotagged."""
+    """One sorted timeline per distinct URL; events carry the author's state
+    when the author is geotagged."""
     timelines: dict[str, UrlTimeline] = {}
     for nc in news_comments:
         tl = timelines.get(nc.url)
@@ -74,29 +109,68 @@ def build_url_timelines(
             created_utc=nc.created_utc,
             author=nc.author,
             state=state,
-            subreddit=nc.subreddit,
             comment_id=nc.comment_id,
         ))
     for tl in timelines.values():
-        tl.sort()
+        if len(tl.events) > 1:
+            tl.sort()
     return timelines
 
 
+@dataclass
+class UnitWalk:
+    """Every timeline walked once over one unit, in timeline order.
+
+    `reaches` maps each news type to the reach of each of its timelines
+    that reached a unit. `spreads` holds the spread of each timeline that
+    reached two or more units: a time to k >= 2 and a first-exposure order
+    need no other.
+    """
+    reaches: dict[str, list[int]] = field(default_factory=dict)
+    spreads: list[Spread] = field(default_factory=list)
+
+
+def walk(timelines: Iterable[UrlTimeline], unit: str) -> UnitWalk:
+    """Walk each timeline once over `unit`. A one-event timeline, which most
+    URLs have, reaches one unit (none for an untagged state) and builds no
+    spread, which keeps the walk from allocating an object per URL."""
+    unit_of = _unit_of(unit)
+    result = UnitWalk()
+    for tl in timelines:
+        if len(tl.events) == 1:
+            reach = 0 if unit_of(tl.events[0]) is None else 1
+        else:
+            spread = tl.spread(unit)
+            reach = len(spread[1])
+            if reach >= 2:
+                result.spreads.append(spread)
+        if reach:
+            per_label = result.reaches.get(tl.label)
+            if per_label is None:
+                per_label = result.reaches[tl.label] = []
+            per_label.append(reach)
+    return result
+
+
+def first_exposures(state_spreads: Iterable[Spread]) -> list[FirstExposure]:
+    """One record per state spread: given the `spreads` of a state walk,
+    the first-exposure order of each timeline that reached two or more
+    states, in timeline order. Contagion inference reads nothing else."""
+    return [FirstExposure(tl.url, tl.label, " ".join(units))
+            for tl, units, _ in state_spreads]
+
+
 def reach_distribution(
-    timelines: Iterable[UrlTimeline], unit: str
+    reaches: dict[str, list[int]],
 ) -> dict[str, list[tuple[int, float]]]:
     """Per news type, the cumulative fraction of URLs reaching >= k distinct
     units, for k = 1, 2, ... up to the observed maximum.
 
-    For unit="states" only timelines with at least one geotagged event enter
-    the denominator, so the curve starts at exactly 1.0.
+    `reaches` maps each news type to the reach of each of its URLs that
+    reached a unit (`UnitWalk.reaches`). For states a URL with no geotagged
+    event is left out of the denominator, so the curve starts at exactly
+    1.0.
     """
-    reaches: dict[str, list[int]] = {}
-    for tl in timelines:
-        r = tl.distinct_units(unit)
-        if r == 0:
-            continue
-        reaches.setdefault(tl.label, []).append(r)
     curves: dict[str, list[tuple[int, float]]] = {}
     for label, values in sorted(reaches.items()):
         n = len(values)
@@ -115,7 +189,6 @@ def reach_distribution(
 @dataclass
 class CascadeStat:
     label: str
-    unit: str
     k: int
     mean_days: float
     median_days: float
@@ -123,14 +196,14 @@ class CascadeStat:
 
 
 def cascade_times(
-    timelines: Iterable[UrlTimeline],
-    unit: str,
+    spreads: Iterable[Spread],
     k: int,
     qualify: str = "at_least",
 ) -> dict[str, CascadeStat]:
-    """Mean and median time-to-reach-k (in days) per news type.
+    """Mean and median time-to-reach-k (in days) per news type, from the
+    `UnitWalk.spreads` of one unit: a URL of reach below 2 never qualifies.
 
-    `qualify` selects the population: "at_least" takes every timeline that
+    `qualify` selects the population: "at_least" takes every URL that
     reached k or more distinct units (the default), "exactly" only those
     that stopped at exactly k. Empty result for types with no qualifier.
     """
@@ -139,18 +212,17 @@ def cascade_times(
     if qualify not in ("at_least", "exactly"):
         raise ValueError(f"unknown qualifier {qualify!r}")
     per_label: dict[str, list[float]] = {}
-    for tl in timelines:
-        reach = tl.distinct_units(unit)
+    for tl, units, seconds in spreads:
+        reach = len(units)
         if (qualify == "at_least" and reach < k) or \
            (qualify == "exactly" and reach != k):
             continue
-        # both qualifiers keep only timelines that reach k, so this is a time
-        t = tl.time_to_reach(unit, k)
-        per_label.setdefault(tl.label, []).append(t / SECONDS_PER_DAY)
+        per_label.setdefault(tl.label, []).append(
+            float(seconds[k - 1]) / SECONDS_PER_DAY)
     out: dict[str, CascadeStat] = {}
     for label, days in sorted(per_label.items()):
         out[label] = CascadeStat(
-            label=label, unit=unit, k=k,
+            label=label, k=k,
             mean_days=sum(days) / len(days),
             median_days=statistics.median(days),
             n_urls=len(days),

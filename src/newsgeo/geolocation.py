@@ -35,6 +35,14 @@ class AssignmentSummary:
 
 
 @dataclass
+class TallyLedger:
+    """Counter of one `tally_user_states` pass: non-deleted authors with
+    comments but none in a mapped subreddit, so left out of the tallies."""
+
+    unmapped: int = 0
+
+
+@dataclass
 class AdoptionRow:
     state: str
     reddit_users: int
@@ -54,18 +62,25 @@ def load_subreddit_state_map(path: str) -> dict[str, str]:
 
 
 def tally_user_states(
-    corpus: Iterable[Comment], subreddit_states: dict[str, str]
+    corpus: Iterable[Comment], subreddit_states: dict[str, str],
+    *, ledger: TallyLedger | None = None,
 ) -> dict[str, dict[str, int]]:
-    """Per-author, per-state mapped-comment counts."""
+    """Per-author, per-state mapped-comment counts. Authors with no mapped
+    comment are counted on `ledger`, so the non-deleted authors of `corpus`
+    = authors tallied + `ledger.unmapped`."""
     tallies: dict[str, dict[str, int]] = {}
+    unmapped_comment_authors = set()
     for rec in corpus:
         if rec.is_deleted_author:
             continue
         state = subreddit_states.get(rec.subreddit.lower())
         if state is None:
+            unmapped_comment_authors.add(rec.author)
             continue
         per_state = tallies.setdefault(rec.author, {})
         per_state[state] = per_state.get(state, 0) + 1
+    if ledger is not None:
+        ledger.unmapped = len(unmapped_comment_authors.difference(tallies))
     return tallies
 
 
@@ -100,9 +115,11 @@ def resolve_assignments(
 
 
 def assign_user_states(
-    corpus: Iterable[Comment], subreddit_states: dict[str, str]
+    corpus: Iterable[Comment], subreddit_states: dict[str, str],
+    *, ledger: TallyLedger | None = None,
 ) -> tuple[dict[str, UserLocation], AssignmentSummary]:
-    return resolve_assignments(tally_user_states(corpus, subreddit_states))
+    return resolve_assignments(
+        tally_user_states(corpus, subreddit_states, ledger=ledger))
 
 
 def state_user_counts(locations: dict[str, UserLocation]) -> dict[str, int]:

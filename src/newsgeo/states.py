@@ -22,21 +22,26 @@ _NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
 def read_table(path, columns):
-    """Yield (stripped cells, "<path>: line <n>") per data row; skip blank,
-    `#` and header rows; raise FormatError on non-UTF-8, wrong width or a
-    row the csv module rejects."""
+    """Yield (stripped cells, "<path>: line <n>") per data row; skip blank
+    and `#` rows, and the first other row if it is the header (its first
+    cell names the first column); raise FormatError on non-UTF-8, wrong
+    width or a row the csv module rejects."""
     with open(path, newline="", encoding="utf-8",
               errors="surrogateescape") as fh:
         reader = csv.reader(fh)
+        first = True
         try:
             for row in reader:
                 where = f"{path}: line {reader.line_num}"
                 if _NOT_UTF8.search(",".join(row)):
                     raise FormatError(f"{where} is not UTF-8")
                 cells = [c.strip() for c in row]
-                if not any(cells) or cells[0].startswith("#") or \
-                        cells[0].lower() == columns[0]:
+                if not any(cells) or cells[0].startswith("#"):
                     continue
+                if first:
+                    first = False
+                    if cells[0].lower() == columns[0]:
+                        continue
                 if len(cells) != len(columns):
                     raise FormatError(f"{where} has {len(cells)} fields, "
                                       f"expected {len(columns)}")

@@ -19,7 +19,7 @@ from newsgeo.cli import main as cli_main
 from newsgeo.contagion import (StateGraph, assortativity, infer_state_network,
                                pagerank)
 from newsgeo.diffusion import (TimelineEvent, UrlTimeline, cascade_times,
-                               reach_distribution)
+                               reach_distribution, walk)
 from newsgeo.geolocation import UserLocation, assign_user_states
 from newsgeo.interaction import PairSet, centroid_distance, connectivity_profile
 from newsgeo.news_catalog import load_catalog, validate_trust_scores
@@ -30,7 +30,7 @@ from newsgeo.states import STATE_CODES
 
 from conftest import artifact_bytes, make_record
 from test_contagion import pagerank_dense_oracle, random_graph
-from test_contagion import timeline as contagion_timeline
+from test_contagion import exposure
 from test_stats_core import (exhaustive_best_subset_aic, ols_normal_equations,
                              t_sf_quadrature)
 
@@ -237,8 +237,7 @@ def test_criterion_06_connectivity(capsys):
 def _random_timeline(rng, url, n_events, n_authors=6):
     events = [TimelineEvent(created_utc=int(rng.integers(0, 100_000)),
                             author=f"a{int(rng.integers(0, n_authors))}",
-                            state=None, subreddit="s",
-                            comment_id=f"{url}_{j}")
+                            state=None, comment_id=f"{url}_{j}")
               for j in range(n_events)]
     tl = UrlTimeline(url=url, label="fake", events=events)
     tl.sort()
@@ -251,7 +250,7 @@ def test_criterion_07_diffusion(capsys):
             fuzz = np.random.default_rng(seed)
             tls = [_random_timeline(fuzz, f"u{i}", int(fuzz.integers(1, 8)))
                    for i in range(int(fuzz.integers(1, 30)))]
-            curve = reach_distribution(tls, "authors")["fake"]
+            curve = reach_distribution(walk(tls, "authors").reaches)["fake"]
             assert curve[0] == (1, 1.0)
             fractions = [f for _, f in curve]
             assert all(b <= a for a, b in zip(fractions, fractions[1:]))
@@ -259,7 +258,7 @@ def test_criterion_07_diffusion(capsys):
         tls = [_random_timeline(rng, f"u{i}", int(rng.integers(1, 8)),
                                 n_authors=5) for i in range(500)]
         for k in (2, 3, 4):
-            stats = cascade_times(tls, "authors", k)
+            stats = cascade_times(walk(tls, "authors").spreads, k)
             expected = []
             for tl in tls:
                 events = sorted((e.created_utc, e.comment_id, e.author)
@@ -285,16 +284,16 @@ def test_criterion_07_diffusion(capsys):
 def test_criterion_08_contagion(capsys):
     with criterion(capsys, 8, "contagion"):
         rng = np.random.default_rng(2022)
-        tls = []
+        records = []
         total = 0.0
         for u in range(60):
             k = int(rng.integers(2, 9))
             order = [STATE_CODES[int(i)]
                      for i in rng.choice(20, size=k, replace=False)]
-            tls.append(contagion_timeline(f"u{u}", "fake", order))
+            records.append(exposure(f"u{u}", "fake", order))
             total += k - 1
-        chain = infer_state_network(tls, "fake", min_states=2, rule="chain")
-        star = infer_state_network(tls, "fake", min_states=2, rule="star")
+        chain = infer_state_network(records, "fake", min_states=2, rule="chain")
+        star = infer_state_network(records, "fake", min_states=2, rule="star")
         assert chain.total_weight() == pytest.approx(total)
         assert star.total_weight() == pytest.approx(total)
         for _ in range(50):

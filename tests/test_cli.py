@@ -252,6 +252,7 @@ CONSUMERS = {
     "regression_suite.csv": ("report", "regress"),
     "reach.csv": ("report", "diffusion"),
     "cascade_times.csv": ("report", "diffusion"),
+    "first_exposures.csv": ("contagion", "diffusion"),
     "connectivity.csv": ("report", "connectivity"),
     "contagion_summary.json": ("report", "contagion"),
 }
@@ -365,6 +366,55 @@ def test_classify_manifest_accounts_for_every_mention(outdir, tmp_path,
     assert rows["mentions"] == rows["news_comments"] + rows["unmatched"]
 
 
+def test_geolocate_manifest_accounts_for_every_author(outdir):
+    rows = json.loads(open(os.path.join(
+        outdir, "manifests", "geolocate.json")).read())["rows"]
+    ledger = json.loads(open(os.path.join(
+        outdir, "synth", "ledger.json")).read())
+    authors = {c.author for c in cli._read_records(
+        os.path.join(outdir, "comments.csv"), Comment)
+        if not c.is_deleted_author}
+    assert rows["assigned"] + rows["tied"] == rows["authors"]
+    assert rows["authors"] + rows["unmapped"] == len(authors)
+    assert rows["tied"] == \
+        sum(state is None for state in ledger["assignments"].values())
+
+
+def test_contagion_reads_only_the_first_exposures(outdir, tmp_path):
+    out = str(tmp_path / "out")
+    shutil.copytree(outdir, out)
+    os.remove(os.path.join(out, "news_comments.csv"))
+    os.remove(os.path.join(out, "user_locations.csv"))
+    # min_states 2 takes every row of first_exposures.csv
+    cfg = write_config(tmp_path, dict(PIPELINE_CONFIG, min_states=2))
+    assert main(["contagion", "--config", cfg, "--out-dir", out]) == 0
+    manifest = json.loads(open(os.path.join(
+        out, "manifests", "contagion.json")).read())
+    assert [os.path.basename(p) for p in manifest["inputs"]] == \
+        ["first_exposures.csv", "attributes.csv"]
+    diffusion_rows = json.loads(open(os.path.join(
+        out, "manifests", "diffusion.json")).read())["rows"]
+    assert diffusion_rows["first_exposures"] > 0
+    assert sum(manifest["rows"].values()) == \
+        diffusion_rows["first_exposures"]
+
+
+def test_mid_file_header_row_is_data(outdir, tmp_path, caplog):
+    out = str(tmp_path / "out")
+    shutil.copytree(outdir, out)
+    path = os.path.join(out, "synth", "populations.csv")
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    assert lines[0].startswith(b"state,")
+    lines.insert(3, b"state,population\r\n")
+    with open(path, "wb") as fh:
+        fh.writelines(lines)
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    assert main(["geolocate", "--config", cfg, "--out-dir", out]) == 2
+    assert f"geolocate: ConfigurationError: {path}: line 4: 'state' is " \
+        "not one of the 50 states" in caplog.text
+
+
 def run_cli_process(*args):
     """Run the CLI as `python -m newsgeo.cli`, as the README runs stages, so
     that a traceback and the logger name show."""
@@ -411,9 +461,10 @@ def test_missing_centroid_exits_2(outdir, tmp_path, caplog):
 @pytest.mark.parametrize("artifact,change", [
     (artifact, change)
     for artifact in ("comments.csv", "mentions.csv", "news_comments.csv",
-                     "user_locations.csv")
+                     "user_locations.csv", "first_exposures.csv")
     for change in ("short", "long", "not-int")
-    if change != "not-int" or artifact != "user_locations.csv"])
+    if change != "not-int" or artifact not in ("user_locations.csv",
+                                               "first_exposures.csv")])
 def test_bad_codec_row_exits_5(outdir, tmp_path, artifact, change):
     out = str(tmp_path / "out")
     shutil.copytree(outdir, out)

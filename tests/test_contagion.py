@@ -4,24 +4,27 @@ import pytest
 from newsgeo.contagion import (
     StateGraph,
     assortativity,
-    first_exposure_order,
     infer_state_network,
     pagerank,
     pagerank_differential,
 )
-from newsgeo.diffusion import TimelineEvent, UrlTimeline
+from newsgeo.diffusion import (TimelineEvent, UrlTimeline, first_exposures,
+                               walk)
 from newsgeo.errors import AlignmentError, UndefinedCorrelationError
 
 
-def timeline(url, label, state_order, start=0, gap=100):
+def exposure(url, label, state_order, start=0, gap=100):
+    """The first-exposure record `diffusion` writes for a URL whose i-th
+    post comes from state_order[i]."""
     events = []
     for i, state in enumerate(state_order):
         events.append(TimelineEvent(created_utc=start + i * gap,
                                     author=f"a{i}", state=state,
-                                    subreddit="s", comment_id=f"{url}_{i}"))
+                                    comment_id=f"{url}_{i}"))
     tl = UrlTimeline(url=url, label=label, events=events)
     tl.sort()
-    return tl
+    [record] = first_exposures(walk([tl], "states").spreads)
+    return record
 
 
 def random_graph(rng, n=10, p=0.5):
@@ -59,55 +62,60 @@ def pagerank_dense_oracle(graph, damping=0.85, iterations=500):
 
 class TestInference:
     def test_chain_rule_edges(self):
-        tl = timeline("u", "fake", ["CA", "TX", "NY"])
-        graph = infer_state_network([tl], "fake", min_states=2)
+        record = exposure("u", "fake", ["CA", "TX", "NY"])
+        graph = infer_state_network([record], "fake", min_states=2)
         assert graph.edges == {("CA", "TX"): 1.0, ("TX", "NY"): 1.0}
 
     def test_star_rule_edges(self):
-        tl = timeline("u", "fake", ["CA", "TX", "NY"])
-        graph = infer_state_network([tl], "fake", min_states=2, rule="star")
+        record = exposure("u", "fake", ["CA", "TX", "NY"])
+        graph = infer_state_network([record], "fake", min_states=2,
+                                    rule="star")
         assert graph.edges == {("CA", "TX"): 1.0, ("CA", "NY"): 1.0}
 
     def test_min_states_cut(self):
-        tls = [timeline("u1", "fake", ["CA", "TX"]),
-               timeline("u2", "fake", ["CA", "TX", "NY", "WA", "OH"])]
-        graph = infer_state_network(tls, "fake", min_states=5)
+        records = [exposure("u1", "fake", ["CA", "TX"]),
+                   exposure("u2", "fake", ["CA", "TX", "NY", "WA", "OH"])]
+        graph = infer_state_network(records, "fake", min_states=5)
         assert graph.metadata["urls"] == 1
 
     def test_repeat_posts_after_first_exposure_ignored(self):
         events = [TimelineEvent(created_utc=t, author=f"a{t}", state=s,
-                                subreddit="x", comment_id=f"c{t}")
+                                comment_id=f"c{t}")
                   for t, s in [(0, "CA"), (1, "TX"), (2, "CA"), (3, "NY")]]
         tl = UrlTimeline(url="u", label="fake", events=events)
-        assert first_exposure_order(tl) == ["CA", "TX", "NY"]
+        assert tl.spread("states")[1] == ["CA", "TX", "NY"]
+        [record] = first_exposures(walk([tl], "states").spreads)
+        assert record.states == "CA TX NY"
+        graph = infer_state_network([record], "fake", min_states=2)
+        assert graph.edges == {("CA", "TX"): 1.0, ("TX", "NY"): 1.0}
 
     def test_rule_invariant_total_weight(self, rng):
-        tls = []
+        records = []
         states = [f"S{i}" for i in range(12)]
         expected = 0.0
         for u in range(100):
             k = int(rng.integers(2, 9))
             order = [states[int(i)] for i in
                      rng.choice(len(states), size=k, replace=False)]
-            tls.append(timeline(f"u{u}", "fake", order))
+            records.append(exposure(f"u{u}", "fake", order))
             expected += k - 1
-        chain = infer_state_network(tls, "fake", min_states=2, rule="chain")
-        star = infer_state_network(tls, "fake", min_states=2, rule="star")
+        chain = infer_state_network(records, "fake", min_states=2, rule="chain")
+        star = infer_state_network(records, "fake", min_states=2, rule="star")
         assert chain.total_weight() == pytest.approx(expected)
         assert star.total_weight() == pytest.approx(expected)
 
     def test_brute_force_edge_accumulation(self, rng):
         states = [f"S{i}" for i in range(8)]
-        tls = []
+        records = []
         expected = {}
         for u in range(100):
             k = int(rng.integers(2, 6))
             order = [states[int(i)] for i in
                      rng.choice(len(states), size=k, replace=False)]
-            tls.append(timeline(f"u{u}", "fake", order))
+            records.append(exposure(f"u{u}", "fake", order))
             for a, b in zip(order, order[1:]):
                 expected[(a, b)] = expected.get((a, b), 0.0) + 1.0
-        graph = infer_state_network(tls, "fake", min_states=2)
+        graph = infer_state_network(records, "fake", min_states=2)
         assert graph.edges == expected
 
     def test_empty_graph_diagnostic(self):

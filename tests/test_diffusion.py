@@ -1,13 +1,19 @@
+import statistics
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from newsgeo.diffusion import (
+    SECONDS_PER_DAY,
+    UNITS,
     UrlTimeline,
     TimelineEvent,
     build_url_timelines,
     cascade_times,
+    first_exposures,
     reach_distribution,
+    walk,
 )
 from newsgeo.geolocation import UserLocation
 from newsgeo.news_catalog import NewsComment
@@ -15,7 +21,7 @@ from newsgeo.news_catalog import NewsComment
 
 def event(ts, author, state, cid):
     return TimelineEvent(created_utc=ts, author=author, state=state,
-                         subreddit="s", comment_id=cid)
+                         comment_id=cid)
 
 
 def timeline(url, label, events):
@@ -54,8 +60,10 @@ class TestBuildTimelines:
         locations = {}
         tls = build_url_timelines(
             [news("c2", "a", "u", 10), news("c1", "b", "u", 10),
-             news("c0", "c", "u", 5)], locations)
+             news("c0", "c", "u", 5), news("d1", "a", "v", 3),
+             news("d0", "b", "v", 3)], locations)
         assert [e.comment_id for e in tls["u"].events] == ["c0", "c1", "c2"]
+        assert [e.comment_id for e in tls["v"].events] == ["d0", "d1"]
 
     def test_planted_cascade_plan(self, rng):
         plan = {}
@@ -82,7 +90,7 @@ class TestReach:
     def test_every_url_posted_once(self):
         tls = [timeline(f"u{i}", "fake", [event(1, f"a{i}", "WA", f"c{i}")])
                for i in range(10)]
-        curves = reach_distribution(tls, "authors")
+        curves = reach_distribution(walk(tls, "authors").reaches)
         assert curves["fake"] == [(1, 1.0)]
 
     def test_monotone_and_starts_at_one(self, rng):
@@ -92,7 +100,7 @@ class TestReach:
             tls.append(timeline(f"u{i}", "fake",
                                 [event(j, f"a{j}", None, f"c{i}_{j}")
                                  for j in range(k)]))
-        curve = reach_distribution(tls, "authors")["fake"]
+        curve = reach_distribution(walk(tls, "authors").reaches)["fake"]
         assert curve[0] == (1, 1.0)
         fractions = [f for _, f in curve]
         assert all(b <= a for a, b in zip(fractions, fractions[1:]))
@@ -101,7 +109,7 @@ class TestReach:
         tls = [timeline("u", "fake",
                         [event(1, "a", "WA", "c1"), event(2, "b", None, "c2"),
                          event(3, "c", "CA", "c3")])]
-        curve = reach_distribution(tls, "states")["fake"]
+        curve = reach_distribution(walk(tls, "states").reaches)["fake"]
         assert curve == [(1, 1.0), (2, 1.0)]
 
     def test_brute_force_curve(self, rng):
@@ -111,7 +119,7 @@ class TestReach:
             tls.append(timeline(f"u{i}", "fake",
                                 [event(j, f"a{int(rng.integers(0, 6))}", None,
                                        f"c{i}_{j}") for j in range(k)]))
-        curve = dict(reach_distribution(tls, "authors")["fake"])
+        curve = dict(reach_distribution(walk(tls, "authors").reaches)["fake"])
         reaches = [len({e.author for e in tl.events}) for tl in tls]
         for k in range(1, max(reaches) + 1):
             assert curve[k] == pytest.approx(
@@ -131,7 +139,7 @@ class TestReach:
             expected[label] = [
                 (k, sum(v >= k for v in values) / len(values))
                 for k in range(1, max(values) + 1)]
-        assert reach_distribution(tls, "authors") == expected
+        assert reach_distribution(walk(tls, "authors").reaches) == expected
 
 
 class TestCascadeTimes:
@@ -139,17 +147,17 @@ class TestCascadeTimes:
         tls = [timeline("u", "fake",
                         [event(0, "a", "WA", "c1"),
                          event(86_400, "b", "CA", "c2")])]
-        stats = cascade_times(tls, "states", 2)
+        stats = cascade_times(walk(tls, "states").spreads, 2)
         assert stats["fake"].mean_days == pytest.approx(1.0)
         assert stats["fake"].median_days == pytest.approx(1.0)
 
     def test_no_qualifier_empty(self):
         tls = [timeline("u", "fake", [event(0, "a", "WA", "c1")])]
-        assert cascade_times(tls, "states", 2) == {}
+        assert cascade_times(walk(tls, "states").spreads, 2) == {}
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
-            cascade_times([], "states", 1)
+            cascade_times([], 1)
 
     def test_exactly_filter(self):
         two = timeline("u1", "fake", [event(0, "a", "WA", "c1"),
@@ -157,8 +165,9 @@ class TestCascadeTimes:
         three = timeline("u2", "fake", [event(0, "a", "WA", "c3"),
                                         event(10, "b", "CA", "c4"),
                                         event(20, "c", "TX", "c5")])
-        at_least = cascade_times([two, three], "states", 2, qualify="at_least")
-        exactly = cascade_times([two, three], "states", 2, qualify="exactly")
+        both = walk([two, three], "states").spreads
+        at_least = cascade_times(both, 2, qualify="at_least")
+        exactly = cascade_times(both, 2, qualify="exactly")
         assert at_least["fake"].n_urls == 2
         assert exactly["fake"].n_urls == 1
 
@@ -184,7 +193,7 @@ class TestCascadeTimes:
                        f"a{int(rng.integers(0, 5))}", None, f"c{i}_{j}")
                  for j in range(k)]))
         for k in (2, 3, 4):
-            stats = cascade_times(tls, "authors", k)
+            stats = cascade_times(walk(tls, "authors").spreads, k)
             # oracle: recompute from raw event lists
             expected = []
             for tl in tls:
@@ -215,7 +224,7 @@ class TestCascadeTimes:
                 max_size=12),
        st.sampled_from(["authors", "states"]))
 def test_time_to_reach_is_a_time_exactly_up_to_the_reach(rows, unit):
-    # cascade_times relies on this: a timeline that qualifies for k has a
+    # cascade_times relies on this: a spread that qualifies for k has a
     # time to reach k, so no qualifying timeline is dropped
     tl = timeline("u", "fake", [event(ts, author, state, f"c{i}")
                                 for i, (ts, author, state) in enumerate(rows)])
@@ -238,7 +247,102 @@ def test_reach_curves_on_fuzzed_corpora(seed):
             [event(int(fuzz.integers(0, 1000)),
                    f"a{int(fuzz.integers(0, 8))}", None, f"c{i}_{j}")
              for j in range(k)]))
-    curve = reach_distribution(tls, "authors")["fake"]
+    curve = reach_distribution(walk(tls, "authors").reaches)["fake"]
     assert curve[0] == (1, 1.0)
     fractions = [f for _, f in curve]
     assert all(b <= a for a, b in zip(fractions, fractions[1:]))
+
+
+# The definitions the one walk replaced, kept as its independent oracles:
+# a set per reach, a walk per (unit, k), and the first-exposure loop.
+def distinct_units_oracle(tl, unit):
+    if unit == "authors":
+        return len({e.author for e in tl.events})
+    return len({e.state for e in tl.events if e.state is not None})
+
+
+def time_to_reach_oracle(tl, unit, k):
+    if not tl.events:
+        return None
+    first_ts = tl.events[0].created_utc
+    seen = set()
+    for e in tl.events:
+        key = e.author if unit == "authors" else e.state
+        if unit == "states" and key is None:
+            continue
+        seen.add(key)
+        if len(seen) >= k:
+            return float(e.created_utc - first_ts)
+    return None
+
+
+def first_exposure_order_oracle(tl):
+    order = []
+    seen = set()
+    for e in tl.events:
+        if e.state is None or e.state in seen:
+            continue
+        seen.add(e.state)
+        order.append(e.state)
+    return order
+
+
+def cascade_times_oracle(tls, unit, k, qualify):
+    per_label = {}
+    for tl in tls:
+        reach = distinct_units_oracle(tl, unit)
+        if (qualify == "at_least" and reach < k) or \
+           (qualify == "exactly" and reach != k):
+            continue
+        per_label.setdefault(tl.label, []).append(
+            time_to_reach_oracle(tl, unit, k) / SECONDS_PER_DAY)
+    return {label: (sum(days) / len(days), statistics.median(days), len(days))
+            for label, days in sorted(per_label.items())}
+
+
+# few timestamps and authors, so ties and repeat posts are common
+_rows = st.lists(st.tuples(st.integers(0, 4), st.sampled_from("abcd"),
+                           st.none() | st.sampled_from(["WA", "CA", "TX",
+                                                        "NY"])),
+                 max_size=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["fake", "satire"]), _rows),
+                max_size=12))
+def test_one_walk_matches_the_set_based_definitions(cases):
+    tls = [timeline(f"u{i}", label,
+                    [event(ts, author, state, f"c{j}")
+                     for j, (ts, author, state) in enumerate(rows)])
+           for i, (label, rows) in enumerate(cases)]
+    for unit in UNITS:
+        reaches = [distinct_units_oracle(tl, unit) for tl in tls]
+        walked = walk(tls, unit)
+        expected_reaches = {}
+        for tl, reach in zip(tls, reaches):
+            if reach:
+                expected_reaches.setdefault(tl.label, []).append(reach)
+        assert walked.reaches == expected_reaches
+        assert walked.spreads == \
+            [tl.spread(unit) for tl, reach in zip(tls, reaches) if reach >= 2]
+        for tl, reach in zip(tls, reaches):
+            _, units, seconds = tl.spread(unit)
+            assert len(units) == len(seconds) == reach
+            assert tl.distinct_units(unit) == reach
+            for k in range(1, reach + 2):
+                expected = time_to_reach_oracle(tl, unit, k)
+                assert tl.time_to_reach(unit, k) == expected
+                assert (float(seconds[k - 1]) if k <= reach
+                        else None) == expected
+        for k in (2, 3):
+            for qualify in ("at_least", "exactly"):
+                stats = cascade_times(walked.spreads, k, qualify=qualify)
+                assert {label: (s.mean_days, s.median_days, s.n_urls)
+                        for label, s in stats.items()} == \
+                    cascade_times_oracle(tls, unit, k, qualify)
+    orders = [first_exposure_order_oracle(tl) for tl in tls]
+    assert [tl.spread("states")[1] for tl in tls] == orders
+    assert [(fe.url, fe.label, fe.states.split())
+            for fe in first_exposures(walk(tls, "states").spreads)] == \
+        [(tl.url, tl.label, order)
+         for tl, order in zip(tls, orders) if len(order) >= 2]

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from newsgeo.errors import ConfigurationError, InsufficientDataError
 from newsgeo.geolocation import (
+    TallyLedger,
     adoption_and_scaling,
     assign_user_states,
     load_subreddit_state_map,
@@ -69,6 +70,18 @@ class TestAssignment:
         locations, _ = assign_user_states(corpus, SUB_MAP)
         assert locations["a"].state == "WA"
         assert tally_user_states(corpus, SUB_MAP) == {"a": {"WA": 1}}
+
+    def test_ledger_counts_authors_with_no_mapped_comment(self):
+        corpus = (posts("a", "seattle", 1) + posts("a", "knitting", 2)
+                  + posts("b", "knitting", 3) + posts("c", "general", 1)
+                  + posts("[deleted]", "knitting", 4))
+        ledger = TallyLedger()
+        locations, summary = assign_user_states(corpus, SUB_MAP,
+                                                ledger=ledger)
+        assert set(locations) == {"a"}
+        assert ledger.unmapped == 2          # b and c; never [deleted]
+        assert summary.mapped_authors + ledger.unmapped == \
+            len({r.author for r in corpus if not r.is_deleted_author})
 
     def test_summary_fractions(self):
         corpus = (posts("single", "seattle", 2)

@@ -22,6 +22,16 @@ class TestReadTable:
         assert rows(tmp_path, b"State,lat,lon\r\n" + body) == \
             [(cells[0], "line 2"), (cells[1], "line 3")]
 
+    def test_only_the_first_row_may_be_the_header(self, tmp_path):
+        path = tmp_path / "map.csv"
+        path.write_bytes(b"askreddit,TX\nSubreddit,CA\n")
+        assert [cells for cells, _ in read_table(
+            str(path), ("subreddit", "state"))] == \
+            [["askreddit", "TX"], ["Subreddit", "CA"]]
+        assert rows(tmp_path, b"# c\n\nstate,lat,lon\nWA,1,2\n"
+                              b"state,lat,lon\n") == \
+            [(["WA", "1", "2"], "line 4"), (["state", "lat", "lon"], "line 5")]
+
     def test_blank_and_comment_rows_skipped(self, tmp_path):
         data = b"state,lat,lon\n\n# note,x\n ,\nWA,1,2\n"
         assert rows(tmp_path, data) == [(["WA", "1", "2"], "line 5")]
