@@ -42,30 +42,40 @@ EXIT_CODES = {
 }
 
 # artifact a stage requires -> the stage that writes it; everything under
-# synth/ is written by the synth stage
+# synth/ is written by the synth stage. Each stage artifact is read by a
+# later stage or by `report`, apart from connectivity_meta.json, which only
+# the benchmark's output checks read.
 PRODUCERS = {
     "comments.csv": "ingest",
     "mentions.csv": "ingest",
     "news_comments.csv": "classify",
     "tallies.csv": "classify",
     "user_locations.csv": "geolocate",
+    "geolocate_summary.json": "geolocate",
+    "correlations.csv": "attributes",
+    "state_type_counts.csv": "scale",
     "residuals.csv": "scale",
+    "scaling_fits.json": "scale",
     "regression_suite.csv": "regress",
     "reach.csv": "diffusion",
     "cascade_times.csv": "diffusion",
     "first_exposures.csv": "diffusion",
     "connectivity.csv": "connectivity",
     "contagion_summary.json": "contagion",
+    "pagerank.csv": "contagion",
 }
 
 # stage artifact -> its name in the report bundle
 REPORT_SOURCES = {
     "tallies.csv": "table1.csv",
+    "state_type_counts.csv": "scaling_points.csv",
+    "correlations.csv": "attribute_correlations.csv",
     "regression_suite.csv": "table3.csv",
     "reach.csv": "fig3a.csv",
     "cascade_times.csv": "fig3b.csv",
     "connectivity.csv": "fig5.csv",
     "contagion_summary.json": "contagion.json",
+    "pagerank.csv": "pagerank.csv",
 }
 
 
@@ -208,7 +218,7 @@ def _load_catalog(cfg, run):
     files = [(run.input(f"synth/catalog_{label}.txt", path), label)
              for path, label in cfg.catalog_files()]
     if not files:
-        files = [(path, label) for label in news_catalog.LABELS
+        files = [(path, label) for label in config_mod.LABELS
                  if (path := run.input(f"synth/catalog_{label}.txt",
                                        optional=True))]
     if not files:
@@ -233,7 +243,7 @@ def stage_classify(cfg, run):
                   ["news_type", "unique_comments", "unique_users",
                    "unique_sites", "unique_urls"],
                   [[label, *tallies.get(label, news_catalog.TypeTally())
-                    .counts().values()] for label in news_catalog.LABELS])
+                    .counts().values()] for label in config_mod.LABELS])
     return ({"catalog_counts": catalog.label_counts()},
             {"mentions": ledger.mentions, "news_comments": n_news,
              "unmatched": ledger.unmatched})
@@ -257,10 +267,6 @@ def stage_geolocate(cfg, run):
     if pop_path:
         adoption = geolocation.adoption_and_scaling(
             locations, _read_populations(pop_path))
-        run.write_csv("adoption.csv",
-                      ["state", "reddit_users", "population", "adoption"],
-                      [[r.state, r.reddit_users, r.population,
-                        f"{r.adoption:.10g}"] for r in adoption.rows])
         summary_doc["adoption_beta"] = adoption.beta
         summary_doc["adoption_r2"] = adoption.r2
         summary_doc["adoption_excluded_states"] = adoption.excluded_states
@@ -290,11 +296,9 @@ def stage_attributes(cfg, run):
         run.input("synth/attributes.csv", cfg.attributes))
     variables = [c for c in table.columns
                  if c in state_attributes.ATTRIBUTE_COLUMNS]
+    # run for its checks: a column with zero variance over the complete-case
+    # states, or fewer than two such states, exits 1
     std_table, dropped = state_attributes.zscore(table, variables)
-    n_states = run.write_csv(
-        "attributes_std.csv", ["state"] + variables,
-        [[s] + [f"{std_table.values[s][v]:.10g}" for v in variables]
-         for s in std_table.states()])
     matrix = state_attributes.cross_correlation(table, variables,
                                                 alpha=cfg.alpha)
     n_pairs = run.write_csv(
@@ -305,7 +309,7 @@ def stage_attributes(cfg, run):
           int(matrix.available[i, j])]
          for i, j in itertools.combinations(range(len(variables)), 2)])
     return ({"alpha": cfg.alpha, "dropped_states": dropped},
-            {"states": n_states, "pairs": n_pairs})
+            {"states": len(std_table.values), "pairs": n_pairs})
 
 
 def _state_type_counts(news_path, locations):
@@ -368,7 +372,6 @@ def stage_regress(cfg, run):
         run.input("synth/attributes.csv", cfg.attributes))
     suite = scaling_laws.circulation_models(_read_residuals(resid_path), attrs)
     rows = scaling_laws.suite_rows(suite)
-    run.write_json("regression_suite.json", rows)
     header = sorted({k for r in rows for k in r},
                     key=lambda k: (k not in ("news_type", "group", "metric"), k))
     n_models = run.write_csv("regression_suite.csv", header,
@@ -450,7 +453,7 @@ def stage_connectivity(cfg, run):
 
 
 def stage_contagion(cfg, run):
-    from . import contagion, diffusion, news_catalog, state_attributes
+    from . import contagion, diffusion, state_attributes
     exposures = list(_read_records(run.input("first_exposures.csv"),
                                    diffusion.FirstExposure))
     attr_path = run.input("synth/attributes.csv", cfg.attributes,
@@ -458,23 +461,17 @@ def stage_contagion(cfg, run):
     attrs = state_attributes.load_attributes(attr_path) if attr_path else None
 
     summary = {}
-    scores_by_label = {}
-    for label in news_catalog.LABELS:
+    scores = {}  # pagerank.csv column -> state -> score
+    for label in config_mod.LABELS:
         graph = contagion.infer_state_network(
             exposures, label, min_states=cfg.min_states,
             rule=cfg.rule)
-        run.write_csv(f"contagion_edges_{label}.csv", ["src", "dst", "weight"],
-                      [[s, d, f"{w:.10g}"]
-                       for (s, d), w in sorted(graph.edges.items())])
         entry = {"urls": graph.metadata["urls"],
                  "edges": len(graph.edges),
                  "total_weight": graph.total_weight(),
                  "rule": cfg.rule}
         if graph.edges:
-            scores = contagion.pagerank(graph, damping=cfg.damping)
-            scores_by_label[label] = scores
-            run.write_csv(f"pagerank_{label}.csv", ["state", "score"],
-                          [[s, f"{scores[s]:.12g}"] for s in sorted(scores)])
+            scores[label] = contagion.pagerank(graph, damping=cfg.damping)
             if attrs is not None and len(graph.edges) >= 2:
                 entry["assortativity"] = {}
                 for var in ("cultural_tightness", "republican", "population",
@@ -489,12 +486,17 @@ def stage_contagion(cfg, run):
                         except NewsgeoError:
                             entry["assortativity"][var] = None
         summary[label] = entry
-    if "lowcred" in scores_by_label and "reputable" in scores_by_label and \
-       set(scores_by_label["lowcred"]) == set(scores_by_label["reputable"]):
-        diff = contagion.pagerank_differential(scores_by_label["reputable"],
-                                               scores_by_label["lowcred"])
-        run.write_csv("pagerank_differential.csv", ["state", "score_diff"],
-                      [[s, f"{diff[s]:.12g}"] for s in sorted(diff)])
+    if "lowcred" in scores and "reputable" in scores and \
+       set(scores["lowcred"]) == set(scores["reputable"]):
+        scores["reputable_minus_lowcred"] = contagion.pagerank_differential(
+            scores["reputable"], scores["lowcred"])
+    header = [*config_mod.LABELS, "reputable_minus_lowcred"]
+    # a cell is empty where the state is not in that label's graph, or where
+    # the differential is undefined
+    run.write_csv("pagerank.csv", ["state", *header],
+                  [[s, *(f"{scores[c][s]:.12g}" if s in scores.get(c, ())
+                         else "" for c in header)]
+                   for s in sorted(set().union(*scores.values()))])
     run.write_json("contagion_summary.json", summary)
     return ({"rule": cfg.rule, "min_states": cfg.min_states,
              "damping": cfg.damping},
@@ -505,10 +507,9 @@ def stage_report(cfg, run):
     for name, target in REPORT_SOURCES.items():
         shutil.copyfile(run.input(name), run.out(f"report/{target}"))
     bundle = {"artifacts": sorted(REPORT_SOURCES.values())}
-    for extra in ("scaling_fits.json", "geolocate_summary.json"):
-        if path := run.input(extra, optional=True):
-            with open(path, encoding="utf-8") as fh:
-                bundle[extra.removesuffix(".json")] = json.load(fh)
+    for name in ("scaling_fits.json", "geolocate_summary.json"):
+        with open(run.input(name), encoding="utf-8") as fh:
+            bundle[name.removesuffix(".json")] = json.load(fh)
     run.write_json("report/summary.json", bundle)
     return {}, {"artifacts": len(REPORT_SOURCES)}
 

@@ -9,6 +9,10 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
 
+# the news types, most severe first: a domain listed under several labels
+# takes the first
+LABELS = ("fake", "lowcred", "satire", "reputable")
+
 
 @dataclass
 class RunConfig:
@@ -38,7 +42,7 @@ class RunConfig:
 
     def catalog_files(self) -> list[tuple[str, str]]:
         pairs = []
-        for label in ("fake", "lowcred", "satire", "reputable"):
+        for label in LABELS:
             path = getattr(self, f"catalog_{label}")
             if path:
                 pairs.append((path, label))

@@ -42,14 +42,6 @@ class TallyLedger:
     unmapped: int = 0
 
 
-@dataclass
-class AdoptionRow:
-    state: str
-    reddit_users: int
-    population: int
-    adoption: float
-
-
 def load_subreddit_state_map(path: str) -> dict[str, str]:
     """Table `subreddit,state` -> lowercase subreddit -> state code."""
     mapping: dict[str, str] = {}
@@ -132,7 +124,6 @@ def state_user_counts(locations: dict[str, UserLocation]) -> dict[str, int]:
 
 @dataclass
 class AdoptionResult:
-    rows: list[AdoptionRow]
     beta: float
     r2: float
     excluded_states: list[str]   # zero-user states, left out of the log fit
@@ -141,7 +132,7 @@ class AdoptionResult:
 def adoption_and_scaling(
     locations: dict[str, UserLocation], populations: dict[str, int]
 ) -> AdoptionResult:
-    """Adoption per state plus the log-log OLS fit of users vs population."""
+    """Log-log OLS fit of Reddit users vs population over the states."""
     # imported here: `diffusion` and `connectivity` import this module for
     # UserLocation alone and never load numpy
     import numpy as np
@@ -149,7 +140,6 @@ def adoption_and_scaling(
     from .stats_core import ols_fit
 
     users = state_user_counts(locations)
-    rows = []
     excluded = []
     log_pop = []
     log_users = []
@@ -158,8 +148,6 @@ def adoption_and_scaling(
         if pop <= 0:
             raise ConfigurationError(f"population for {state} must be positive")
         n = users.get(state, 0)
-        rows.append(AdoptionRow(state=state, reddit_users=n, population=pop,
-                                adoption=n / pop))
         if n > 0:
             log_pop.append(np.log(pop))
             log_users.append(np.log(n))
@@ -168,5 +156,5 @@ def adoption_and_scaling(
     if len(log_pop) < 3:
         raise InsufficientDataError("fewer than 3 states with users")
     fit = ols_fit(np.array(log_pop), np.array(log_users), names=["log_population"])
-    return AdoptionResult(rows=rows, beta=fit.coefficient_of("log_population"),
+    return AdoptionResult(beta=fit.coefficient_of("log_population"),
                          r2=fit.r2, excluded_states=excluded)

@@ -11,12 +11,12 @@ import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+from .config import LABELS
 from .corpus_ingest import DELETED_AUTHOR, UrlMention
 from .errors import ConfigurationError, FormatError
 
 logger = logging.getLogger(__name__)
 
-LABELS = ("fake", "lowcred", "satire", "reputable")
 _SEVERITY = {label: i for i, label in enumerate(LABELS)}
 
 

@@ -174,12 +174,44 @@ class TestPipeline:
 
     def test_report_bundle_complete(self, outdir):
         report = os.path.join(outdir, "report")
-        for name in ("table1.csv", "table3.csv", "fig3a.csv", "fig3b.csv",
-                     "fig5.csv", "contagion.json", "summary.json"):
-            assert os.path.exists(os.path.join(report, name))
+        bundled = ["attribute_correlations.csv", "contagion.json", "fig3a.csv",
+                   "fig3b.csv", "fig5.csv", "pagerank.csv",
+                   "scaling_points.csv", "table1.csv", "table3.csv"]
+        assert sorted(os.listdir(report)) == sorted(bundled + ["summary.json"])
         summary = json.loads(open(os.path.join(report, "summary.json")).read())
+        assert summary["artifacts"] == bundled
         assert "scaling_fits" in summary
         assert "geolocate_summary" in summary
+
+    def test_report_holds_every_north_star_output(self, outdir):
+        report = os.path.join(outdir, "report")
+        summary = json.loads(open(os.path.join(report, "summary.json")).read())
+        assert set(summary["scaling_fits"]) == \
+            {"fake", "lowcred", "satire", "reputable"}
+        for family, names in NORTH_STAR.items():
+            for name in names:
+                with open(os.path.join(report, name), encoding="utf-8") as fh:
+                    # a CSV holds a row past its header; a JSON a key
+                    assert (len(fh.readlines()) > 1 if name.endswith(".csv")
+                            else json.load(fh)), (family, name)
+
+    def test_every_artifact_has_a_reader(self, outdir):
+        # a reader is a later stage or `report`: the inputs its manifest
+        # lists; connectivity_meta.json is read only by the benchmark's
+        # output checks
+        checks = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "pipebench", "checks.py")
+        assert "connectivity_meta.json" in open(checks).read()
+        written = {rel for rel in artifact_bytes(outdir)
+                   if rel.split(os.sep)[0] not in ("synth", "report")}
+        assert written == set(cli.PRODUCERS) | {"connectivity_meta.json"}
+        read = set()
+        for stage in STAGES:
+            manifest = json.loads(open(os.path.join(
+                outdir, "manifests", f"{stage}.json")).read())
+            read.update(os.path.relpath(p, outdir) for p in manifest["inputs"])
+        assert set(cli.PRODUCERS) <= read
+        assert set(cli.REPORT_SOURCES) <= set(cli.PRODUCERS)
 
     def test_scaling_fits_match_persisted_counts(self, outdir):
         import csv
@@ -210,6 +242,18 @@ class TestPipeline:
             sum(ledger["state_user_counts"].values())
         assert summary["unassigned"] == len(ledger["tie_authors"])
 
+    def test_manifest_counts_match_ledger(self, outdir):
+        ledger = json.loads(open(os.path.join(outdir, "synth",
+                                              "ledger.json")).read())
+
+        def rows(stage):
+            return json.loads(open(os.path.join(
+                outdir, "manifests", f"{stage}.json")).read())["rows"]
+        assert ledger["tie_authors"] and ledger["interaction_pairs"]
+        assert rows("geolocate")["tied"] == len(ledger["tie_authors"])
+        assert rows("connectivity")["pairs"] == \
+            len(ledger["interaction_pairs"])
+
     def test_rerun_is_byte_identical(self, outdir, tmp_path):
         # the reference for `all`: one call per stage, as the README runs them
         cfg = write_config(tmp_path, PIPELINE_CONFIG)
@@ -236,6 +280,17 @@ class TestPipeline:
             sorted(f"{stage}.json" for stage in finished)
 
 
+# north-star output family -> the report files that hold it; the fitted
+# scaling exponents are summary.json's "scaling_fits"
+NORTH_STAR = {
+    "scaling laws": ("scaling_points.csv", "summary.json"),
+    "attribute regressions": ("table3.csv", "attribute_correlations.csv"),
+    "reach and cascade curves": ("fig3a.csv", "fig3b.csv"),
+    "distance-binned connectivity": ("fig5.csv",),
+    "state contagion networks": ("contagion.json", "pagerank.csv"),
+}
+
+
 # artifact -> (a stage that cannot run without it, the stage that writes it)
 CONSUMERS = {
     "synth/archive.ndjson": ("ingest", "synth"),
@@ -248,13 +303,18 @@ CONSUMERS = {
     "news_comments.csv": ("diffusion", "classify"),
     "tallies.csv": ("report", "classify"),
     "user_locations.csv": ("scale", "geolocate"),
+    "geolocate_summary.json": ("report", "geolocate"),
+    "correlations.csv": ("report", "attributes"),
+    "state_type_counts.csv": ("report", "scale"),
     "residuals.csv": ("regress", "scale"),
+    "scaling_fits.json": ("report", "scale"),
     "regression_suite.csv": ("report", "regress"),
     "reach.csv": ("report", "diffusion"),
     "cascade_times.csv": ("report", "diffusion"),
     "first_exposures.csv": ("contagion", "diffusion"),
     "connectivity.csv": ("report", "connectivity"),
     "contagion_summary.json": ("report", "contagion"),
+    "pagerank.csv": ("report", "contagion"),
 }
 
 
@@ -397,6 +457,47 @@ def test_contagion_reads_only_the_first_exposures(outdir, tmp_path):
     assert diffusion_rows["first_exposures"] > 0
     assert sum(manifest["rows"].values()) == \
         diffusion_rows["first_exposures"]
+
+
+@pytest.mark.parametrize("reputable,differential", [("TX CA", True),
+                                                     ("TX NY", False)])
+def test_pagerank_table_leaves_unscored_cells_empty(tmp_path, reputable,
+                                                    differential):
+    from newsgeo.contagion import infer_state_network, pagerank
+    from newsgeo.diffusion import FirstExposure
+    # satire has no graph; the differential needs lowcred and reputable
+    # graphs over the same states
+    exposures = [FirstExposure("u1", "fake", "CA TX NY"),
+                 FirstExposure("u2", "lowcred", "CA TX"),
+                 FirstExposure("u3", "reputable", reputable)]
+    out = tmp_path / "out"
+    out.mkdir()
+    with open(out / "first_exposures.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(
+            [["url", "label", "states"]] +
+            [[e.url, e.label, e.states] for e in exposures])
+    cfg = write_config(tmp_path, {"min_states": 2})
+    assert main(["contagion", "--config", cfg, "--out-dir", str(out)]) == 0
+    with open(out / "pagerank.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["state", "fake", "lowcred", "satire", "reputable",
+                      "reputable_minus_lowcred"]
+    scores = {label: pagerank(infer_state_network(exposures, label,
+                                                  min_states=2))
+              for label in ("fake", "lowcred", "reputable")}
+    reputable_states = set(reputable.split())
+    assert [row[0] for row in rows] == ["CA", "NY", "TX"]
+    for state, fake, lowcred, satire, rep, diff in rows:
+        assert fake == f"{scores['fake'][state]:.12g}"
+        assert lowcred == (f"{scores['lowcred'][state]:.12g}"
+                           if state in ("CA", "TX") else "")
+        assert satire == ""
+        assert rep == (f"{scores['reputable'][state]:.12g}"
+                       if state in reputable_states else "")
+        assert (diff != "") is (differential and state != "NY")
+        if diff:
+            assert float(diff) == pytest.approx(float(rep) - float(lowcred),
+                                                abs=1e-11)
 
 
 def test_mid_file_header_row_is_data(outdir, tmp_path, caplog):

@@ -47,8 +47,8 @@ IMPORT_BUDGET = {
                    "news_catalog", "states"}, False, False),
     "connectivity": ({"corpus_ingest", "geolocation", "interaction",
                       "states"}, False, False),
-    "contagion": ({"contagion", "corpus_ingest", "diffusion", "news_catalog",
-                   "state_attributes", "states", "stats_core"}, True, False),
+    "contagion": ({"contagion", "diffusion", "state_attributes", "states",
+                   "stats_core"}, True, False),
     "report": (set(), False, False),
 }
 
