@@ -7,9 +7,11 @@ All cross-stage artifacts are flat CSV/NDJSON so any stage can be inspected
 or replaced by hand. Stage outputs are pure functions of (inputs, config,
 seed); reruns are byte-identical apart from manifest timestamps.
 
-A stage function resolves and writes files through its `Run` and returns
-its manifest parameters and row counts; `_run_stage` times every stage
-and writes every manifest, listing each input the stage read.
+A stage function resolves every input it reads through its `Run` before
+its first write: each input is required, and is the configured path, else
+the artifact under the output directory. It returns its manifest
+parameters and row counts; `_run_stage` times every stage and writes every
+manifest, listing each input the stage read.
 """
 
 from __future__ import annotations
@@ -41,30 +43,6 @@ EXIT_CODES = {
     FormatError: 5,
 }
 
-# artifact a stage requires -> the stage that writes it; everything under
-# synth/ is written by the synth stage. Each stage artifact is read by a
-# later stage or by `report`, apart from connectivity_meta.json, which only
-# the benchmark's output checks read.
-PRODUCERS = {
-    "comments.csv": "ingest",
-    "mentions.csv": "ingest",
-    "news_comments.csv": "classify",
-    "tallies.csv": "classify",
-    "user_locations.csv": "geolocate",
-    "geolocate_summary.json": "geolocate",
-    "correlations.csv": "attributes",
-    "state_type_counts.csv": "scale",
-    "residuals.csv": "scale",
-    "scaling_fits.json": "scale",
-    "regression_suite.csv": "regress",
-    "reach.csv": "diffusion",
-    "cascade_times.csv": "diffusion",
-    "first_exposures.csv": "diffusion",
-    "connectivity.csv": "connectivity",
-    "contagion_summary.json": "contagion",
-    "pagerank.csv": "contagion",
-}
-
 # stage artifact -> its name in the report bundle
 REPORT_SOURCES = {
     "tallies.csv": "table1.csv",
@@ -87,18 +65,15 @@ class Run:
         self.outdir = outdir
         self.inputs = []
 
-    def input(self, name, configured=None, optional=False):
+    def input(self, name, configured=None):
         """Path of input `name`: the configured path if set, else the
-        artifact under `outdir`. A missing optional artifact is None; any
-        other missing input raises DependencyError."""
+        artifact under `outdir`. A missing input raises DependencyError."""
         path = configured or os.path.join(self.outdir, name)
         if os.path.exists(path):
             self.inputs.append(path)
             return path
         if configured:
             raise DependencyError(f"configured input {path!r} does not exist")
-        if optional:
-            return None
         producer = "synth" if name.startswith("synth/") else PRODUCERS[name]
         raise DependencyError(f"missing artifact {path!r}; "
                               f"run the {producer!r} stage first")
@@ -213,25 +188,12 @@ def stage_ingest(cfg, run):
                 "urls_without_host": ledger.urls_without_host}
 
 
-def _load_catalog(cfg, run):
-    from . import news_catalog
-    files = [(run.input(f"synth/catalog_{label}.txt", path), label)
-             for path, label in cfg.catalog_files()]
-    if not files:
-        files = [(path, label) for label in config_mod.LABELS
-                 if (path := run.input(f"synth/catalog_{label}.txt",
-                                       optional=True))]
-    if not files:
-        raise DependencyError(f"no news catalog configured or under "
-                              f"{run.outdir!r}/synth; "
-                              f"run the 'synth' stage first")
-    return news_catalog.load_catalog(files)
-
-
 def stage_classify(cfg, run):
     from . import corpus_ingest, news_catalog
     mentions_path = run.input("mentions.csv")
-    catalog = _load_catalog(cfg, run)
+    catalog = news_catalog.load_catalog(
+        [(run.input(f"synth/catalog_{label}.txt", path), label)
+         for path, label in cfg.catalog_files()])
     tallies = {}
     ledger = news_catalog.MatchLedger()
     n_news = run.write_records(
@@ -252,25 +214,22 @@ def stage_classify(cfg, run):
 def stage_geolocate(cfg, run):
     from . import corpus_ingest, geolocation
     comments_path = run.input("comments.csv")
-    subreddit_states = geolocation.load_subreddit_state_map(
-        run.input("synth/subreddit_states.csv", cfg.subreddit_map))
+    map_path = run.input("synth/subreddit_states.csv", cfg.subreddit_map)
+    pop_path = run.input("synth/populations.csv", cfg.populations)
+    subreddit_states = geolocation.load_subreddit_state_map(map_path)
     ledger = geolocation.TallyLedger()
     locations, summary = geolocation.assign_user_states(
         _read_records(comments_path, corpus_ingest.Comment), subreddit_states,
         ledger=ledger)
+    adoption = geolocation.adoption_and_scaling(
+        locations, _read_populations(pop_path))
     n_authors = run.write_records(
         "user_locations.csv", geolocation.UserLocation,
         (locations[a] for a in sorted(locations)))
-    summary_doc = dataclasses.asdict(summary)
-    pop_path = run.input("synth/populations.csv", cfg.populations,
-                         optional=True)
-    if pop_path:
-        adoption = geolocation.adoption_and_scaling(
-            locations, _read_populations(pop_path))
-        summary_doc["adoption_beta"] = adoption.beta
-        summary_doc["adoption_r2"] = adoption.r2
-        summary_doc["adoption_excluded_states"] = adoption.excluded_states
-    run.write_json("geolocate_summary.json", summary_doc)
+    run.write_json("geolocate_summary.json", {
+        **dataclasses.asdict(summary), "adoption_beta": adoption.beta,
+        "adoption_r2": adoption.r2,
+        "adoption_excluded_states": adoption.excluded_states})
     return {}, {"authors": n_authors, "assigned": summary.assigned,
                 "tied": summary.unassigned, "unmapped": ledger.unmapped}
 
@@ -419,10 +378,8 @@ def stage_connectivity(cfg, run):
     locations = _read_locations(run.input("user_locations.csv"))
     centroids = interaction.load_centroids(
         run.input("synth/centroids.csv", cfg.centroids))
-    map_path = run.input("synth/subreddit_states.csv", cfg.subreddit_map,
-                         optional=True)
-    state_subs = geolocation.load_subreddit_state_map(map_path) \
-        if map_path else None
+    state_subs = geolocation.load_subreddit_state_map(
+        run.input("synth/subreddit_states.csv", cfg.subreddit_map))
     records = list(_read_records(comments_path, corpus_ingest.Comment))
     author_index = corpus_ingest.build_author_index(records)
     pairs = interaction.build_interaction_pairs(
@@ -456,9 +413,8 @@ def stage_contagion(cfg, run):
     from . import contagion, diffusion, state_attributes
     exposures = list(_read_records(run.input("first_exposures.csv"),
                                    diffusion.FirstExposure))
-    attr_path = run.input("synth/attributes.csv", cfg.attributes,
-                          optional=True)
-    attrs = state_attributes.load_attributes(attr_path) if attr_path else None
+    attrs = state_attributes.load_attributes(
+        run.input("synth/attributes.csv", cfg.attributes))
 
     summary = {}
     scores = {}  # pagerank.csv column -> state -> score
@@ -472,7 +428,7 @@ def stage_contagion(cfg, run):
                  "rule": cfg.rule}
         if graph.edges:
             scores[label] = contagion.pagerank(graph, damping=cfg.damping)
-            if attrs is not None and len(graph.edges) >= 2:
+            if len(graph.edges) >= 2:
                 entry["assortativity"] = {}
                 for var in ("cultural_tightness", "republican", "population",
                             "political"):
@@ -504,30 +460,43 @@ def stage_contagion(cfg, run):
 
 
 def stage_report(cfg, run):
-    for name, target in REPORT_SOURCES.items():
-        shutil.copyfile(run.input(name), run.out(f"report/{target}"))
+    sources = {name: run.input(name) for name in REPORT_SOURCES}
     bundle = {"artifacts": sorted(REPORT_SOURCES.values())}
     for name in ("scaling_fits.json", "geolocate_summary.json"):
         with open(run.input(name), encoding="utf-8") as fh:
             bundle[name.removesuffix(".json")] = json.load(fh)
+    for name, target in REPORT_SOURCES.items():
+        shutil.copyfile(sources[name], run.out(f"report/{target}"))
     run.write_json("report/summary.json", bundle)
     return {}, {"artifacts": len(REPORT_SOURCES)}
 
 
-STAGE_FUNCS = {
-    "synth": stage_synth,
-    "ingest": stage_ingest,
-    "classify": stage_classify,
-    "geolocate": stage_geolocate,
-    "attributes": stage_attributes,
-    "scale": stage_scale,
-    "regress": stage_regress,
-    "diffusion": stage_diffusion,
-    "connectivity": stage_connectivity,
-    "contagion": stage_contagion,
-    "report": stage_report,
+# stage -> (its function, the artifacts it writes for later stages to read),
+# in run order. synth writes under synth/ and report under report/; the
+# connectivity_meta.json that only the benchmark's output checks read is
+# left out.
+STAGE_TABLE = {
+    "synth": (stage_synth, ()),
+    "ingest": (stage_ingest, ("comments.csv", "mentions.csv")),
+    "classify": (stage_classify, ("news_comments.csv", "tallies.csv")),
+    "geolocate": (stage_geolocate,
+                  ("user_locations.csv", "geolocate_summary.json")),
+    "attributes": (stage_attributes, ("correlations.csv",)),
+    "scale": (stage_scale, ("state_type_counts.csv", "residuals.csv",
+                            "scaling_fits.json")),
+    "regress": (stage_regress, ("regression_suite.csv",)),
+    "diffusion": (stage_diffusion, ("reach.csv", "cascade_times.csv",
+                                    "first_exposures.csv")),
+    "connectivity": (stage_connectivity, ("connectivity.csv",)),
+    "contagion": (stage_contagion, ("contagion_summary.json",
+                                    "pagerank.csv")),
+    "report": (stage_report, ()),
 }
-STAGES = tuple(STAGE_FUNCS)
+STAGES = tuple(STAGE_TABLE)
+# artifact a stage requires -> the stage that writes it; everything under
+# synth/ is written by the synth stage
+PRODUCERS = {artifact: stage for stage, (_, outputs) in STAGE_TABLE.items()
+             for artifact in outputs}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -549,7 +518,7 @@ def _run_stage(stage, cfg, outdir):
     """Run one stage and write its manifest."""
     started = time.monotonic()
     run = Run(outdir)
-    parameters, rows = STAGE_FUNCS[stage](cfg, run)
+    parameters, rows = STAGE_TABLE[stage][0](cfg, run)
     run.write_json(f"manifests/{stage}.json", {
         "stage": stage,
         "inputs": sorted(run.inputs),

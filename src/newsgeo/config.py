@@ -40,13 +40,9 @@ class RunConfig:
     # synth stage parameters (passed through to SynthConfig)
     synth: dict = field(default_factory=dict)
 
-    def catalog_files(self) -> list[tuple[str, str]]:
-        pairs = []
-        for label in LABELS:
-            path = getattr(self, f"catalog_{label}")
-            if path:
-                pairs.append((path, label))
-        return pairs
+    def catalog_files(self) -> list[tuple[str | None, str]]:
+        """(configured catalog path or None, label) for every label."""
+        return [(getattr(self, f"catalog_{label}"), label) for label in LABELS]
 
 
 def config_load(path: str) -> RunConfig:
@@ -54,13 +50,19 @@ def config_load(path: str) -> RunConfig:
     with open(path, encoding="utf-8") as fh:
         try:
             text = fh.read().strip()
-            data = json.loads(text) if text else {}
+            data = json.loads(text, parse_constant=_reject_constant) \
+                if text else {}
         except ValueError as exc:   # not UTF-8, or not JSON
             raise ConfigurationError(f"{path} is not valid JSON: {exc}") \
                 from None
     if not isinstance(data, dict):
         raise ConfigurationError("config file must hold a JSON object")
     return config_from_dict(data)
+
+
+def _reject_constant(name: str):
+    # Python's json reads NaN, Infinity and -Infinity; JSON has no such values
+    raise ValueError(f"{name} is not a JSON number")
 
 
 def config_from_dict(data: dict) -> RunConfig:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import LABELS
 from .errors import InsufficientDataError
-from .news_catalog import LABELS
 from .state_attributes import MODEL_GROUPS, StateAttributeTable, zscore
 from .stats_core import StepwiseResult, ols_fit, step_aic
 
@@ -155,19 +155,18 @@ def circulation_models(
     metric: dict[str, dict[str, float]],
     attributes: StateAttributeTable,
     groups: list[str] | None = None,
-    labels: list[str] | None = None,
 ) -> ModelSuite:
     """Stepwise-selected OLS of the circulation residual per (news type,
     variable group). Attributes are z-scored over the complete-case states
     of each group."""
     groups = groups or list(MODEL_GROUPS)
-    labels = labels or [lb for lb in LABELS if lb in metric]
+    labels = [lb for lb in LABELS if lb in metric]
     suite = ModelSuite()
     for group in groups:
         variables = MODEL_GROUPS[group]
+        std_table, _ = zscore(attributes, variables)
         for label in labels:
             per_state = metric[label]
-            std_table, _ = zscore(attributes, variables)
             states = [s for s in std_table.states() if s in per_state]
             if len(states) <= len(variables) + 1:
                 raise InsufficientDataError(

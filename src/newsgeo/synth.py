@@ -19,9 +19,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .config import check_keys
+from .config import LABELS, check_keys
 from .errors import ConfigurationError
-from .news_catalog import LABELS
 from .states import STATE_CODES
 
 EPOCH_2016 = 1_451_606_400
@@ -68,6 +67,20 @@ class SynthConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigurationError(f"{name} must be in [0, 1], got {v}")
+        for name in ("circulation_base", "population_spread"):
+            v = getattr(self, name)
+            if not v > 0:
+                raise ConfigurationError(f"{name} must be > 0, got {v}")
+        # the smallest state's population, rounded, divides the user counts
+        if not self.base_population >= 1:
+            raise ConfigurationError(
+                f"base_population must be >= 1, got {self.base_population}")
+        for name in ("comments_per_user", "cascade_states_range",
+                     "cascade_gap_days_range"):
+            low, high = getattr(self, name)
+            if low > high:
+                raise ConfigurationError(
+                    f"{name} must not start above its end, got {[low, high]}")
         if self.tie_user_fraction > 0 and self.n_states < 2:
             raise ConfigurationError("tie users need at least 2 states")
         if self.n_cascade_urls > 0 and \

@@ -109,7 +109,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("text", [
         b'{"bin_km": "x"}', b'{"cascade_ks": 5}', b'{"min_states": "5"}',
         b'{"damping": null}', b'{"residual_intercept": "no"}',
-        b'{"synth": {"n_states": "50"}}', b'{"seed": ', b'{"rule": "\xff"}'])
+        b'{"synth": {"n_states": "50"}}', b'{"seed": ', b'{"rule": "\xff"}',
+        b'{"bin_km": NaN}', b'{"bin_km": Infinity}',
+        b'{"synth": {"circulation_base": NaN}}'])
     def test_bad_config_type_or_json_exits_2(self, tmp_path, caplog, text):
         path = tmp_path / "run.json"
         path.write_bytes(text)
@@ -148,7 +150,7 @@ def test_error_class_exits_with_documented_code(tmp_path, monkeypatch, klass):
 
     def fail(cfg, run):
         raise klass("planted")
-    monkeypatch.setitem(cli.STAGE_FUNCS, "report", fail)
+    monkeypatch.setitem(cli.STAGE_TABLE, "report", (fail, ()))
     assert main(["report", "--out-dir", str(tmp_path)]) == \
         DOCUMENTED_EXIT_CODES[klass.__name__]
 
@@ -291,43 +293,92 @@ NORTH_STAR = {
 }
 
 
-# artifact -> (a stage that cannot run without it, the stage that writes it)
+# artifact -> (the stages that cannot run without it, the stage that writes
+# it); every input is required, so these are all the stages that read it
 CONSUMERS = {
-    "synth/archive.ndjson": ("ingest", "synth"),
-    "synth/subreddit_states.csv": ("geolocate", "synth"),
-    "synth/centroids.csv": ("connectivity", "synth"),
-    "synth/attributes.csv": ("attributes", "synth"),
-    "synth/catalog_*.txt": ("classify", "synth"),
-    "comments.csv": ("geolocate", "ingest"),
-    "mentions.csv": ("classify", "ingest"),
-    "news_comments.csv": ("diffusion", "classify"),
-    "tallies.csv": ("report", "classify"),
-    "user_locations.csv": ("scale", "geolocate"),
-    "geolocate_summary.json": ("report", "geolocate"),
-    "correlations.csv": ("report", "attributes"),
-    "state_type_counts.csv": ("report", "scale"),
-    "residuals.csv": ("regress", "scale"),
-    "scaling_fits.json": ("report", "scale"),
-    "regression_suite.csv": ("report", "regress"),
-    "reach.csv": ("report", "diffusion"),
-    "cascade_times.csv": ("report", "diffusion"),
-    "first_exposures.csv": ("contagion", "diffusion"),
-    "connectivity.csv": ("report", "connectivity"),
-    "contagion_summary.json": ("report", "contagion"),
-    "pagerank.csv": ("report", "contagion"),
+    "synth/archive.ndjson": (("ingest",), "synth"),
+    "synth/subreddit_states.csv": (("geolocate", "connectivity"), "synth"),
+    "synth/populations.csv": (("geolocate",), "synth"),
+    "synth/centroids.csv": (("connectivity",), "synth"),
+    "synth/attributes.csv": (("attributes", "regress", "contagion"), "synth"),
+    "synth/catalog_*.txt": (("classify",), "synth"),
+    "synth/catalog_satire.txt": (("classify",), "synth"),
+    "comments.csv": (("geolocate", "connectivity"), "ingest"),
+    "mentions.csv": (("classify",), "ingest"),
+    "news_comments.csv": (("scale", "diffusion"), "classify"),
+    "tallies.csv": (("report",), "classify"),
+    "user_locations.csv": (("scale", "diffusion", "connectivity"),
+                           "geolocate"),
+    "geolocate_summary.json": (("report",), "geolocate"),
+    "correlations.csv": (("report",), "attributes"),
+    "state_type_counts.csv": (("report",), "scale"),
+    "residuals.csv": (("regress",), "scale"),
+    "scaling_fits.json": (("report",), "scale"),
+    "regression_suite.csv": (("report",), "regress"),
+    "reach.csv": (("report",), "diffusion"),
+    "cascade_times.csv": (("report",), "diffusion"),
+    "first_exposures.csv": (("contagion",), "diffusion"),
+    "connectivity.csv": (("report",), "connectivity"),
+    "contagion_summary.json": (("report",), "contagion"),
+    "pagerank.csv": (("report",), "contagion"),
 }
 
 
+# stage -> every input it reads, in the manifest's sorted order
+MANIFEST_INPUTS = {
+    "classify": ["mentions.csv", "synth/catalog_fake.txt",
+                 "synth/catalog_lowcred.txt", "synth/catalog_reputable.txt",
+                 "synth/catalog_satire.txt"],
+    "geolocate": ["comments.csv", "synth/populations.csv",
+                  "synth/subreddit_states.csv"],
+    "connectivity": ["comments.csv", "synth/centroids.csv",
+                     "synth/subreddit_states.csv", "user_locations.csv"],
+    "contagion": ["first_exposures.csv", "synth/attributes.csv"],
+    "report": ["cascade_times.csv", "connectivity.csv",
+               "contagion_summary.json", "correlations.csv",
+               "geolocate_summary.json", "pagerank.csv", "reach.csv",
+               "regression_suite.csv", "scaling_fits.json",
+               "state_type_counts.csv", "tallies.csv"],
+}
+
+
+def file_stamps(root):
+    """relative path -> (size, mtime in ns) of every file under `root`"""
+    stamps = {}
+    for path in glob.glob(os.path.join(root, "**"), recursive=True):
+        if os.path.isfile(path):
+            st = os.stat(path)
+            stamps[os.path.relpath(path, root)] = (st.st_size, st.st_mtime_ns)
+    return stamps
+
+
 class TestStageInputs:
-    def test_every_stage_artifact_has_a_consumer_case(self):
+    def test_every_stage_artifact_has_a_consumer_case(self, outdir):
         assert set(cli.PRODUCERS) <= set(CONSUMERS)
         for artifact, stage in cli.PRODUCERS.items():
             assert CONSUMERS[artifact][1] == stage
+        # the consumers of an artifact are the stages whose manifests list it
+        readers = {}
+        for stage in STAGES:
+            manifest = json.loads(open(os.path.join(
+                outdir, "manifests", f"{stage}.json")).read())
+            for path in manifest["inputs"]:
+                readers.setdefault(os.path.relpath(path, outdir),
+                                   set()).add(stage)
+        covered = set()
+        for artifact, (consumers, _) in CONSUMERS.items():
+            paths = glob.glob(os.path.join(outdir, artifact))
+            assert paths, artifact
+            for path in paths:
+                rel = os.path.relpath(path, outdir)
+                assert readers[rel] == set(consumers), artifact
+                covered.add(rel)
+        assert covered == set(readers)
 
     @pytest.mark.parametrize("artifact", sorted(CONSUMERS))
     def test_missing_artifact_names_its_producer(self, outdir, tmp_path,
                                                  caplog, artifact):
-        consumer, producer = CONSUMERS[artifact]
+        consumers, producer = CONSUMERS[artifact]
         out = str(tmp_path / "out")
         shutil.copytree(outdir, out)
         removed = glob.glob(os.path.join(out, artifact))
@@ -335,8 +386,14 @@ class TestStageInputs:
         for path in removed:
             os.remove(path)
         cfg = write_config(tmp_path, PIPELINE_CONFIG)
-        assert main([consumer, "--config", cfg, "--out-dir", out]) == 3
-        assert f"run the {producer!r} stage first" in caplog.text
+        before = file_stamps(out)
+        for consumer in consumers:
+            caplog.clear()
+            assert main([consumer, "--config", cfg, "--out-dir", out]) == 3, \
+                consumer
+            assert f"run the {producer!r} stage first" in caplog.text
+            # every input is resolved before the first write
+            assert file_stamps(out) == before, consumer
 
     @pytest.mark.parametrize("key", ["archive", "catalog_fake",
                                      "subreddit_map", "populations"])
@@ -364,16 +421,12 @@ class TestStageInputs:
         del expected[os.path.join("synth", "archive.ndjson")]
         assert artifact_bytes(out) == expected
 
-    @pytest.mark.parametrize("stage,optional", [
-        ("geolocate", "populations.csv"),
-        ("connectivity", "subreddit_states.csv"),
-        ("contagion", "attributes.csv"),
-    ])
-    def test_manifest_lists_optional_inputs(self, outdir, stage, optional):
+    @pytest.mark.parametrize("stage", sorted(MANIFEST_INPUTS))
+    def test_manifest_lists_every_input(self, outdir, stage):
         manifest = json.loads(open(os.path.join(
             outdir, "manifests", f"{stage}.json")).read())
-        assert os.path.join(outdir, "synth", optional) in manifest["inputs"]
-        assert all(os.path.exists(p) for p in manifest["inputs"])
+        assert manifest["inputs"] == [os.path.join(outdir, *name.split("/"))
+                                      for name in MANIFEST_INPUTS[stage]]
 
     def test_connectivity_manifest_counts_every_reply(self, outdir):
         rows = json.loads(open(os.path.join(
@@ -409,11 +462,17 @@ def test_ingest_manifest_counts_urls_without_host(outdir, tmp_path):
 @pytest.mark.parametrize("dropped", [None, "satire"])
 def test_classify_manifest_accounts_for_every_mention(outdir, tmp_path,
                                                       dropped):
-    # with a label's catalog gone, its mentions match nothing
+    # with a label's catalog emptied to its comment line, its mentions
+    # match nothing
     out = str(tmp_path / "out")
     shutil.copytree(outdir, out)
     if dropped:
-        os.remove(os.path.join(out, "synth", f"catalog_{dropped}.txt"))
+        path = os.path.join(out, "synth", f"catalog_{dropped}.txt")
+        with open(path, encoding="utf-8") as fh:
+            comment = fh.readline()
+        assert comment.startswith("#")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(comment)
     cfg = write_config(tmp_path, PIPELINE_CONFIG)
     assert main(["classify", "--config", cfg, "--out-dir", out]) == 0
     rows = json.loads(open(os.path.join(
@@ -471,11 +530,13 @@ def test_pagerank_table_leaves_unscored_cells_empty(tmp_path, reputable,
                  FirstExposure("u2", "lowcred", "CA TX"),
                  FirstExposure("u3", "reputable", reputable)]
     out = tmp_path / "out"
-    out.mkdir()
+    (out / "synth").mkdir(parents=True)
     with open(out / "first_exposures.csv", "w", newline="") as fh:
         csv.writer(fh).writerows(
             [["url", "label", "states"]] +
             [[e.url, e.label, e.states] for e in exposures])
+    (out / "synth" / "attributes.csv").write_text(
+        "state,republican\nCA,0.3\nNY,0.4\nTX,0.5\n")
     cfg = write_config(tmp_path, {"min_states": 2})
     assert main(["contagion", "--config", cfg, "--out-dir", str(out)]) == 0
     with open(out / "pagerank.csv", newline="") as fh:
@@ -584,7 +645,7 @@ def test_bad_codec_row_exits_5(outdir, tmp_path, artifact, change):
     with open(path, "rb") as fh:
         line = len(fh.read().splitlines())
     cfg = write_config(tmp_path, PIPELINE_CONFIG)
-    proc = run_cli_process(CONSUMERS[artifact][0], "--config", cfg,
+    proc = run_cli_process(CONSUMERS[artifact][0][0], "--config", cfg,
                            "--out-dir", out)
     assert proc.returncode == 5, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -15,7 +15,8 @@ from newsgeo.cli import STAGES, main
 
 SRC = os.path.dirname(os.path.dirname(newsgeo.__file__))
 ROOT = os.path.dirname(SRC)
-TRACER = os.path.join(ROOT, "pipebench", "tracer.py")
+PIPEBENCH = os.path.join(ROOT, "pipebench")
+TRACER = os.path.join(PIPEBENCH, "tracer.py")
 
 CONFIG = {
     "seed": 3,
@@ -29,19 +30,18 @@ CONFIG = {
 
 # every stage loads newsgeo, cli, config and errors
 _BASE = {"cli", "config", "errors"}
-_SCALING = {"corpus_ingest", "news_catalog", "scaling_laws",
-            "state_attributes", "states", "stats_core"}
+_SCALING = {"scaling_laws", "state_attributes", "states", "stats_core"}
 
 # stage -> (newsgeo modules loaded, numpy loaded, scipy.special loaded)
 IMPORT_BUDGET = {
-    "synth": ({"corpus_ingest", "news_catalog", "states", "synth"},
-              True, False),
+    "synth": ({"states", "synth"}, True, False),
     "ingest": ({"corpus_ingest"}, False, False),
     "classify": ({"corpus_ingest", "news_catalog"}, False, False),
     "geolocate": ({"corpus_ingest", "geolocation", "states", "stats_core"},
                   True, False),
     "attributes": ({"state_attributes", "states", "stats_core"}, True, True),
-    "scale": (_SCALING | {"geolocation"}, True, False),
+    "scale": (_SCALING | {"corpus_ingest", "geolocation", "news_catalog"},
+              True, False),
     "regress": (_SCALING, True, True),
     "diffusion": ({"corpus_ingest", "diffusion", "geolocation",
                    "news_catalog", "states"}, False, False),
@@ -129,3 +129,37 @@ def test_tracer_runs_a_stage(pipeline, tmp_path):
     spans = json.loads(trace.read_text())["spans"]
     assert "corpus_ingest.stream_comments" in spans
     assert "cli.import" in spans
+
+
+# prints each benchmark output check and count identity of a traced run:
+# argv is the pipebench directory, the output directory, the trace file
+_CHECKS = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+from checks import count_identities, output_checks
+out = sys.argv[2]
+with open(os.path.join(out, "synth", "ledger.json")) as fh:
+    ledger = json.load(fh)
+with open(sys.argv[3]) as fh:
+    counters = json.load(fh)["counters"]
+print(json.dumps(dict([*output_checks(out, ledger, 5),
+                       *count_identities(counters, ledger)])))
+"""
+
+
+def test_benchmark_checks_pass_on_a_traced_run(pipeline, tmp_path):
+    # the checks pipebench/run.py applies to each workload, with min_states 5
+    cfg, out = pipeline
+    traced_out = tmp_path / "out"
+    shutil.copytree(os.path.join(out, "synth"), traced_out / "synth")
+    trace = tmp_path / "trace.json"
+    subprocess.run(
+        [sys.executable, TRACER, str(trace), "all", "--config", cfg,
+         "--out-dir", str(traced_out)],
+        check=True, capture_output=True, env=_env())
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHECKS, PIPEBENCH, str(traced_out),
+         str(trace)], check=True, capture_output=True, text=True, env=_env())
+    checks = json.loads(proc.stdout)
+    assert len(checks) == 13
+    assert [name for name, passed in checks.items() if not passed] == []

@@ -68,7 +68,11 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key,value", [
         ("n_states", "50"), ("base_users", None), ("seed", 1.5),
         ("cascade_states_range", [2]), ("domains_per_type", {"fake": "5"}),
-        ("circulation_residuals", {"fake": ["x"]})])
+        ("circulation_residuals", {"fake": ["x"]}),
+        ("circulation_base", 0), ("base_population", 0),
+        ("base_population", 0.4), ("population_spread", -1),
+        ("comments_per_user", [3, 1]), ("cascade_states_range", [3, 2]),
+        ("cascade_gap_days_range", [5, 1])])
     def test_wrong_type_names_key(self, key, value):
         with pytest.raises(ConfigurationError, match=key):
             SynthConfig.from_dict({key: value})
