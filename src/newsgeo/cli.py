@@ -221,7 +221,7 @@ def stage_geolocate(cfg, run):
     locations, summary = geolocation.assign_user_states(
         _read_records(comments_path, corpus_ingest.Comment), subreddit_states,
         ledger=ledger)
-    adoption = geolocation.adoption_and_scaling(
+    adoption, excluded = geolocation.adoption_and_scaling(
         locations, _read_populations(pop_path))
     n_authors = run.write_records(
         "user_locations.csv", geolocation.UserLocation,
@@ -229,17 +229,20 @@ def stage_geolocate(cfg, run):
     run.write_json("geolocate_summary.json", {
         **dataclasses.asdict(summary), "adoption_beta": adoption.beta,
         "adoption_r2": adoption.r2,
-        "adoption_excluded_states": adoption.excluded_states})
+        "adoption_excluded_states": excluded})
     return {}, {"authors": n_authors, "assigned": summary.assigned,
                 "tied": summary.unassigned, "unmapped": ledger.unmapped}
 
 
 def _read_populations(path):
     from .states import by_state, number, read_table, state_code
-    return by_state((state_code(state, where), number(int, population, where),
-                     where)
-                    for (state, population), where in read_table(
-                        path, ("state", "population")))
+    rows = []
+    for (cell, count), where in read_table(path, ("state", "population")):
+        state, population = state_code(cell, where), number(int, count, where)
+        if population <= 0:
+            raise ConfigurationError(f"{where}: population must be positive")
+        rows.append((state, population, where))
+    return by_state(rows)
 
 
 def _read_locations(path):
@@ -273,16 +276,13 @@ def stage_attributes(cfg, run):
 
 def _state_type_counts(news_path, locations):
     from . import news_catalog
-    counts = {}
+    tallies = {}
     for nc in _read_records(news_path, news_catalog.NewsComment):
         loc = locations.get(nc.author)
         if loc is None or loc.state is None:
             continue
-        key = (nc.label, loc.state)
-        counts[key] = counts.get(key, 0) + 1
-    tallies = {}
-    for (label, state), c in counts.items():
-        tallies.setdefault(label, {})[state] = c
+        per_state = tallies.setdefault(nc.label, {})
+        per_state[loc.state] = per_state.get(loc.state, 0) + 1
     return tallies
 
 
@@ -299,18 +299,13 @@ def stage_scale(cfg, run):
 
     table = scaling_laws.circulation_residual(
         tallies, users, intercept=cfg.residual_intercept)
-    resid_rows = []
-    fits = {}
-    for label in sorted(table.per_type):
-        tc = table.per_type[label]
-        fits[label] = {"beta": tc.fit.beta, "r2": tc.fit.r2,
-                       "regime": tc.fit.regime, "intercept": tc.fit.intercept,
-                       "n": tc.fit.n, "excluded_states": tc.excluded_states}
-        for state in sorted(tc.residuals):
-            resid_rows.append([label, state, f"{tc.residuals[state]:.12g}",
-                               f"{tc.normalized.get(state, 0.0):.12g}"])
-    run.write_csv("residuals.csv",
-                  ["news_type", "state", "residual", "normalized"], resid_rows)
+    fits = {label: {**dataclasses.asdict(tc.fit),
+                    "excluded_states": tc.excluded_states}
+            for label, tc in table.items()}
+    run.write_csv("residuals.csv", ["news_type", "state", "residual"],
+                  [[label, state, f"{tc.residuals[state]:.12g}"]
+                   for label, tc in table.items()
+                   for state in sorted(tc.residuals)])
     run.write_json("scaling_fits.json", fits)
     return {"residual_intercept": cfg.residual_intercept}, {"cells": n_cells}
 
@@ -318,8 +313,8 @@ def stage_scale(cfg, run):
 def _read_residuals(path):
     from .states import number, read_table
     metric = {}
-    for (label, state, residual, _), where in read_table(
-            path, ("news_type", "state", "residual", "normalized")):
+    for (label, state, residual), where in read_table(
+            path, ("news_type", "state", "residual")):
         metric.setdefault(label, {})[state] = number(float, residual, where)
     return metric
 
@@ -380,10 +375,17 @@ def stage_connectivity(cfg, run):
         run.input("synth/centroids.csv", cfg.centroids))
     state_subs = geolocation.load_subreddit_state_map(
         run.input("synth/subreddit_states.csv", cfg.subreddit_map))
-    records = list(_read_records(comments_path, corpus_ingest.Comment))
-    author_index = corpus_ingest.build_author_index(records)
+    replies = []   # one pass: the index reads every row, the pairs only these
+
+    def keep_replies(records):
+        for rec in records:
+            if rec.parent_id is not None:
+                replies.append(rec)
+            yield rec
+    author_index = corpus_ingest.build_author_index(keep_replies(
+        _read_records(comments_path, corpus_ingest.Comment)))
     pairs = interaction.build_interaction_pairs(
-        records, author_index, locations, scope=cfg.scope,
+        replies, author_index, locations, scope=cfg.scope,
         state_subreddits=state_subs)
     profile = interaction.connectivity_profile(
         pairs, locations, centroids, bin_km=cfg.bin_km, scope=cfg.scope)

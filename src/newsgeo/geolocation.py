@@ -7,15 +7,15 @@ deleted-author sentinel never contribute.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .corpus_ingest import Comment
-from .errors import ConfigurationError, InsufficientDataError
+from .errors import ConfigurationError
 from .states import read_table, state_code
 
-logger = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    from .stats_core import ScalingFit
 
 
 @dataclass
@@ -122,39 +122,15 @@ def state_user_counts(locations: dict[str, UserLocation]) -> dict[str, int]:
     return counts
 
 
-@dataclass
-class AdoptionResult:
-    beta: float
-    r2: float
-    excluded_states: list[str]   # zero-user states, left out of the log fit
-
-
 def adoption_and_scaling(
     locations: dict[str, UserLocation], populations: dict[str, int]
-) -> AdoptionResult:
-    """Log-log OLS fit of Reddit users vs population over the states."""
+) -> tuple[ScalingFit, list[str]]:
+    """Log-log fit of Reddit users vs population over the states, and the
+    sorted populated states with no user, which the fit leaves out."""
     # imported here: `diffusion` and `connectivity` import this module for
     # UserLocation alone and never load numpy
-    import numpy as np
-
-    from .stats_core import ols_fit
+    from .stats_core import fit_scaling
 
     users = state_user_counts(locations)
-    excluded = []
-    log_pop = []
-    log_users = []
-    for state in sorted(populations):
-        pop = populations[state]
-        if pop <= 0:
-            raise ConfigurationError(f"population for {state} must be positive")
-        n = users.get(state, 0)
-        if n > 0:
-            log_pop.append(np.log(pop))
-            log_users.append(np.log(n))
-        else:
-            excluded.append(state)
-    if len(log_pop) < 3:
-        raise InsufficientDataError("fewer than 3 states with users")
-    fit = ols_fit(np.array(log_pop), np.array(log_users), names=["log_population"])
-    return AdoptionResult(beta=fit.coefficient_of("log_population"),
-                         r2=fit.r2, excluded_states=excluded)
+    fit, _ = fit_scaling(populations, users)
+    return fit, sorted(s for s in populations if s not in users)

@@ -1,4 +1,4 @@
-"""Scaling exponents, circulation residuals, and the regression suites.
+"""Circulation residuals and the regression suites.
 
 The circulation score of a state for a news type is the residual of the
 log-log regression of that state's news-comment count on its user count:
@@ -10,7 +10,6 @@ variant sits behind a flag.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,114 +17,34 @@ import numpy as np
 from .config import LABELS
 from .errors import InsufficientDataError
 from .state_attributes import MODEL_GROUPS, StateAttributeTable, zscore
-from .stats_core import StepwiseResult, ols_fit, step_aic
+from .stats_core import ScalingFit, StepwiseResult, fit_scaling, step_aic
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass
-class ScalingFit:
-    beta: float
-    r2: float
-    regime: str
-    intercept: float
-    n: int
-
-
-def classify_exponent(beta: float) -> str:
-    """Regime taxonomy: <0.8 sublinear, [0.8,1.1) linear, [1.1,1.3)
-    superlinear, >=1.3 flagged as out of taxonomy."""
-    if not math.isfinite(beta):
-        raise ValueError("beta must be finite")
-    if beta < 0.8:
-        return "sublinear"
-    if beta < 1.1:
-        return "linear"
-    if beta < 1.3:
-        return "superlinear"
-    return "other"
-
-
-def fit_scaling(
-    N: dict[str, float], Y: dict[str, float], intercept: bool = True
-) -> tuple[ScalingFit, dict[str, float]]:
-    """OLS of log Y on log N over states with N >= 1 and Y >= 1.
-
-    Returns the fit and the per-state residuals.
-    """
-    states = sorted(s for s in N if s in Y and N[s] >= 1 and Y[s] >= 1)
-    if len(states) < 3:
-        raise InsufficientDataError(
-            f"only {len(states)} states usable for the log-log fit"
-        )
-    log_n = np.log([N[s] for s in states])
-    log_y = np.log([Y[s] for s in states])
-    fit = ols_fit(log_n, log_y, names=["log_n"], intercept=intercept)
-    beta = fit.coefficient_of("log_n")
-    const = float(fit.coefficients[0]) if intercept else 0.0
-    residuals = {s: float(r) for s, r in zip(states, fit.residuals)}
-    return (
-        ScalingFit(beta=beta, r2=fit.r2, regime=classify_exponent(beta),
-                   intercept=const, n=len(states)),
-        residuals,
-    )
-
-
-@dataclass
 class TypeCirculation:
-    label: str
     fit: ScalingFit
-    log_users: dict[str, float]
     residuals: dict[str, float]          # the circulation score per state
-    normalized: dict[str, float]         # comments per user, zeros kept
     excluded_states: list[str]           # zero-count states, no log defined
-
-
-@dataclass
-class CirculationTable:
-    per_type: dict[str, TypeCirculation] = field(default_factory=dict)
-
-
-def circulation_normalized(
-    tallies: dict[str, dict[str, int]], user_counts: dict[str, int]
-) -> dict[str, dict[str, float]]:
-    """label -> state -> news comments per user (rate 0 for zero counts)."""
-    rates: dict[str, dict[str, float]] = {}
-    for label, per_state in tallies.items():
-        rates[label] = {}
-        for state, users in user_counts.items():
-            if users <= 0:
-                continue
-            rates[label][state] = per_state.get(state, 0) / users
-    return rates
 
 
 def circulation_residual(
     tallies: dict[str, dict[str, int]],
     user_counts: dict[str, int],
     intercept: bool = True,
-) -> CirculationTable:
+) -> dict[str, TypeCirculation]:
     """Fit the per-type log-log regression of counts on users; residuals are
     the circulation scores. Zero-count cells are excluded from the fit and
     flagged."""
-    table = CirculationTable()
-    rates = circulation_normalized(tallies, user_counts)
-    for label in sorted(tallies):
-        per_state = tallies[label]
-        usable = {s: float(c) for s, c in per_state.items()
-                  if c >= 1 and user_counts.get(s, 0) >= 1}
+    table = {}
+    for label, per_state in sorted(tallies.items()):
         excluded = sorted(s for s in user_counts
                           if per_state.get(s, 0) < 1 and user_counts[s] >= 1)
-        N = {s: float(user_counts[s]) for s in usable}
-        fit, residuals = fit_scaling(N, usable, intercept=intercept)
-        table.per_type[label] = TypeCirculation(
-            label=label,
-            fit=fit,
-            log_users={s: math.log(N[s]) for s in sorted(N)},
-            residuals=residuals,
-            normalized=rates.get(label, {}),
-            excluded_states=excluded,
-        )
+        fit, residuals = fit_scaling(user_counts, per_state,
+                                     intercept=intercept)
+        table[label] = TypeCirculation(fit=fit, residuals=residuals,
+                                       excluded_states=excluded)
         if excluded:
             logger.info("%s: %d zero-count states excluded from the log fit",
                         label, len(excluded))

@@ -1,8 +1,9 @@
 """Deterministic statistical kernel.
 
-OLS with full inference output, Pearson tests, the RSS-form AIC, and
-both-direction greedy stepwise selection. Everything here is a pure
-function of its inputs; no global state, no randomness.
+OLS with full inference output, Pearson tests, the log-log scaling-law
+fit, the RSS-form AIC, and both-direction greedy stepwise selection.
+Everything here is a pure function of its inputs; no global state, no
+randomness.
 """
 
 from __future__ import annotations
@@ -198,6 +199,54 @@ def pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
         return r, 0.0
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
     return r, float(_two_sided_p(t, n - 2))
+
+
+@dataclass
+class ScalingFit:
+    beta: float
+    r2: float
+    regime: str
+    intercept: float
+    n: int
+
+
+def classify_exponent(beta: float) -> str:
+    """Regime taxonomy: <0.8 sublinear, [0.8,1.1) linear, [1.1,1.3)
+    superlinear, >=1.3 flagged as out of taxonomy."""
+    if not math.isfinite(beta):
+        raise ValueError("beta must be finite")
+    if beta < 0.8:
+        return "sublinear"
+    if beta < 1.1:
+        return "linear"
+    if beta < 1.3:
+        return "superlinear"
+    return "other"
+
+
+def fit_scaling(
+    N: dict[str, float], Y: dict[str, float], intercept: bool = True
+) -> tuple[ScalingFit, dict[str, float]]:
+    """OLS of log Y on log N over states with N >= 1 and Y >= 1.
+
+    Returns the fit and the per-state residuals.
+    """
+    states = sorted(s for s in N if s in Y and N[s] >= 1 and Y[s] >= 1)
+    if len(states) < 3:
+        raise InsufficientDataError(
+            f"only {len(states)} states usable for the log-log fit"
+        )
+    log_n = np.log([N[s] for s in states])
+    log_y = np.log([Y[s] for s in states])
+    fit = ols_fit(log_n, log_y, names=["log_n"], intercept=intercept)
+    beta = fit.coefficient_of("log_n")
+    const = float(fit.coefficients[0]) if intercept else 0.0
+    residuals = {s: float(r) for s, r in zip(states, fit.residuals)}
+    return (
+        ScalingFit(beta=beta, r2=fit.r2, regime=classify_exponent(beta),
+                   intercept=const, n=len(states)),
+        residuals,
+    )
 
 
 @dataclass(frozen=True)

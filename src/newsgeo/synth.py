@@ -81,6 +81,14 @@ class SynthConfig:
             if low > high:
                 raise ConfigurationError(
                     f"{name} must not start above its end, got {[low, high]}")
+        if self.comments_per_user[0] < 1:
+            raise ConfigurationError("comments_per_user must start at 1 or "
+                                     f"more, got {list(self.comments_per_user)}")
+        if sorted(self.domains_per_type) != sorted(LABELS) or \
+           min(self.domains_per_type.values()) < 1:
+            raise ConfigurationError(
+                f"domains_per_type must give each of {', '.join(LABELS)} at "
+                f"least 1 domain, got {self.domains_per_type}")
         if self.tie_user_fraction > 0 and self.n_states < 2:
             raise ConfigurationError("tie users need at least 2 states")
         if self.n_cascade_urls > 0 and \

@@ -23,9 +23,8 @@ from newsgeo.diffusion import (TimelineEvent, UrlTimeline, cascade_times,
 from newsgeo.geolocation import UserLocation, assign_user_states
 from newsgeo.interaction import PairSet, centroid_distance, connectivity_profile
 from newsgeo.news_catalog import load_catalog, validate_trust_scores
-from newsgeo.scaling_laws import (circulation_residual, classify_exponent,
-                                  fit_scaling)
-from newsgeo.stats_core import ols_fit, step_aic
+from newsgeo.scaling_laws import circulation_residual
+from newsgeo.stats_core import classify_exponent, fit_scaling, ols_fit, step_aic
 from newsgeo.states import STATE_CODES
 
 from conftest import artifact_bytes, make_record
@@ -92,18 +91,18 @@ def test_criterion_02_residual_orthogonality(capsys):
                                        ("satire", 1.1), ("reputable", 1.2)]}
         int_users = {s: int(u) for s, u in users.items()}
         table = circulation_residual(tallies, int_users)
-        for tc in table.per_type.values():
+        for tc in table.values():
             states = sorted(tc.residuals)
             eps = np.array([tc.residuals[s] for s in states])
-            logs = np.array([tc.log_users[s] for s in states])
+            logs = np.array([math.log(int_users[s]) for s in states])
             assert abs(eps.sum()) < 1e-9
             assert abs(eps @ logs) < 1e-9
         scaled = circulation_residual(
             {lb: {s: 10 * c for s, c in t.items()}
              for lb, t in tallies.items()}, int_users)
-        for label, tc in table.per_type.items():
+        for label, tc in table.items():
             for s, r in tc.residuals.items():
-                assert abs(scaled.per_type[label].residuals[s] - r) < 1e-9
+                assert abs(scaled[label].residuals[s] - r) < 1e-9
 
 
 def test_criterion_03_ols_aic_oracle(capsys):

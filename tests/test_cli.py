@@ -218,7 +218,7 @@ class TestPipeline:
     def test_scaling_fits_match_persisted_counts(self, outdir):
         import csv
 
-        from newsgeo.scaling_laws import fit_scaling
+        from newsgeo.stats_core import fit_scaling
 
         fits = json.loads(open(os.path.join(outdir,
                                             "scaling_fits.json")).read())
@@ -234,6 +234,24 @@ class TestPipeline:
             fit, _ = fit_scaling(users, per_state)
             assert fits[label]["beta"] == pytest.approx(fit.beta, abs=1e-9)
             assert fits[label]["r2"] == pytest.approx(fit.r2, abs=1e-9)
+        # the adoption law is the same fit, of users on population
+        with open(os.path.join(outdir, "synth", "populations.csv"),
+                  newline="") as fh:
+            populations = {row["state"]: int(row["population"])
+                           for row in csv.DictReader(fh)}
+        located = {}
+        with open(os.path.join(outdir, "user_locations.csv"),
+                  newline="") as fh:
+            for row in csv.DictReader(fh):
+                if row["state"]:
+                    located[row["state"]] = located.get(row["state"], 0) + 1
+        summary = json.loads(open(os.path.join(
+            outdir, "geolocate_summary.json")).read())
+        fit, _ = fit_scaling(populations, located)
+        assert (summary["adoption_beta"], summary["adoption_r2"]) == \
+            (fit.beta, fit.r2)
+        assert summary["adoption_excluded_states"] == \
+            sorted(set(populations) - set(located))
 
     def test_geolocation_counts_match_ledger(self, outdir):
         summary = json.loads(open(os.path.join(
@@ -658,10 +676,11 @@ HOSTILE_TABLE_ROWS = [
     ("synth/populations.csv", b"AL", "geolocate", 5, "FormatError"),
     ("synth/populations.csv", b"DC,700000", "geolocate", 2,
      "ConfigurationError"),
+    ("synth/populations.csv", b"WY,0", "geolocate", 2, "ConfigurationError"),
     ("synth/centroids.csv", b"AL", "connectivity", 5, "FormatError"),
     ("synth/centroids.csv", b"AL,north,5", "connectivity", 5, "FormatError"),
     ("synth/attributes.csv", b"WY,lots", "attributes", 5, "FormatError"),
-    ("residuals.csv", b"fake,AL,notanumber,0", "regress", 5, "FormatError"),
+    ("residuals.csv", b"fake,AL,notanumber", "regress", 5, "FormatError"),
     ("synth/subreddit_states.csv", b"caf\xe9,AL", "geolocate", 5,
      "FormatError"),
     ("synth/subreddit_states.csv", b"texasstate,TX,extra", "geolocate", 5,

@@ -144,9 +144,9 @@ class TestAdoption:
             for j in range(10 * (i + 1)):
                 tallies[f"{state.lower()}{j}"] = {state: 1}
         locations, _ = resolve_assignments(tallies)
-        result = adoption_and_scaling(locations, populations)
-        assert result.beta == pytest.approx(1.0, abs=1e-10)
-        assert result.r2 == pytest.approx(1.0, abs=1e-10)
+        fit, _ = adoption_and_scaling(locations, populations)
+        assert fit.beta == pytest.approx(1.0, abs=1e-10)
+        assert fit.r2 == pytest.approx(1.0, abs=1e-10)
 
     def test_planted_exponent_recovered(self, rng):
         populations = {}
@@ -161,17 +161,17 @@ class TestAdoption:
             for j in range(users):
                 tallies[f"{state}u{j}"] = {state: 1}
         locations, _ = resolve_assignments(tallies)
-        result = adoption_and_scaling(locations, populations)
-        assert result.beta == pytest.approx(beta, abs=0.05)
+        fit, _ = adoption_and_scaling(locations, populations)
+        assert fit.beta == pytest.approx(beta, abs=0.05)
 
     def test_zero_user_state_excluded(self):
         tallies = {f"u{i}": {"WA": 1} for i in range(5)}
         tallies.update({f"v{i}": {"CA": 1} for i in range(7)})
         tallies.update({f"w{i}": {"TX": 1} for i in range(9)})
         locations, _ = resolve_assignments(tallies)
-        result = adoption_and_scaling(
+        _, excluded = adoption_and_scaling(
             locations, {"WA": 100, "CA": 200, "TX": 300, "NY": 400})
-        assert result.excluded_states == ["NY"]
+        assert excluded == ["NY"]
 
     def test_too_few_states(self):
         locations, _ = resolve_assignments({"u": {"WA": 1}})

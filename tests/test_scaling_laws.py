@@ -6,14 +6,12 @@ import pytest
 from newsgeo.errors import InsufficientDataError
 from newsgeo.scaling_laws import (
     circulation_models,
-    circulation_normalized,
     circulation_residual,
-    classify_exponent,
-    fit_scaling,
     suite_rows,
 )
 from newsgeo.state_attributes import MODEL_GROUPS, StateAttributeTable
 from newsgeo.states import STATE_CODES
+from newsgeo.stats_core import classify_exponent, fit_scaling
 
 
 def planted_counts(beta, base, user_counts, sigma, rng, residuals=None):
@@ -71,7 +69,7 @@ class TestCirculationResidual:
     def test_exact_line_zero_residuals(self, user_counts):
         tallies = {"fake": {s: int(0.5 * u) for s, u in user_counts.items()}}
         table = circulation_residual(tallies, user_counts)
-        tc = table.per_type["fake"]
+        tc = table["fake"]
         # counts proportional to users: residuals only from integer rounding
         assert all(abs(r) < 0.05 for r in tc.residuals.values())
 
@@ -79,9 +77,10 @@ class TestCirculationResidual:
         tallies = {label: planted_counts(b, 0.3, user_counts, 0.2, rng)
                    for label, b in [("fake", 0.9), ("reputable", 1.1)]}
         table = circulation_residual(tallies, user_counts)
-        for tc in table.per_type.values():
+        for tc in table.values():
             eps = np.array([tc.residuals[s] for s in sorted(tc.residuals)])
-            logs = np.array([tc.log_users[s] for s in sorted(tc.residuals)])
+            logs = np.array([math.log(user_counts[s])
+                             for s in sorted(tc.residuals)])
             assert abs(eps.sum()) < 1e-9
             assert abs(eps @ (logs - logs.mean())) < 1e-9
 
@@ -111,40 +110,17 @@ class TestCirculationResidual:
         scaled = circulation_residual(
             {"fake": {s: 10 * c for s, c in tallies["fake"].items()}},
             user_counts)
-        for s in base.per_type["fake"].residuals:
-            assert abs(base.per_type["fake"].residuals[s]
-                       - scaled.per_type["fake"].residuals[s]) < 1e-9
+        for s in base["fake"].residuals:
+            assert abs(base["fake"].residuals[s]
+                       - scaled["fake"].residuals[s]) < 1e-9
 
     def test_zero_count_states_excluded(self, user_counts):
         tallies = {"fake": {s: (0 if i < 3 else 50 + i)
                             for i, s in enumerate(sorted(user_counts))}}
         table = circulation_residual(tallies, user_counts)
-        tc = table.per_type["fake"]
+        tc = table["fake"]
         assert len(tc.excluded_states) == 3
         assert all(s not in tc.residuals for s in tc.excluded_states)
-        # the normalized metric keeps them, as rate zero
-        assert all(tc.normalized[s] == 0.0 for s in tc.excluded_states)
-
-
-class TestNormalized:
-    def test_simple_rate(self):
-        rates = circulation_normalized({"fake": {"OH": 100}}, {"OH": 50})
-        assert rates["fake"]["OH"] == pytest.approx(2.0)
-
-    def test_homogeneity(self):
-        a = circulation_normalized({"fake": {"OH": 100}}, {"OH": 50})
-        b = circulation_normalized({"fake": {"OH": 200}}, {"OH": 100})
-        assert a["fake"]["OH"] == b["fake"]["OH"]
-
-    def test_ledger_fixture(self, rng):
-        counts = {f"S{i}": int(rng.integers(1, 500)) for i in range(10)}
-        users = {f"S{i}": int(rng.integers(1, 100)) for i in range(10)}
-        states = list(STATE_CODES[:10])
-        counts = {s: counts[f"S{i}"] for i, s in enumerate(states)}
-        users = {s: users[f"S{i}"] for i, s in enumerate(states)}
-        rates = circulation_normalized({"fake": counts}, users)
-        for s in states:
-            assert rates["fake"][s] == pytest.approx(counts[s] / users[s])
 
 
 def attr_table(rng, n=50):

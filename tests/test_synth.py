@@ -17,7 +17,7 @@ from newsgeo.errors import ConfigurationError
 from newsgeo.geolocation import assign_user_states, state_user_counts
 from newsgeo.interaction import build_interaction_pairs
 from newsgeo.news_catalog import classify_mentions, load_catalog
-from newsgeo.scaling_laws import classify_exponent, fit_scaling
+from newsgeo.stats_core import classify_exponent, fit_scaling
 from newsgeo.synth import SynthConfig, generate, write_outputs
 
 
@@ -72,7 +72,15 @@ class TestConfigValidation:
         ("circulation_base", 0), ("base_population", 0),
         ("base_population", 0.4), ("population_spread", -1),
         ("comments_per_user", [3, 1]), ("cascade_states_range", [3, 2]),
-        ("cascade_gap_days_range", [5, 1])])
+        ("cascade_gap_days_range", [5, 1]), ("comments_per_user", [-2, 0]),
+        ("comments_per_user", [0, 3]),
+        ("domains_per_type", {"fake": 5, "satire": 3, "reputable": 10}),
+        ("domains_per_type", {"fake": 0, "lowcred": 5, "satire": 3,
+                              "reputable": 10}),
+        ("domains_per_type", {"fake": -1, "lowcred": 5, "satire": 3,
+                              "reputable": 10}),
+        ("domains_per_type", {"fake": 5, "lowcred": 5, "satire": 3,
+                              "reputable": 10, "bogus": 1})])
     def test_wrong_type_names_key(self, key, value):
         with pytest.raises(ConfigurationError, match=key):
             SynthConfig.from_dict({key: value})
