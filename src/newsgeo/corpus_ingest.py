@@ -81,14 +81,23 @@ def _timestamp(value) -> int:
     return int(value)
 
 
+# json.loads wraps the scanner in type checks and two whitespace regex
+# matches per call, which cost about as much as the scan of a short line
+_decode = json.JSONDecoder().raw_decode
+
+
 def _parse_line(line: str | bytes) -> CommentRecord | None:
     # bytes are decoded strictly (a UTF-8-encoded surrogate is invalid
-    # UTF-8, and UnicodeDecodeError a ValueError); a leading BOM is dropped
+    # UTF-8, and UnicodeDecodeError a ValueError); a leading BOM is dropped.
+    # As in json.loads, only JSON whitespace may surround the value.
     try:
         if isinstance(line, bytes):
             line = line.decode().removeprefix("\ufeff")
-        obj = json.loads(line)
+        text = line.strip(" \t\n\r")
+        obj, end = _decode(text)
     except (ValueError, RecursionError):
+        return None
+    if end != len(text):
         return None
     if not isinstance(obj, dict):
         return None

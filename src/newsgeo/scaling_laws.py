@@ -63,26 +63,17 @@ class ModelSuiteEntry:
 class ModelSuite:
     entries: list[ModelSuiteEntry] = field(default_factory=list)
 
-    def get(self, label: str, group: str) -> ModelSuiteEntry:
-        for e in self.entries:
-            if e.label == label and e.group == group:
-                return e
-        raise KeyError((label, group))
-
 
 def circulation_models(
     metric: dict[str, dict[str, float]],
     attributes: StateAttributeTable,
-    groups: list[str] | None = None,
 ) -> ModelSuite:
     """Stepwise-selected OLS of the circulation residual per (news type,
-    variable group). Attributes are z-scored over the complete-case states
-    of each group."""
-    groups = groups or list(MODEL_GROUPS)
+    variable group), for every group. Attributes are z-scored over the
+    complete-case states of each group."""
     labels = [lb for lb in LABELS if lb in metric]
     suite = ModelSuite()
-    for group in groups:
-        variables = MODEL_GROUPS[group]
+    for group, variables in MODEL_GROUPS.items():
         std_table, _ = zscore(attributes, variables)
         for label in labels:
             per_state = metric[label]

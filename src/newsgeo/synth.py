@@ -7,6 +7,11 @@ set drawn with a known distance-decay probability, and cascade timelines
 with explicit state orders. The archive is byte-for-byte determined by the
 seed; one pseudo-random stream per concern, split from the master seed, so
 changing one planted feature leaves the others bit-identical.
+
+Each archive line is one record as canonical JSON: the keys sorted, no
+spaces, every string escaped to ASCII, the integer `created_utc` bare. The
+lines run in `created_utc` then `id` order, with any malformed lines spread
+among them.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, asdict
+from json.encoder import encode_basestring_ascii as _escape
 
 import numpy as np
 
@@ -71,6 +77,14 @@ class SynthConfig:
             v = getattr(self, name)
             if not v > 0:
                 raise ConfigurationError(f"{name} must be > 0, got {v}")
+        # a negative count or sigma would be read as 0 but recorded as given,
+        # and a negative spacing gives complex pair probabilities
+        for name in ("n_malformed_lines", "users_noise_sigma",
+                     "circulation_noise_sigma", "interaction_users_per_state",
+                     "n_cascade_urls", "state_spacing_km"):
+            v = getattr(self, name)
+            if not v >= 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {v}")
         # the smallest state's population, rounded, divides the user counts
         if not self.base_population >= 1:
             raise ConfigurationError(
@@ -84,6 +98,11 @@ class SynthConfig:
         if self.comments_per_user[0] < 1:
             raise ConfigurationError("comments_per_user must start at 1 or "
                                      f"more, got {list(self.comments_per_user)}")
+        # a negative gap posts each cascade in the reverse of its state order
+        if self.cascade_gap_days_range[0] < 0:
+            raise ConfigurationError(
+                "cascade_gap_days_range must start at 0 or more, got "
+                f"{list(self.cascade_gap_days_range)}")
         if sorted(self.domains_per_type) != sorted(LABELS) or \
            min(self.domains_per_type.values()) < 1:
             raise ConfigurationError(
@@ -133,6 +152,18 @@ def _state_subreddit(state: str) -> str:
     return f"{state.lower()}state"
 
 
+def _archive_line(comment_id: str, author: str, subreddit: str,
+                  created_utc: int, body: str,
+                  parent_id: str | None = None) -> str:
+    """One archive record as canonical JSON: the keys sorted, no spaces,
+    every string escaped to ASCII, as `json.dumps(record, sort_keys=True,
+    separators=(",", ":"))` writes it."""
+    parent = "" if parent_id is None else f',"parent_id":{_escape(parent_id)}'
+    return (f'{{"author":{_escape(author)},"body":{_escape(body)},'
+            f'"created_utc":{created_utc},"id":{_escape(comment_id)}{parent},'
+            f'"subreddit":{_escape(subreddit)}}}')
+
+
 def generate(config: SynthConfig) -> SynthOutput:
     config.validate()
     streams = np.random.SeedSequence(config.seed).spawn(8)
@@ -160,17 +191,15 @@ def generate(config: SynthConfig) -> SynthOutput:
         for label, count in sorted(config.domains_per_type.items())
     }
 
-    records: list[dict] = []
-    next_id = [0]
+    # (created_utc, id, archive line): ids are unique, so sorting the
+    # tuples orders the archive by time then id and never compares two lines
+    records: list[tuple[int, str, str]] = []
 
     def new_comment(author, subreddit, created, body, parent_id=None) -> str:
-        cid = f"c{next_id[0]:08d}"
-        next_id[0] += 1
-        rec = {"id": cid, "author": author, "subreddit": subreddit,
-               "created_utc": int(created), "body": body}
-        if parent_id is not None:
-            rec["parent_id"] = parent_id
-        records.append(rec)
+        cid = f"c{len(records):08d}"
+        created = int(created)
+        records.append((created, cid, _archive_line(
+            cid, author, subreddit, created, body, parent_id)))
         return cid
 
     def stamp(rng) -> int:
@@ -188,6 +217,7 @@ def generate(config: SynthConfig) -> SynthOutput:
         n_users = max(2, int(round(coef * populations[s] ** config.users_exponent
                                    * noise)))
         state_users[s] = []
+        subreddit = _state_subreddit(s)
         for j in range(n_users):
             author = f"u_{s.lower()}_{j:05d}"
             state_users[s].append(author)
@@ -195,7 +225,7 @@ def generate(config: SynthConfig) -> SynthOutput:
             mapped_post_counts[author] = {s: c}
             assignments[author] = s
             for _ in range(c):
-                new_comment(author, _state_subreddit(s), stamp(rng_users),
+                new_comment(author, subreddit, stamp(rng_users),
                             "local chatter")
 
     tie_authors: list[str] = []
@@ -209,10 +239,11 @@ def generate(config: SynthConfig) -> SynthOutput:
         mapped_post_counts[author] = {a: c, b: c}
         assignments[author] = None
         tie_authors.append(author)
+        sub_a, sub_b = _state_subreddit(a), _state_subreddit(b)
         for _ in range(c):
-            new_comment(author, _state_subreddit(a), stamp(rng_ties), "tied here")
+            new_comment(author, sub_a, stamp(rng_ties), "tied here")
         for _ in range(c):
-            new_comment(author, _state_subreddit(b), stamp(rng_ties), "tied there")
+            new_comment(author, sub_b, stamp(rng_ties), "tied there")
 
     # --- per-state per-type news comments (planted power law) -----------
     news_tallies: dict[str, dict[str, int]] = {label: {} for label in LABELS}
@@ -319,9 +350,8 @@ def generate(config: SynthConfig) -> SynthOutput:
         attributes.append(row)
 
     # --- serialize the archive ------------------------------------------
-    records.sort(key=lambda r: (r["created_utc"], r["id"]))
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    lines = [encode(r) for r in records]
+    records.sort()
+    lines = [line for _, _, line in records]
     if config.n_malformed_lines > 0:
         step = max(1, len(lines) // (config.n_malformed_lines + 1))
         for m in range(config.n_malformed_lines):

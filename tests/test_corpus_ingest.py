@@ -1,3 +1,4 @@
+import json
 from urllib.parse import urlsplit
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from newsgeo.corpus_ingest import (
     StreamLedger,
+    _parse_line,
     build_author_index,
     extract_urls,
     host_of,
@@ -16,7 +18,9 @@ from newsgeo.errors import DataIntegrityError, FormatError
 from conftest import make_record, ndjson_line
 
 
-_LINE = ndjson_line("c0", body="see https://a.com/x", parent_id="t1_p").encode()
+_TEXT = ndjson_line("c0", body="see https://a.com/x", parent_id="t1_p")
+_RECORD = make_record("c0", body="see https://a.com/x", parent_id="t1_p")
+_LINE = _TEXT.encode()
 # the valid line with a few arbitrary bytes spliced in somewhere
 _CORRUPTED_LINE = st.tuples(st.integers(0, len(_LINE)),
                             st.binary(min_size=1, max_size=4)).map(
@@ -134,6 +138,35 @@ class TestStreamComments:
         assert len(records) == ledger.records
         assert ledger.records + ledger.malformed == \
             sum(1 for line in lines if line.strip())
+
+
+def _reference_accepts(line):
+    """Whether `json.loads` reads `line` as one JSON value, after the
+    strict decode of bytes and the removal of their leading BOM."""
+    try:
+        if isinstance(line, bytes):
+            line = line.decode().removeprefix("\ufeff")
+        json.loads(line)
+    except ValueError:
+        return False
+    return True
+
+
+# JSON's four whitespace characters, characters that str.strip() also drops
+# but JSON does not allow around a value, and the BOM
+_PAD = st.text(" \t\n\r\x0b\x0c\x1c\xa0\u2028\ufeff", max_size=3)
+
+
+@given(bom=st.sampled_from(["", "\ufeff"]), prefix=_PAD, suffix=_PAD,
+       extra=st.sampled_from(["", "{}", "1", "x", ",", "]", '""']),
+       tail=_PAD, as_bytes=st.booleans())
+def test_parse_line_accepts_what_json_loads_accepts(bom, prefix, suffix,
+                                                     extra, tail, as_bytes):
+    line = bom + prefix + _TEXT + suffix + extra + tail
+    if as_bytes:
+        line = line.encode()
+    expected = _RECORD if _reference_accepts(line) else None
+    assert _parse_line(line) == expected
 
 
 class TestExtractUrls:

@@ -141,6 +141,12 @@ def attr_table(rng, n=50):
     return StateAttributeTable(columns=list(MODEL_GROUPS["all"]), values=values)
 
 
+def suite_entry(suite, label, group):
+    (entry,) = [e for e in suite.entries
+                if e.label == label and e.group == group]
+    return entry
+
+
 class TestCirculationModels:
     def test_constructed_negative_conscientiousness(self, rng):
         attrs = attr_table(rng)
@@ -148,9 +154,8 @@ class TestCirculationModels:
         metric = {"fake": {s: -0.8 * attrs.values[s]["conscientiousness"]
                            + 0.01 * float(rng.standard_normal())
                            for s in states}}
-        suite = circulation_models(metric, attrs,
-                                   groups=["personality_culture"])
-        entry = suite.get("fake", "personality_culture")
+        entry = suite_entry(circulation_models(metric, attrs),
+                            "fake", "personality_culture")
         assert "conscientiousness" in entry.result.selected
         assert entry.result.fit.coefficient_of("conscientiousness") < 0
 
@@ -164,8 +169,8 @@ class TestCirculationModels:
         for s in states:
             y[s] = sum(w * std.values[s][v] for v, w in signal.items()) \
                 + 0.05 * float(rng.standard_normal())
-        suite = circulation_models({"fake": y}, attrs, groups=["all"])
-        entry = suite.get("fake", "all")
+        entry = suite_entry(circulation_models({"fake": y}, attrs),
+                            "fake", "all")
         assert set(signal) <= set(entry.result.selected)
         for var, w in signal.items():
             coef = entry.result.fit.coefficient_of(var)
@@ -177,18 +182,17 @@ class TestCirculationModels:
         attrs = attr_table(rng)
         states = attrs.states()
         metric = {"fake": {s: float(rng.standard_normal()) for s in states}}
-        suite = circulation_models(metric, attrs,
-                                   groups=["all", "personality_culture"])
-        all_fit = suite.get("fake", "all").result.fit
-        sub_fit = suite.get("fake", "personality_culture").result.fit
+        suite = circulation_models(metric, attrs)
+        all_fit = suite_entry(suite, "fake", "all").result.fit
+        sub_fit = suite_entry(suite, "fake", "personality_culture").result.fit
         assert all_fit.aic <= sub_fit.aic + 1e-9
 
     def test_suite_rows_layout(self, rng):
         attrs = attr_table(rng)
         states = attrs.states()
         metric = {"fake": {s: float(rng.standard_normal()) for s in states}}
-        suite = circulation_models(metric, attrs, groups=["political"])
-        rows = suite_rows(suite)
-        assert rows[0]["news_type"] == "fake"
-        assert rows[0]["observations"] == 50
-        assert "adj_r2" in rows[0] and "df_resid" in rows[0]
+        rows = suite_rows(circulation_models(metric, attrs))
+        (row,) = [r for r in rows if r["group"] == "political"]
+        assert row["news_type"] == "fake"
+        assert row["observations"] == 50
+        assert "adj_r2" in row and "df_resid" in row

@@ -18,7 +18,7 @@ from newsgeo.geolocation import assign_user_states, state_user_counts
 from newsgeo.interaction import build_interaction_pairs
 from newsgeo.news_catalog import classify_mentions, load_catalog
 from newsgeo.stats_core import classify_exponent, fit_scaling
-from newsgeo.synth import SynthConfig, generate, write_outputs
+from newsgeo.synth import SynthConfig, _archive_line, generate, write_outputs
 
 
 def archive_lines(output):
@@ -80,7 +80,11 @@ class TestConfigValidation:
         ("domains_per_type", {"fake": -1, "lowcred": 5, "satire": 3,
                               "reputable": 10}),
         ("domains_per_type", {"fake": 5, "lowcred": 5, "satire": 3,
-                              "reputable": 10, "bogus": 1})])
+                              "reputable": 10, "bogus": 1}),
+        ("n_malformed_lines", -3), ("cascade_gap_days_range", [-5, -1]),
+        ("cascade_gap_days_range", [-1, 5]), ("state_spacing_km", -100),
+        ("users_noise_sigma", -0.5), ("circulation_noise_sigma", -0.1),
+        ("interaction_users_per_state", -2), ("n_cascade_urls", -1)])
     def test_wrong_type_names_key(self, key, value):
         with pytest.raises(ConfigurationError, match=key):
             SynthConfig.from_dict({key: value})
@@ -165,6 +169,37 @@ class TestLedgerConsistency:
             expected = sorted((ts, author, cid)
                               for ts, author, _, cid in plan["events"])
             assert got == expected
+
+
+def canonical(record):
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+class TestArchiveFormat:
+    def test_every_line_canonical_in_time_then_id_order(self, output):
+        lines = [line for line in output.archive.decode("utf-8").splitlines()
+                 if line != '{"broken json line']
+        assert len(lines) == output.ledger["n_records"]
+        records = [json.loads(line) for line in lines]
+        assert lines == [canonical(r) for r in records]
+        keys = [(r["created_utc"], r["id"]) for r in records]
+        assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("text", [
+        'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f",
+        "caf\u00e9 \u4e2d\U0001F600", "line\u2028sep\u2029", "lone\ud800",
+        "</script>"])
+    @pytest.mark.parametrize("parent_id", [None, "t1_c00000001"])
+    def test_line_is_json_dumps_of_the_record(self, text, parent_id):
+        record = {"id": "c" + text, "author": "a" + text,
+                  "subreddit": "s" + text, "created_utc": 1_451_606_400,
+                  "body": "b" + text}
+        if parent_id is not None:
+            record["parent_id"] = parent_id + text
+        line = _archive_line(record["id"], record["author"],
+                             record["subreddit"], record["created_utc"],
+                             record["body"], record.get("parent_id"))
+        assert line == canonical(record)
 
 
 class TestPlantedRecovery:
