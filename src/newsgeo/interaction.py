@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .corpus_ingest import Comment
-from .errors import ConfigurationError
+from .errors import ConfigurationError, FormatError
 from .geolocation import UserLocation, state_user_counts
 from .states import by_state, number, read_table, state_code
 
@@ -27,12 +27,20 @@ SCOPES = ("all_subreddits", "non_location_subreddits")
 
 
 def load_centroids(path: str) -> dict[str, tuple[float, float]]:
-    """Table `state,lat,lon` -> state -> (lat, lon) in degrees."""
-    return by_state((state_code(state, where),
-                     (number(float, lat, where), number(float, lon, where)),
+    """Table `state,lat,lon` -> state -> (lat, lon) in degrees; FormatError
+    for a latitude outside [-90, 90] or a longitude outside [-180, 180]."""
+    return by_state((state_code(state, where), _centroid(lat, lon, where),
                      where)
                     for (state, lat, lon), where in read_table(
                         path, ("state", "lat", "lon")))
+
+
+def _centroid(lat: str, lon: str, where: str) -> tuple[float, float]:
+    point = number(float, lat, where), number(float, lon, where)
+    if abs(point[0]) > 90 or abs(point[1]) > 180:
+        raise FormatError(f"{where}: centroid {point} is outside latitude "
+                          "[-90, 90] or longitude [-180, 180]")
+    return point
 
 
 def centroid_distance(

@@ -2,6 +2,7 @@
 DC and territories are excluded end to end."""
 
 import csv
+import math
 import re
 
 from .errors import ConfigurationError, DataIntegrityError, FormatError
@@ -70,8 +71,12 @@ def state_code(cell, where):
 
 
 def number(kind, cell, where):
-    """`kind(cell)`; FormatError if the cell does not parse."""
+    """`kind(cell)`; FormatError if the cell does not parse, or parses to a
+    float that is not finite (`nan`, `inf`)."""
     try:
-        return kind(cell)
+        value = kind(cell)
     except ValueError:
         raise FormatError(f"{where}: not {kind.__name__}: {cell!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise FormatError(f"{where}: not a finite number: {cell!r}")
+    return value

@@ -11,7 +11,14 @@ changing one planted feature leaves the others bit-identical.
 Each archive line is one record as canonical JSON: the keys sorted, no
 spaces, every string escaped to ASCII, the integer `created_utc` bare. The
 lines run in `created_utc` then `id` order, with any malformed lines spread
-among them.
+among them: with k malformed lines among n records, the m-th of them is
+line (m+1)*step + m of the file, where step = max(1, n // (k+1)) and both
+count from 0, or the last line where that index passes the end.
+
+`SynthOutput.archive` is the list of archive lines in file order, without
+newlines; each line is held once, and `write_outputs` writes the file in
+blocks of `ARCHIVE_CHUNK_LINES` lines, so no copy of the whole archive is
+ever made.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import csv
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass, field, asdict
 from json.encoder import encode_basestring_ascii as _escape
 
@@ -35,6 +43,14 @@ KM_PER_DEG_LAT = 111.19492664455873   # 6371 km sphere
 
 NEWS_SUBREDDIT = "newslinks"
 GENERAL_SUBREDDIT = "general"
+
+ARCHIVE_CHUNK_LINES = 4096
+
+
+def _latitude(i: int, state_spacing_km: float) -> float:
+    """Centroid latitude of the i-th state: the states stand on one
+    meridian, `state_spacing_km` apart, northward from 25 degrees."""
+    return 25.0 + i * (state_spacing_km / KM_PER_DEG_LAT)
 
 
 @dataclass
@@ -85,6 +101,11 @@ class SynthConfig:
             v = getattr(self, name)
             if not v >= 0:
                 raise ConfigurationError(f"{name} must be >= 0, got {v}")
+        top = _latitude(self.n_states - 1, self.state_spacing_km)
+        if top > 90:
+            raise ConfigurationError(
+                f"state_spacing_km {self.state_spacing_km} puts the last of "
+                f"{self.n_states} states at latitude {top:.1f}, past 90")
         # the smallest state's population, rounded, divides the user counts
         if not self.base_population >= 1:
             raise ConfigurationError(
@@ -139,7 +160,9 @@ class SynthConfig:
 
 @dataclass
 class SynthOutput:
-    archive: bytes
+    """A generated corpus: `archive` is the list of archive lines in file
+    order, without newlines, which `write_outputs` writes in chunks."""
+    archive: list[str]
     ledger: dict
     subreddit_states: dict[str, str]
     populations: dict[str, int]
@@ -182,8 +205,8 @@ def generate(config: SynthConfig) -> SynthOutput:
         frac = i / (n - 1) if n > 1 else 0.0
         populations[s] = int(round(config.base_population *
                                    config.population_spread ** frac))
-    spacing_deg = config.state_spacing_km / KM_PER_DEG_LAT
-    centroids = {s: (25.0 + i * spacing_deg, -95.0) for i, s in enumerate(states)}
+    centroids = {s: (_latitude(i, config.state_spacing_km), -95.0)
+                 for i, s in enumerate(states)}
     subreddit_states = {_state_subreddit(s): s for s in states}
 
     domains = {
@@ -191,15 +214,16 @@ def generate(config: SynthConfig) -> SynthOutput:
         for label, count in sorted(config.domains_per_type.items())
     }
 
-    # (created_utc, id, archive line): ids are unique, so sorting the
-    # tuples orders the archive by time then id and never compares two lines
-    records: list[tuple[int, str, str]] = []
+    # each record's archive line and created_utc, in creation order
+    lines: list[str] = []
+    times = array("q")
 
     def new_comment(author, subreddit, created, body, parent_id=None) -> str:
-        cid = f"c{len(records):08d}"
+        cid = f"c{len(lines):08d}"
         created = int(created)
-        records.append((created, cid, _archive_line(
-            cid, author, subreddit, created, body, parent_id)))
+        lines.append(_archive_line(cid, author, subreddit, created, body,
+                                   parent_id))
+        times.append(created)
         return cid
 
     def stamp(rng) -> int:
@@ -327,7 +351,7 @@ def generate(config: SynthConfig) -> SynthOutput:
     interaction_pairs.sort()
 
     # --- deleted-author filler ------------------------------------------
-    n_deleted = int(round(config.deleted_comment_fraction * len(records)))
+    n_deleted = int(round(config.deleted_comment_fraction * len(lines)))
     for _ in range(n_deleted):
         new_comment("[deleted]", GENERAL_SUBREDDIT, stamp(rng_deleted),
                     "ghost comment")
@@ -349,15 +373,18 @@ def generate(config: SynthConfig) -> SynthOutput:
         row["swing_state"] = int(rng_attrs.random() < 0.2)
         attributes.append(row)
 
-    # --- serialize the archive ------------------------------------------
-    records.sort()
-    lines = [line for _, _, line in records]
+    # --- order the archive ----------------------------------------------
+    # ids number the records in creation order with 8 digits, so below 10**8
+    # records a stable sort of the creation indices by time puts the lines
+    # in (created_utc, id) order
+    n_records = len(lines)
+    order = np.argsort(np.frombuffer(times, dtype=np.int64), kind="stable")
+    archive = [lines[i] for i in order]
     if config.n_malformed_lines > 0:
-        step = max(1, len(lines) // (config.n_malformed_lines + 1))
+        step = max(1, n_records // (config.n_malformed_lines + 1))
         for m in range(config.n_malformed_lines):
-            lines.insert(min(len(lines), (m + 1) * step + m),
-                         '{"broken json line')
-    archive = ("\n".join(lines) + "\n").encode("utf-8")
+            archive.insert(min(len(archive), (m + 1) * step + m),
+                           '{"broken json line')
 
     state_user_totals = {s: len(v) for s, v in state_users.items()}
     ledger = {
@@ -365,7 +392,7 @@ def generate(config: SynthConfig) -> SynthOutput:
         "config": _config_as_dict(config),
         "states": states,
         "populations": populations,
-        "n_records": len(records),
+        "n_records": n_records,
         "n_malformed": config.n_malformed_lines,
         "n_deleted_comments": n_deleted,
         "assignments": assignments,
@@ -403,8 +430,11 @@ def write_outputs(output: SynthOutput, outdir: str) -> dict[str, str]:
     paths = {}
 
     paths["archive"] = os.path.join(outdir, "archive.ndjson")
-    with open(paths["archive"], "wb") as fh:
-        fh.write(output.archive)
+    lines = output.archive
+    with open(paths["archive"], "w", encoding="utf-8", newline="\n") as fh:
+        for start in range(0, len(lines), ARCHIVE_CHUNK_LINES):
+            fh.write("\n".join(lines[start:start + ARCHIVE_CHUNK_LINES]))
+            fh.write("\n")
 
     paths["ledger"] = os.path.join(outdir, "ledger.json")
     with open(paths["ledger"], "w", encoding="utf-8") as fh:

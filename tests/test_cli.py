@@ -679,7 +679,14 @@ HOSTILE_TABLE_ROWS = [
     ("synth/populations.csv", b"WY,0", "geolocate", 2, "ConfigurationError"),
     ("synth/centroids.csv", b"AL", "connectivity", 5, "FormatError"),
     ("synth/centroids.csv", b"AL,north,5", "connectivity", 5, "FormatError"),
+    ("synth/centroids.csv", b"WY,nan,-95", "connectivity", 5, "FormatError"),
+    ("synth/centroids.csv", b"WY,inf,-95", "connectivity", 5, "FormatError"),
+    ("synth/centroids.csv", b"WY,245.3,-95", "connectivity", 5,
+     "FormatError"),
+    ("synth/centroids.csv", b"WY,45,-195", "connectivity", 5, "FormatError"),
     ("synth/attributes.csv", b"WY,lots", "attributes", 5, "FormatError"),
+    ("synth/attributes.csv", b"WY,nan" + b",0" * 13, "attributes", 5,
+     "FormatError"),
     ("residuals.csv", b"fake,AL,notanumber", "regress", 5, "FormatError"),
     ("synth/subreddit_states.csv", b"caf\xe9,AL", "geolocate", 5,
      "FormatError"),

@@ -154,7 +154,7 @@ class TestBuildPairs:
                                    deleted_comment_fraction=0.05,
                                    interaction_users_per_state=3,
                                    connectivity_base=0.5))
-        corpus = list(stream_comments(out.archive.splitlines()))
+        corpus = list(stream_comments(out.archive))
         locations, _ = assign_user_states(corpus, out.subreddit_states)
         # plant the drops the generator does not make
         target = next(r for r in corpus if r.author in locations)

@@ -2,8 +2,10 @@
 property: every planted quantity is exactly recomputable from the archive
 by the pipeline."""
 
-import io
 import json
+import math
+import os
+import tracemalloc
 
 import pytest
 
@@ -18,11 +20,18 @@ from newsgeo.geolocation import assign_user_states, state_user_counts
 from newsgeo.interaction import build_interaction_pairs
 from newsgeo.news_catalog import classify_mentions, load_catalog
 from newsgeo.stats_core import classify_exponent, fit_scaling
-from newsgeo.synth import SynthConfig, _archive_line, generate, write_outputs
+from newsgeo.synth import (
+    ARCHIVE_CHUNK_LINES,
+    KM_PER_DEG_LAT,
+    SynthConfig,
+    _archive_line,
+    generate,
+    write_outputs,
+)
 
 
 def archive_lines(output):
-    return io.StringIO(output.archive.decode("utf-8"))
+    return output.archive
 
 
 def records_of(output, ledger=None):
@@ -89,22 +98,36 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match=key):
             SynthConfig.from_dict({key: value})
 
+    def test_last_centroid_latitude_at_most_90(self):
+        # with two states the second stands one spacing north of 25 degrees
+        at_pole = 65 * KM_PER_DEG_LAT
+        cfg = SynthConfig(n_states=2, state_spacing_km=at_pole)
+        cfg.validate()
+        assert generate(cfg).centroids["AK"] == (90.0, -95.0)
+        with pytest.raises(ConfigurationError, match="state_spacing_km"):
+            SynthConfig(n_states=2, state_spacing_km=math.nextafter(
+                at_pole, math.inf)).validate()
+        with pytest.raises(ConfigurationError, match="state_spacing_km"):
+            SynthConfig(n_states=50, state_spacing_km=500.0).validate()
+
     def test_from_dict_round_trip(self):
         cfg = SynthConfig.from_dict({"seed": 3, "n_states": 5,
                                      "cascade_states_range": [2, 4]})
         assert cfg.cascade_states_range == (2, 4)
 
 
-@pytest.fixture(scope="module")
-def output():
-    cfg = SynthConfig(seed=11, n_states=10, base_users=6.0,
+FIXTURE_CONFIG = dict(seed=11, n_states=10, base_users=6.0,
                       tie_user_fraction=0.08,
                       deleted_comment_fraction=0.02,
                       n_malformed_lines=5,
                       n_cascade_urls=25, cascade_states_range=(2, 6),
                       interaction_users_per_state=3,
                       connectivity_base=0.3)
-    return generate(cfg)
+
+
+@pytest.fixture(scope="module")
+def output():
+    return generate(SynthConfig(**FIXTURE_CONFIG))
 
 
 class TestLedgerConsistency:
@@ -177,12 +200,29 @@ def canonical(record):
 
 class TestArchiveFormat:
     def test_every_line_canonical_in_time_then_id_order(self, output):
-        lines = [line for line in output.archive.decode("utf-8").splitlines()
+        lines = [line for line in output.archive
                  if line != '{"broken json line']
         assert len(lines) == output.ledger["n_records"]
         records = [json.loads(line) for line in lines]
         assert lines == [canonical(r) for r in records]
         keys = [(r["created_utc"], r["id"]) for r in records]
+        assert keys == sorted(keys)
+
+    def test_same_second_ties_in_id_order(self):
+        # zero-day gaps post every event of a cascade in one second; the
+        # shared fixture has no two records in one second
+        output = generate(SynthConfig(**FIXTURE_CONFIG,
+                                      cascade_gap_days_range=(0, 0)))
+        n, k = output.ledger["n_records"], output.ledger["n_malformed"]
+        step = max(1, n // (k + 1))
+        broken = [i for i, line in enumerate(output.archive)
+                  if line == '{"broken json line']
+        assert broken == [(m + 1) * step + m for m in range(k)]
+        records = [json.loads(line) for line in output.archive
+                   if line != '{"broken json line']
+        assert len(records) == n
+        keys = [(r["created_utc"], r["id"]) for r in records]
+        assert len({t for t, _ in keys}) < n
         assert keys == sorted(keys)
 
     @pytest.mark.parametrize("text", [
@@ -261,3 +301,26 @@ class TestPlantedRecovery:
             assert key in paths
         ledger = json.loads(open(paths["ledger"]).read())
         assert ledger["seed"] == 3
+
+
+class TestMemory:
+    def test_archive_held_once_and_written_in_chunks(self, tmp_path):
+        """`generate` makes no second copy of the archive, and
+        `write_outputs` writes it a chunk at a time."""
+        cfg = SynthConfig(seed=3, n_states=2, base_users=30.0,
+                          comments_per_user=(40, 50), n_malformed_lines=4)
+        tracemalloc.start()
+        try:
+            output = generate(cfg)
+            retained, generate_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            paths = write_outputs(output, str(tmp_path))
+            write_peak = tracemalloc.get_traced_memory()[1] - retained
+        finally:
+            tracemalloc.stop()
+        size = os.path.getsize(paths["archive"])
+        assert len(output.archive) > 10 * ARCHIVE_CHUNK_LINES
+        # measured: about 0.23 and 0.20 of the size; joining the whole
+        # archive into one string costs a full size or more in either
+        assert generate_peak - retained < size / 2
+        assert write_peak < size / 4
