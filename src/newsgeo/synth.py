@@ -12,13 +12,14 @@ Each archive line is one record as canonical JSON: the keys sorted, no
 spaces, every string escaped to ASCII, the integer `created_utc` bare. The
 lines run in `created_utc` then `id` order, with any malformed lines spread
 among them: with k malformed lines among n records, the m-th of them is
-line (m+1)*step + m of the file, where step = max(1, n // (k+1)) and both
-count from 0, or the last line where that index passes the end.
+line min((m+1)*step + m, n + m) of the file, where step = max(1, n // (k+1))
+and both count from 0, so the ones whose index would pass the end come last.
 
-`SynthOutput.archive` is the list of archive lines in file order, without
-newlines; each line is held once, and `write_outputs` writes the file in
-blocks of `ARCHIVE_CHUNK_LINES` lines, so no copy of the whole archive is
-ever made.
+`generate` holds each record as its fields, not as its line: its
+`created_utc` in an integer array and references to its author, subreddit,
+body and parent id, strings that most records share. `SynthOutput.archive`
+builds each line as it is read, so `write_outputs` formats and writes the
+file a line at a time and no line outlives its write.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import json
 import math
 import os
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, field, asdict
 from json.encoder import encode_basestring_ascii as _escape
 
@@ -44,7 +46,9 @@ KM_PER_DEG_LAT = 111.19492664455873   # 6371 km sphere
 NEWS_SUBREDDIT = "newslinks"
 GENERAL_SUBREDDIT = "general"
 
-ARCHIVE_CHUNK_LINES = 4096
+_MALFORMED_LINE = '{"broken json line'
+# comment ids are "c" and the record's creation index in 8 digits
+_MAX_RECORDS = 10**8
 
 
 def _latitude(i: int, state_spacing_km: float) -> float:
@@ -137,9 +141,11 @@ class SynthConfig:
                 "cascade_states_range exceeds the number of states")
         if self.cascade_states_range[0] < 2 and self.n_cascade_urls > 0:
             raise ConfigurationError("cascades need at least 2 states per URL")
-        unknown = set(self.circulation_exponents) - set(LABELS)
-        if unknown:
-            raise ConfigurationError(f"unknown news labels {sorted(unknown)}")
+        for name in ("circulation_exponents", "circulation_residuals"):
+            unknown = set(getattr(self, name) or ()) - set(LABELS)
+            if unknown:
+                raise ConfigurationError(
+                    f"{name} has unknown news labels {sorted(unknown)}")
         if self.circulation_residuals is not None:
             for label, vec in self.circulation_residuals.items():
                 if len(vec) != self.n_states:
@@ -158,11 +164,46 @@ class SynthConfig:
         return cfg
 
 
+@dataclass(eq=False)
+class _Archive:
+    """The archive lines in file order, without newlines, built from the
+    records' fields each time they are iterated. Record i has id c{i:08d}
+    and the i-th entry of each field list."""
+    times: array                   # created_utc
+    authors: list[str]
+    subreddits: list[str]
+    bodies: list[str]
+    parents: list[str | None]
+    order: np.ndarray              # record indices in (created_utc, id) order
+    n_malformed: int
+
+    def __len__(self) -> int:
+        return len(self.times) + self.n_malformed
+
+    def __iter__(self) -> Iterator[str]:
+        k = self.n_malformed
+        step = max(1, len(self.times) // (k + 1))
+        m = 0
+        times, authors, subreddits, bodies, parents = (
+            self.times, self.authors, self.subreddits, self.bodies,
+            self.parents)
+        # a memoryview yields Python ints, which index and format faster
+        # than numpy scalars
+        for r, i in enumerate(memoryview(self.order)):
+            if m < k and (m + 1) * step == r:
+                yield _MALFORMED_LINE
+                m += 1
+            yield _archive_line(f"c{i:08d}", authors[i], subreddits[i],
+                                times[i], bodies[i], parents[i])
+        for _ in range(m, k):
+            yield _MALFORMED_LINE
+
+
 @dataclass
 class SynthOutput:
-    """A generated corpus: `archive` is the list of archive lines in file
-    order, without newlines, which `write_outputs` writes in chunks."""
-    archive: list[str]
+    """A generated corpus: `archive` iterates the archive lines in file
+    order, without newlines, each built as it is read."""
+    archive: _Archive
     ledger: dict
     subreddit_states: dict[str, str]
     populations: dict[str, int]
@@ -185,6 +226,18 @@ def _archive_line(comment_id: str, author: str, subreddit: str,
     return (f'{{"author":{_escape(author)},"body":{_escape(body)},'
             f'"created_utc":{created_utc},"id":{_escape(comment_id)}{parent},'
             f'"subreddit":{_escape(subreddit)}}}')
+
+
+def _planted_count(expected: float, planted: int, keys: str) -> int:
+    """`expected` rounded, once it is known to be finite and to keep the
+    `planted` records so far plus that many below `_MAX_RECORDS`. `keys`
+    names the config keys the count comes from."""
+    count = round(expected) if math.isfinite(expected) else math.inf
+    if not planted + count < _MAX_RECORDS:
+        raise ConfigurationError(
+            f"{keys} give {expected:.6g} with {planted} records planted; "
+            f"8-digit comment ids number at most {_MAX_RECORDS} records")
+    return count
 
 
 def generate(config: SynthConfig) -> SynthOutput:
@@ -214,16 +267,20 @@ def generate(config: SynthConfig) -> SynthOutput:
         for label, count in sorted(config.domains_per_type.items())
     }
 
-    # each record's archive line and created_utc, in creation order
-    lines: list[str] = []
+    # each record's fields, in creation order
     times = array("q")
+    authors: list[str] = []
+    subreddits: list[str] = []
+    bodies: list[str] = []
+    parents: list[str | None] = []
 
     def new_comment(author, subreddit, created, body, parent_id=None) -> str:
-        cid = f"c{len(lines):08d}"
-        created = int(created)
-        lines.append(_archive_line(cid, author, subreddit, created, body,
-                                   parent_id))
-        times.append(created)
+        cid = f"c{len(times):08d}"
+        times.append(int(created))
+        authors.append(author)
+        subreddits.append(subreddit)
+        bodies.append(body)
+        parents.append(parent_id)
         return cid
 
     def stamp(rng) -> int:
@@ -238,14 +295,17 @@ def generate(config: SynthConfig) -> SynthOutput:
     for i, s in enumerate(states):
         noise = math.exp(config.users_noise_sigma * rng_users.standard_normal()) \
             if config.users_noise_sigma > 0 else 1.0
-        n_users = max(2, int(round(coef * populations[s] ** config.users_exponent
-                                   * noise)))
+        # each user posts at least one record
+        n_users = max(2, _planted_count(
+            coef * populations[s] ** config.users_exponent * noise,
+            len(times), "base_users and users_exponent"))
         state_users[s] = []
         subreddit = _state_subreddit(s)
         for j in range(n_users):
             author = f"u_{s.lower()}_{j:05d}"
             state_users[s].append(author)
-            c = int(rng_users.integers(cmin, cmax + 1))
+            c = _planted_count(int(rng_users.integers(cmin, cmax + 1)),
+                               len(times), "comments_per_user")
             mapped_post_counts[author] = {s: c}
             assignments[author] = s
             for _ in range(c):
@@ -254,7 +314,8 @@ def generate(config: SynthConfig) -> SynthOutput:
 
     tie_authors: list[str] = []
     n_regular = sum(len(v) for v in state_users.values())
-    n_ties = int(round(config.tie_user_fraction * n_regular))
+    n_ties = _planted_count(config.tie_user_fraction * n_regular, len(times),
+                            "tie_user_fraction")
     for j in range(n_ties):
         author = f"tie_{j:05d}"
         a_idx = int(rng_ties.integers(0, n - 1))
@@ -283,7 +344,11 @@ def generate(config: SynthConfig) -> SynthOutput:
             if config.circulation_noise_sigma > 0:
                 log_count += config.circulation_noise_sigma * \
                     rng_news.standard_normal()
-            count = max(1, int(round(math.exp(log_count))))
+            # math.exp overflows just past 709
+            expected = math.exp(log_count) if log_count < 709 else math.inf
+            count = max(1, _planted_count(
+                expected, len(times), "circulation_base, circulation_exponents, "
+                "circulation_residuals and circulation_noise_sigma"))
             news_tallies[label][s] = count
             pool = domains[label]
             for _ in range(count):
@@ -299,6 +364,8 @@ def generate(config: SynthConfig) -> SynthOutput:
     kmin, kmax = config.cascade_states_range
     gmin, gmax = config.cascade_gap_days_range
     label_list = sorted(domains)
+    # each cascade URL posts at least kmin records
+    _planted_count(config.n_cascade_urls * kmin, len(times), "n_cascade_urls")
     for u in range(config.n_cascade_urls):
         label = label_list[int(rng_casc.integers(0, len(label_list)))]
         k = int(rng_casc.integers(kmin, kmax + 1))
@@ -351,7 +418,8 @@ def generate(config: SynthConfig) -> SynthOutput:
     interaction_pairs.sort()
 
     # --- deleted-author filler ------------------------------------------
-    n_deleted = int(round(config.deleted_comment_fraction * len(lines)))
+    n_deleted = _planted_count(config.deleted_comment_fraction * len(times),
+                               len(times), "deleted_comment_fraction")
     for _ in range(n_deleted):
         new_comment("[deleted]", GENERAL_SUBREDDIT, stamp(rng_deleted),
                     "ghost comment")
@@ -374,17 +442,13 @@ def generate(config: SynthConfig) -> SynthOutput:
         attributes.append(row)
 
     # --- order the archive ----------------------------------------------
-    # ids number the records in creation order with 8 digits, so below 10**8
-    # records a stable sort of the creation indices by time puts the lines
-    # in (created_utc, id) order
-    n_records = len(lines)
+    # ids number the records in creation order with 8 digits, so below
+    # _MAX_RECORDS records a stable sort of the creation indices by time puts
+    # the lines in (created_utc, id) order
+    n_records = len(times)
     order = np.argsort(np.frombuffer(times, dtype=np.int64), kind="stable")
-    archive = [lines[i] for i in order]
-    if config.n_malformed_lines > 0:
-        step = max(1, n_records // (config.n_malformed_lines + 1))
-        for m in range(config.n_malformed_lines):
-            archive.insert(min(len(archive), (m + 1) * step + m),
-                           '{"broken json line')
+    archive = _Archive(times, authors, subreddits, bodies, parents, order,
+                       config.n_malformed_lines)
 
     state_user_totals = {s: len(v) for s, v in state_users.items()}
     ledger = {
@@ -430,10 +494,9 @@ def write_outputs(output: SynthOutput, outdir: str) -> dict[str, str]:
     paths = {}
 
     paths["archive"] = os.path.join(outdir, "archive.ndjson")
-    lines = output.archive
     with open(paths["archive"], "w", encoding="utf-8", newline="\n") as fh:
-        for start in range(0, len(lines), ARCHIVE_CHUNK_LINES):
-            fh.write("\n".join(lines[start:start + ARCHIVE_CHUNK_LINES]))
+        for line in output.archive:
+            fh.write(line)
             fh.write("\n")
 
     paths["ledger"] = os.path.join(outdir, "ledger.json")

@@ -2,6 +2,7 @@
 property: every planted quantity is exactly recomputable from the archive
 by the pipeline."""
 
+import hashlib
 import json
 import math
 import os
@@ -21,7 +22,6 @@ from newsgeo.interaction import build_interaction_pairs
 from newsgeo.news_catalog import classify_mentions, load_catalog
 from newsgeo.stats_core import classify_exponent, fit_scaling
 from newsgeo.synth import (
-    ARCHIVE_CHUNK_LINES,
     KM_PER_DEG_LAT,
     SynthConfig,
     _archive_line,
@@ -51,13 +51,13 @@ class TestDeterminism:
                           connectivity_base=0.2, tie_user_fraction=0.05)
         a = generate(cfg)
         b = generate(cfg)
-        assert a.archive == b.archive
+        assert list(a.archive) == list(b.archive)
         assert a.ledger == b.ledger
 
     def test_different_seed_different_bytes(self):
         a = generate(SynthConfig(seed=1, n_states=6))
         b = generate(SynthConfig(seed=2, n_states=6))
-        assert a.archive != b.archive
+        assert list(a.archive) != list(b.archive)
 
 
 class TestConfigValidation:
@@ -93,10 +93,25 @@ class TestConfigValidation:
         ("n_malformed_lines", -3), ("cascade_gap_days_range", [-5, -1]),
         ("cascade_gap_days_range", [-1, 5]), ("state_spacing_km", -100),
         ("users_noise_sigma", -0.5), ("circulation_noise_sigma", -0.1),
-        ("interaction_users_per_state", -2), ("n_cascade_urls", -1)])
+        ("interaction_users_per_state", -2), ("n_cascade_urls", -1),
+        ("circulation_residuals", {"bogus": [0] * 50})])
     def test_wrong_type_names_key(self, key, value):
         with pytest.raises(ConfigurationError, match=key):
             SynthConfig.from_dict({key: value})
+
+    @pytest.mark.parametrize("hostile", [
+        {"circulation_exponents": {"fake": 500}},
+        {"circulation_residuals": {"fake": [800, 0, 0, 0, 0]}},
+        {"base_users": 1e300}, {"circulation_base": 1e300},
+        {"comments_per_user": [1, 10**12]},
+        {"n_cascade_urls": 10**12, "cascade_states_range": [2, 5]}])
+    def test_count_past_the_ids_names_key(self, hostile):
+        """A planted count that is not finite, or that would take the archive
+        to 10**8 records, where the 8-digit ids run out, is rejected before
+        any of its records are made."""
+        cfg = SynthConfig.from_dict({"n_states": 5, **hostile})
+        with pytest.raises(ConfigurationError, match=next(iter(hostile))):
+            generate(cfg)
 
     def test_last_centroid_latitude_at_most_90(self):
         # with two states the second stands one spacing north of 25 degrees
@@ -199,6 +214,16 @@ def canonical(record):
 
 
 class TestArchiveFormat:
+    def test_fixture_bytes_pinned(self, output, tmp_path):
+        """Recorded with numpy 2.4.6; a deliberate change to the synth bytes
+        records new digests."""
+        paths = write_outputs(output, str(tmp_path))
+        digests = {key: hashlib.sha256(open(paths[key], "rb").read()).hexdigest()
+                   for key in ("archive", "ledger")}
+        assert digests == {
+            "archive": "ba664234a8f8c11f3579af510b5dacc1a1da271c74982b35d20c1a7ea2c2b077",
+            "ledger": "9feaa732a9397f5543f35b3867d91d1a54c01fbbc64368314e599cb2fe3a5042"}
+
     def test_every_line_canonical_in_time_then_id_order(self, output):
         lines = [line for line in output.archive
                  if line != '{"broken json line']
@@ -224,6 +249,24 @@ class TestArchiveFormat:
         keys = [(r["created_utc"], r["id"]) for r in records]
         assert len({t for t, _ in keys}) < n
         assert keys == sorted(keys)
+
+    def test_malformed_lines_past_the_end_come_last(self):
+        output = generate(SynthConfig(seed=4, n_states=1, base_users=2.0,
+                                      comments_per_user=(1, 1),
+                                      n_malformed_lines=10))
+        n, k = output.ledger["n_records"], output.ledger["n_malformed"]
+        lines = list(output.archive)
+        assert n < k and len(output.archive) == len(lines) == n + k
+        step = max(1, n // (k + 1))
+        broken = [i for i, line in enumerate(lines)
+                  if line == '{"broken json line']
+        assert broken == [min((m + 1) * step + m, n + m) for m in range(k)]
+        # from line 2n on come the malformed lines whose index passed the end
+        assert broken[n:] == list(range(2 * n, n + k))
+        records = [json.loads(line) for line in lines
+                   if line != '{"broken json line']
+        keys = [(r["created_utc"], r["id"]) for r in records]
+        assert len(keys) == n and keys == sorted(keys)
 
     @pytest.mark.parametrize("text", [
         'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f",
@@ -304,9 +347,9 @@ class TestPlantedRecovery:
 
 
 class TestMemory:
-    def test_archive_held_once_and_written_in_chunks(self, tmp_path):
-        """`generate` makes no second copy of the archive, and
-        `write_outputs` writes it a chunk at a time."""
+    def test_archive_held_as_fields_and_written_by_line(self, tmp_path):
+        """`generate` holds the records' fields, not their lines, and
+        `write_outputs` builds and writes the lines one at a time."""
         cfg = SynthConfig(seed=3, n_states=2, base_users=30.0,
                           comments_per_user=(40, 50), n_malformed_lines=4)
         tracemalloc.start()
@@ -319,8 +362,11 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         size = os.path.getsize(paths["archive"])
-        assert len(output.archive) > 10 * ARCHIVE_CHUNK_LINES
-        # measured: about 0.23 and 0.20 of the size; joining the whole
-        # archive into one string costs a full size or more in either
+        assert len(output.archive) == output.ledger["n_records"] + 4
+        # measured: what generate returns is about 0.68 of the size (holding
+        # every line costs 1.73), its transient peak 0.004 and the write peak
+        # 0.04; joining the whole archive into one string costs a full size
+        # or more in either
+        assert retained < size
         assert generate_peak - retained < size / 2
         assert write_peak < size / 4
