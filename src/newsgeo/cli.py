@@ -297,8 +297,7 @@ def stage_scale(cfg, run):
         [[state, label, tallies[label][state], users.get(state, 0)]
          for label in sorted(tallies) for state in sorted(tallies[label])])
 
-    table = scaling_laws.circulation_residual(
-        tallies, users, intercept=cfg.residual_intercept)
+    table = scaling_laws.circulation_residual(tallies, users)
     fits = {label: {**dataclasses.asdict(tc.fit),
                     "excluded_states": tc.excluded_states}
             for label, tc in table.items()}
@@ -307,7 +306,7 @@ def stage_scale(cfg, run):
                    for label, tc in table.items()
                    for state in sorted(tc.residuals)])
     run.write_json("scaling_fits.json", fits)
-    return {"residual_intercept": cfg.residual_intercept}, {"cells": n_cells}
+    return {}, {"cells": n_cells}
 
 
 def _read_residuals(path):

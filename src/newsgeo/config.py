@@ -33,7 +33,6 @@ class RunConfig:
     alpha: float = 0.05
     scope: str = "all_subreddits"
     rule: str = "chain"
-    residual_intercept: bool = True
     reach_qualify: str = "at_least"
     cascade_ks: list[int] = field(default_factory=lambda: [2, 3, 5])
     seed: int = 0

@@ -3,8 +3,7 @@
 The circulation score of a state for a news type is the residual of the
 log-log regression of that state's news-comment count on its user count:
 what is left after size is accounted for. The log-log fit includes an
-intercept by default (required for zero-sum residuals); the no-intercept
-variant sits behind a flag.
+intercept, which makes the residuals sum to zero.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ class TypeCirculation:
 def circulation_residual(
     tallies: dict[str, dict[str, int]],
     user_counts: dict[str, int],
-    intercept: bool = True,
 ) -> dict[str, TypeCirculation]:
     """Fit the per-type log-log regression of counts on users; residuals are
     the circulation scores. Zero-count cells are excluded from the fit and
@@ -41,8 +39,7 @@ def circulation_residual(
     for label, per_state in sorted(tallies.items()):
         excluded = sorted(s for s in user_counts
                           if per_state.get(s, 0) < 1 and user_counts[s] >= 1)
-        fit, residuals = fit_scaling(user_counts, per_state,
-                                     intercept=intercept)
+        fit, residuals = fit_scaling(user_counts, per_state)
         table[label] = TypeCirculation(fit=fit, residuals=residuals,
                                        excluded_states=excluded)
         if excluded:

@@ -37,7 +37,7 @@ def significance_stars(p: float) -> str:
 @dataclass
 class OlsResult:
     names: list[str]              # predictor names; intercept not listed
-    coefficients: np.ndarray      # intercept first when fitted with one
+    coefficients: np.ndarray      # intercept first
     stderr: np.ndarray
     tstats: np.ndarray
     r2: float
@@ -52,7 +52,6 @@ class OlsResult:
     fitted: np.ndarray
     n: int
     rss: float
-    intercept: bool
 
     # computed when first read: p-values load scipy, and a stage that reads
     # only coefficients and fit statistics never needs it
@@ -69,8 +68,7 @@ class OlsResult:
         return len(self.names)
 
     def coefficient_of(self, name: str) -> float:
-        offset = 1 if self.intercept else 0
-        return float(self.coefficients[offset + self.names.index(name)])
+        return float(self.coefficients[1 + self.names.index(name)])
 
 
 def _check_rank(design: np.ndarray, names: list[str]) -> None:
@@ -103,9 +101,9 @@ def ols_fit(
     X: np.ndarray,
     y: np.ndarray,
     names: list[str] | None = None,
-    intercept: bool = True,
 ) -> OlsResult:
-    """Least squares with exact inference quantities.
+    """Least squares of y on an intercept and the columns of X, with exact
+    inference quantities.
 
     X is n x k (k may be 0 for the intercept-only model). Raises
     SingularDesignError naming the first linearly dependent column.
@@ -119,46 +117,35 @@ def ols_fit(
         names = [f"x{i + 1}" for i in range(k)]
     if len(names) != k:
         raise ValueError("names length does not match column count")
-    if n <= k + (1 if intercept else 0):
+    if n <= k + 1:
         raise InsufficientDataError(f"n={n} too small for {k} predictors")
 
-    if intercept:
-        design = np.column_stack([np.ones(n), X]) if k else np.ones((n, 1))
-        design_names = ["(intercept)"] + list(names)
-    else:
-        if k == 0:
-            raise InsufficientDataError("no predictors and no intercept")
-        design = X
-        design_names = list(names)
-    _check_rank(design, design_names)
+    design = np.column_stack([np.ones(n), X]) if k else np.ones((n, 1))
+    _check_rank(design, ["(intercept)"] + list(names))
 
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     fitted = design @ coef
     residuals = y - fitted
     rss = float(residuals @ residuals)
-    p = design.shape[1]
-    df_resid = n - p
-    sigma2 = rss / df_resid if df_resid > 0 else float("nan")
+    # n > k + 1, so at least one residual degree of freedom is left
+    df_resid = n - (k + 1)
+    sigma2 = rss / df_resid
 
     xtx_inv = np.linalg.inv(design.T @ design)
     stderr = np.sqrt(np.maximum(np.diag(xtx_inv), 0.0) * sigma2)
     with np.errstate(divide="ignore", invalid="ignore"):
         tstats = np.where(stderr > 0, coef / stderr, np.inf * np.sign(coef))
 
-    if intercept:
-        tss = float(np.sum((y - y.mean()) ** 2))
-    else:
-        tss = float(y @ y)
+    tss = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - rss / tss if tss > 0 else 1.0
-    df_model = k if intercept else p
-    if df_model > 0 and df_resid > 0:
-        adj_r2 = 1.0 - (1.0 - r2) * (n - (1 if intercept else 0)) / df_resid
-        fstat = (tss - rss) / df_model / sigma2 if sigma2 > 0 else float("inf")
+    if k > 0:
+        adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / df_resid
+        fstat = (tss - rss) / k / sigma2 if sigma2 > 0 else float("inf")
     else:
         adj_r2 = r2
         fstat = float("nan")
 
-    aic, degenerate = aic_from_rss(n, rss, p)
+    aic, degenerate = aic_from_rss(n, rss, k + 1)
     return OlsResult(
         names=list(names),
         coefficients=coef,
@@ -166,17 +153,16 @@ def ols_fit(
         tstats=np.asarray(tstats, dtype=float),
         r2=r2,
         adj_r2=adj_r2,
-        resid_se=math.sqrt(sigma2) if df_resid > 0 else float("nan"),
+        resid_se=math.sqrt(sigma2),
         df_resid=df_resid,
         fstat=fstat,
-        df_model=df_model,
+        df_model=k,
         aic=aic,
         aic_degenerate=degenerate,
         residuals=residuals,
         fitted=fitted,
         n=n,
         rss=rss,
-        intercept=intercept,
     )
 
 
@@ -225,11 +211,12 @@ def classify_exponent(beta: float) -> str:
 
 
 def fit_scaling(
-    N: dict[str, float], Y: dict[str, float], intercept: bool = True
+    N: dict[str, float], Y: dict[str, float]
 ) -> tuple[ScalingFit, dict[str, float]]:
-    """OLS of log Y on log N over states with N >= 1 and Y >= 1.
+    """OLS of log Y on log N, with an intercept, over states with N >= 1 and
+    Y >= 1.
 
-    Returns the fit and the per-state residuals.
+    Returns the fit and the per-state residuals, which sum to zero.
     """
     states = sorted(s for s in N if s in Y and N[s] >= 1 and Y[s] >= 1)
     if len(states) < 3:
@@ -238,13 +225,12 @@ def fit_scaling(
         )
     log_n = np.log([N[s] for s in states])
     log_y = np.log([Y[s] for s in states])
-    fit = ols_fit(log_n, log_y, names=["log_n"], intercept=intercept)
+    fit = ols_fit(log_n, log_y, names=["log_n"])
     beta = fit.coefficient_of("log_n")
-    const = float(fit.coefficients[0]) if intercept else 0.0
     residuals = {s: float(r) for s, r in zip(states, fit.residuals)}
     return (
         ScalingFit(beta=beta, r2=fit.r2, regime=classify_exponent(beta),
-                   intercept=const, n=len(states)),
+                   intercept=float(fit.coefficients[0]), n=len(states)),
         residuals,
     )
 
@@ -283,7 +269,7 @@ def step_aic(
             X = np.column_stack([candidates[v] for v in subset])
         else:
             X = np.empty((len(y), 0))
-        return ols_fit(X, y, names=list(subset), intercept=True)
+        return ols_fit(X, y, names=list(subset))
 
     current: tuple[str, ...] = tuple(names)
     current_fit = fit_subset(current)

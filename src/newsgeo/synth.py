@@ -50,40 +50,35 @@ _MALFORMED_LINE = '{"broken json line'
 # comment ids are "c" and the record's creation index in 8 digits
 _MAX_RECORDS = 10**8
 
-
-def _latitude(i: int, state_spacing_km: float) -> float:
-    """Centroid latitude of the i-th state: the states stand on one
-    meridian, `state_spacing_km` apart, northward from 25 degrees."""
-    return 25.0 + i * (state_spacing_km / KM_PER_DEG_LAT)
+# state populations rise geometrically from BASE_POPULATION in the first
+# state to POPULATION_SPREAD times that in the last
+BASE_POPULATION = 3.0e5
+POPULATION_SPREAD = 30.0
+# the states stand on one meridian, STATE_SPACING_KM apart, northward from
+# latitude 25: the 50th stands at 69.1 degrees
+STATE_SPACING_KM = 100.0
+DOMAINS_PER_TYPE = {"fake": 5, "lowcred": 5, "satire": 3, "reputable": 10}
 
 
 @dataclass
 class SynthConfig:
     seed: int = 0
     n_states: int = 50
-    base_population: float = 3.0e5
-    population_spread: float = 30.0         # max/min population ratio
     base_users: float = 40.0                # users in the smallest state
-    users_exponent: float = 1.0
-    users_noise_sigma: float = 0.0
     comments_per_user: tuple[int, int] = (1, 4)
     tie_user_fraction: float = 0.0
     deleted_comment_fraction: float = 0.0
     n_malformed_lines: int = 0
-    domains_per_type: dict[str, int] = field(default_factory=lambda: {
-        "fake": 5, "lowcred": 5, "satire": 3, "reputable": 10})
     circulation_exponents: dict[str, float] = field(default_factory=lambda: {
         label: 1.0 for label in LABELS})
     circulation_base: float = 0.05
     circulation_noise_sigma: float = 0.1
-    circulation_residuals: dict[str, list[float]] | None = None
     interaction_users_per_state: int = 0
     connectivity_base: float = 0.0
     connectivity_gamma: float = 0.5
     n_cascade_urls: int = 0
     cascade_states_range: tuple[int, int] = (2, 8)
     cascade_gap_days_range: tuple[float, float] = (1.0, 60.0)
-    state_spacing_km: float = 100.0
 
     def validate(self) -> None:
         if self.n_states < 1 or self.n_states > len(STATE_CODES):
@@ -93,27 +88,18 @@ class SynthConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigurationError(f"{name} must be in [0, 1], got {v}")
-        for name in ("circulation_base", "population_spread"):
-            v = getattr(self, name)
-            if not v > 0:
-                raise ConfigurationError(f"{name} must be > 0, got {v}")
+        if not self.circulation_base > 0:
+            raise ConfigurationError(
+                f"circulation_base must be > 0, got {self.circulation_base}")
         # a negative count or sigma would be read as 0 but recorded as given,
-        # and a negative spacing gives complex pair probabilities
-        for name in ("n_malformed_lines", "users_noise_sigma",
-                     "circulation_noise_sigma", "interaction_users_per_state",
-                     "n_cascade_urls", "state_spacing_km"):
+        # a negative gamma plants a growth with distance, not a decay, and
+        # numpy seeds only from integers 0 or more
+        for name in ("n_malformed_lines", "circulation_noise_sigma",
+                     "interaction_users_per_state", "n_cascade_urls",
+                     "connectivity_gamma", "seed"):
             v = getattr(self, name)
             if not v >= 0:
                 raise ConfigurationError(f"{name} must be >= 0, got {v}")
-        top = _latitude(self.n_states - 1, self.state_spacing_km)
-        if top > 90:
-            raise ConfigurationError(
-                f"state_spacing_km {self.state_spacing_km} puts the last of "
-                f"{self.n_states} states at latitude {top:.1f}, past 90")
-        # the smallest state's population, rounded, divides the user counts
-        if not self.base_population >= 1:
-            raise ConfigurationError(
-                f"base_population must be >= 1, got {self.base_population}")
         for name in ("comments_per_user", "cascade_states_range",
                      "cascade_gap_days_range"):
             low, high = getattr(self, name)
@@ -123,16 +109,26 @@ class SynthConfig:
         if self.comments_per_user[0] < 1:
             raise ConfigurationError("comments_per_user must start at 1 or "
                                      f"more, got {list(self.comments_per_user)}")
+        # one user's comments alone must leave the 8-digit ids room
+        if self.comments_per_user[1] >= _MAX_RECORDS:
+            raise ConfigurationError(
+                f"comments_per_user must end below {_MAX_RECORDS}, got "
+                f"{list(self.comments_per_user)}")
         # a negative gap posts each cascade in the reverse of its state order
         if self.cascade_gap_days_range[0] < 0:
             raise ConfigurationError(
                 "cascade_gap_days_range must start at 0 or more, got "
                 f"{list(self.cascade_gap_days_range)}")
-        if sorted(self.domains_per_type) != sorted(LABELS) or \
-           min(self.domains_per_type.values()) < 1:
+        # a cascade starts in the first quarter of the span and, visiting a
+        # state at most once, posts its last event at most 49 gaps later:
+        # every created_utc must fit the archive's int64 times, with the rest
+        # of the span to spare for float rounding
+        last = EPOCH_2016 + SPAN_SECONDS + \
+            (len(STATE_CODES) - 1) * self.cascade_gap_days_range[1] * 86_400
+        if not last < 2**63:
             raise ConfigurationError(
-                f"domains_per_type must give each of {', '.join(LABELS)} at "
-                f"least 1 domain, got {self.domains_per_type}")
+                "cascade_gap_days_range ends too far out for 64-bit cascade "
+                f"times, got {list(self.cascade_gap_days_range)}")
         if self.tie_user_fraction > 0 and self.n_states < 2:
             raise ConfigurationError("tie users need at least 2 states")
         if self.n_cascade_urls > 0 and \
@@ -141,17 +137,11 @@ class SynthConfig:
                 "cascade_states_range exceeds the number of states")
         if self.cascade_states_range[0] < 2 and self.n_cascade_urls > 0:
             raise ConfigurationError("cascades need at least 2 states per URL")
-        for name in ("circulation_exponents", "circulation_residuals"):
-            unknown = set(getattr(self, name) or ()) - set(LABELS)
-            if unknown:
-                raise ConfigurationError(
-                    f"{name} has unknown news labels {sorted(unknown)}")
-        if self.circulation_residuals is not None:
-            for label, vec in self.circulation_residuals.items():
-                if len(vec) != self.n_states:
-                    raise ConfigurationError(
-                        f"residual vector for {label!r} has length {len(vec)}, "
-                        f"expected {self.n_states}")
+        unknown = set(self.circulation_exponents) - set(LABELS)
+        if unknown:
+            raise ConfigurationError(
+                f"circulation_exponents has unknown news labels "
+                f"{sorted(unknown)}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SynthConfig":
@@ -256,15 +246,14 @@ def generate(config: SynthConfig) -> SynthOutput:
     populations = {}
     for i, s in enumerate(states):
         frac = i / (n - 1) if n > 1 else 0.0
-        populations[s] = int(round(config.base_population *
-                                   config.population_spread ** frac))
-    centroids = {s: (_latitude(i, config.state_spacing_km), -95.0)
+        populations[s] = int(round(BASE_POPULATION * POPULATION_SPREAD ** frac))
+    centroids = {s: (25.0 + i * (STATE_SPACING_KM / KM_PER_DEG_LAT), -95.0)
                  for i, s in enumerate(states)}
     subreddit_states = {_state_subreddit(s): s for s in states}
 
     domains = {
         label: [f"{label}{i}.example" for i in range(count)]
-        for label, count in sorted(config.domains_per_type.items())
+        for label, count in sorted(DOMAINS_PER_TYPE.items())
     }
 
     # each record's fields, in creation order
@@ -287,18 +276,14 @@ def generate(config: SynthConfig) -> SynthOutput:
         return EPOCH_2016 + int(rng.integers(0, SPAN_SECONDS))
 
     # --- geotagged users and their mapped posts -------------------------
-    coef = config.base_users / (populations[states[0]] ** config.users_exponent)
+    coef = config.base_users / populations[states[0]]
     state_users: dict[str, list[str]] = {}
-    mapped_post_counts: dict[str, dict[str, int]] = {}
     assignments: dict[str, str | None] = {}
     cmin, cmax = config.comments_per_user
-    for i, s in enumerate(states):
-        noise = math.exp(config.users_noise_sigma * rng_users.standard_normal()) \
-            if config.users_noise_sigma > 0 else 1.0
+    for s in states:
         # each user posts at least one record
-        n_users = max(2, _planted_count(
-            coef * populations[s] ** config.users_exponent * noise,
-            len(times), "base_users and users_exponent"))
+        n_users = max(2, _planted_count(coef * populations[s], len(times),
+                                        "base_users"))
         state_users[s] = []
         subreddit = _state_subreddit(s)
         for j in range(n_users):
@@ -306,7 +291,6 @@ def generate(config: SynthConfig) -> SynthOutput:
             state_users[s].append(author)
             c = _planted_count(int(rng_users.integers(cmin, cmax + 1)),
                                len(times), "comments_per_user")
-            mapped_post_counts[author] = {s: c}
             assignments[author] = s
             for _ in range(c):
                 new_comment(author, subreddit, stamp(rng_users),
@@ -321,7 +305,6 @@ def generate(config: SynthConfig) -> SynthOutput:
         a_idx = int(rng_ties.integers(0, n - 1))
         a, b = states[a_idx], states[a_idx + 1]
         c = int(rng_ties.integers(1, 4))
-        mapped_post_counts[author] = {a: c, b: c}
         assignments[author] = None
         tie_authors.append(author)
         sub_a, sub_b = _state_subreddit(a), _state_subreddit(b)
@@ -335,20 +318,17 @@ def generate(config: SynthConfig) -> SynthOutput:
     url_seq = 0
     for label in LABELS:
         beta = config.circulation_exponents.get(label, 1.0)
-        residuals = (config.circulation_residuals or {}).get(label)
-        for i, s in enumerate(states):
+        for s in states:
             n_users = len(state_users[s])
             log_count = math.log(config.circulation_base) + beta * math.log(n_users)
-            if residuals is not None:
-                log_count += residuals[i]
             if config.circulation_noise_sigma > 0:
                 log_count += config.circulation_noise_sigma * \
                     rng_news.standard_normal()
             # math.exp overflows just past 709
             expected = math.exp(log_count) if log_count < 709 else math.inf
             count = max(1, _planted_count(
-                expected, len(times), "circulation_base, circulation_exponents, "
-                "circulation_residuals and circulation_noise_sigma"))
+                expected, len(times), "circulation_base, circulation_exponents "
+                "and circulation_noise_sigma"))
             news_tallies[label][s] = count
             pool = domains[label]
             for _ in range(count):
@@ -396,7 +376,7 @@ def generate(config: SynthConfig) -> SynthOutput:
         # pair probability by the distance between the two states' positions
         p_at_gap = []
         for gap in range(n):
-            d = gap * config.state_spacing_km
+            d = gap * STATE_SPACING_KM
             if d == 0:
                 p = config.connectivity_base
             else:
@@ -461,7 +441,6 @@ def generate(config: SynthConfig) -> SynthOutput:
         "n_deleted_comments": n_deleted,
         "assignments": assignments,
         "tie_authors": tie_authors,
-        "mapped_post_counts": mapped_post_counts,
         "state_user_counts": state_user_totals,
         "url_mention_total": url_seq + sum(len(c["events"]) for c in cascades.values()),
         "news_tallies": news_tallies,

@@ -18,6 +18,7 @@ from newsgeo.cli import STAGES, main
 from newsgeo.config import RunConfig, config_from_dict, config_load
 from newsgeo.corpus_ingest import Comment, extract_urls, stream_comments
 from newsgeo.errors import ConfigurationError, NewsgeoError
+from newsgeo.synth import SynthConfig
 
 from conftest import artifact_bytes
 
@@ -48,7 +49,6 @@ class TestConfig:
         assert cfg.damping == 0.85
         assert cfg.min_states == 5
         assert cfg.rule == "chain"
-        assert cfg.residual_intercept is True
         assert cfg.cascade_ks == [2, 3, 5]
 
     def test_empty_file_is_all_defaults(self, tmp_path):
@@ -56,9 +56,11 @@ class TestConfig:
         path.write_text("")
         assert config_load(str(path)) == RunConfig()
 
-    def test_unknown_key_named_in_error(self):
-        with pytest.raises(ConfigurationError, match="dampnig"):
-            config_from_dict({"dampnig": 0.9})
+    # residual_intercept: the scaling-law fit always has an intercept
+    @pytest.mark.parametrize("key", ["dampnig", "residual_intercept"])
+    def test_unknown_key_named_in_error(self, key):
+        with pytest.raises(ConfigurationError, match=f"unknown .*{key}"):
+            config_from_dict({key: 0.9})
 
     @pytest.mark.parametrize("key,value", [
         ("damping", 1.5),
@@ -74,7 +76,7 @@ class TestConfig:
         ("cascade_ks", [2.5]),
         ("min_states", "5"),
         ("damping", None),
-        ("residual_intercept", "no"),
+        ("residual_intercept", "no"),      # not a key: refused as unknown
         ("seed", True),
         ("synth", []),
     ])
@@ -92,6 +94,32 @@ def test_every_config_field_is_read_by_the_cli():
                  if f.name.startswith("catalog_")}
     unread = {f.name for f in dataclasses.fields(RunConfig)} - read
     assert not unread, f"config keys never read by a stage: {sorted(unread)}"
+
+
+def readme_config_tables():
+    """{first header cell: {key: default}} for each table under the
+    README's "Config keys" heading, the defaults read as JSON."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Config keys\n", 1)[1].split("\n#", 1)[0]
+    tables, rows = {}, None
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if not line.startswith("|") or set(cells[0]) <= set("-"):
+            continue
+        if cells[0].startswith("`"):
+            rows[cells[0].strip("`")] = json.loads(cells[1].strip("`"))
+        else:
+            rows = tables.setdefault(cells[0], {})
+    return tables
+
+
+@pytest.mark.parametrize("header,cls", [("key", RunConfig),
+                                        ("synth key", SynthConfig)])
+def test_readme_lists_every_config_key_with_its_default(header, cls):
+    # adding, removing or changing a knob shows in the docs
+    defaults = json.loads(json.dumps(dataclasses.asdict(cls())))
+    assert readme_config_tables()[header] == defaults
 
 
 class TestExitCodes:

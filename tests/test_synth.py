@@ -4,7 +4,6 @@ by the pipeline."""
 
 import hashlib
 import json
-import math
 import os
 import tracemalloc
 
@@ -22,7 +21,7 @@ from newsgeo.interaction import build_interaction_pairs
 from newsgeo.news_catalog import classify_mentions, load_catalog
 from newsgeo.stats_core import classify_exponent, fit_scaling
 from newsgeo.synth import (
-    KM_PER_DEG_LAT,
+    SPAN_SECONDS,
     SynthConfig,
     _archive_line,
     generate,
@@ -70,10 +69,19 @@ class TestConfigValidation:
             SynthConfig(n_states=4, n_cascade_urls=5,
                         cascade_states_range=(2, 8)).validate()
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SynthConfig.from_dict({"not_a_knob": 1})
+    # a made-up key, and each synth shape the module fixes as a constant
+    @pytest.mark.parametrize("key", [
+        "not_a_knob", "base_population", "population_spread",
+        "state_spacing_km", "domains_per_type", "users_exponent",
+        "users_noise_sigma", "circulation_residuals"])
+    def test_unknown_key_rejected(self, key):
+        with pytest.raises(ConfigurationError, match=f"unknown .*{key}"):
+            SynthConfig.from_dict({key: 1})
 
+    # base_population, population_spread, state_spacing_km,
+    # domains_per_type, users_noise_sigma and circulation_residuals are
+    # module constants, not keys: their cases check that a config setting one
+    # is refused, naming the key (test_unknown_key_rejected checks the reason)
     @pytest.mark.parametrize("key,value", [
         ("n_states", "50"), ("base_users", None), ("seed", 1.5),
         ("cascade_states_range", [2]), ("domains_per_type", {"fake": "5"}),
@@ -94,16 +102,42 @@ class TestConfigValidation:
         ("cascade_gap_days_range", [-1, 5]), ("state_spacing_km", -100),
         ("users_noise_sigma", -0.5), ("circulation_noise_sigma", -0.1),
         ("interaction_users_per_state", -2), ("n_cascade_urls", -1),
-        ("circulation_residuals", {"bogus": [0] * 50})])
+        ("circulation_residuals", {"bogus": [0] * 50}),
+        ("circulation_exponents", {"bogus": 1.0}),
+        ("comments_per_user", [1, 10**8]), ("comments_per_user", [1, 10**12]),
+        ("comments_per_user", [1, 2**63]),
+        ("cascade_gap_days_range", [0, 1e300]),
+        ("cascade_gap_days_range", [0, 10**400]),
+        ("connectivity_gamma", -0.5), ("connectivity_gamma", -1e300),
+        ("seed", -1)])
     def test_wrong_type_names_key(self, key, value):
         with pytest.raises(ConfigurationError, match=key):
             SynthConfig.from_dict({key: value})
 
+    def test_longest_cascade_gap_fits_64_bit_times(self):
+        """The widest gap range validation lets through posts a 50-state
+        cascade whose last event still fits the archive's int64 times."""
+        low, high = 0.0, 1.0e13
+        while high - low > 1.0:
+            mid = (low + high) / 2
+            try:
+                SynthConfig(cascade_gap_days_range=(mid, mid)).validate()
+                low = mid
+            except ConfigurationError:
+                high = mid
+        output = generate(SynthConfig(seed=2, n_states=50, base_users=2.0,
+                                      n_cascade_urls=3,
+                                      cascade_states_range=(50, 50),
+                                      cascade_gap_days_range=(low, low)))
+        last = max(t for c in output.ledger["cascades"].values()
+                   for t, *_ in c["events"])
+        assert 2**63 - 2 * SPAN_SECONDS < last < 2**63
+
     @pytest.mark.parametrize("hostile", [
         {"circulation_exponents": {"fake": 500}},
-        {"circulation_residuals": {"fake": [800, 0, 0, 0, 0]}},
+        {"circulation_noise_sigma": 1e300},
         {"base_users": 1e300}, {"circulation_base": 1e300},
-        {"comments_per_user": [1, 10**12]},
+        {"n_cascade_urls": 5 * 10**7, "cascade_states_range": [2, 5]},
         {"n_cascade_urls": 10**12, "cascade_states_range": [2, 5]}])
     def test_count_past_the_ids_names_key(self, hostile):
         """A planted count that is not finite, or that would take the archive
@@ -114,16 +148,11 @@ class TestConfigValidation:
             generate(cfg)
 
     def test_last_centroid_latitude_at_most_90(self):
-        # with two states the second stands one spacing north of 25 degrees
-        at_pole = 65 * KM_PER_DEG_LAT
-        cfg = SynthConfig(n_states=2, state_spacing_km=at_pole)
-        cfg.validate()
-        assert generate(cfg).centroids["AK"] == (90.0, -95.0)
-        with pytest.raises(ConfigurationError, match="state_spacing_km"):
-            SynthConfig(n_states=2, state_spacing_km=math.nextafter(
-                at_pole, math.inf)).validate()
-        with pytest.raises(ConfigurationError, match="state_spacing_km"):
-            SynthConfig(n_states=50, state_spacing_km=500.0).validate()
+        # the states stand 100 km apart from latitude 25, so even the 50th
+        # stays south of the pole
+        centroids = generate(SynthConfig(n_states=50, base_users=2.0)).centroids
+        assert max(lat for lat, _ in centroids.values()) == \
+            pytest.approx(69.07, abs=0.01)
 
     def test_from_dict_round_trip(self):
         cfg = SynthConfig.from_dict({"seed": 3, "n_states": 5,
@@ -222,7 +251,7 @@ class TestArchiveFormat:
                    for key in ("archive", "ledger")}
         assert digests == {
             "archive": "ba664234a8f8c11f3579af510b5dacc1a1da271c74982b35d20c1a7ea2c2b077",
-            "ledger": "9feaa732a9397f5543f35b3867d91d1a54c01fbbc64368314e599cb2fe3a5042"}
+            "ledger": "e3ead6df05e5f6bd53ec3021daea06e2915ed90b21d99d89ff0421e058497011"}
 
     def test_every_line_canonical_in_time_then_id_order(self, output):
         lines = [line for line in output.archive
