@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import glob
+import hashlib
 import inspect
 import json
 import os
@@ -183,6 +184,31 @@ def test_error_class_exits_with_documented_code(tmp_path, monkeypatch, klass):
         DOCUMENTED_EXIT_CODES[klass.__name__]
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_digests.json")
+
+
+def pipeline_digests(outdir):
+    """The golden table of a finished run: the sha256 of every file outside
+    manifests/, each manifest's `rows` and `parameters`, and the versions
+    that made them. To re-pin, run `synth` and `all` on PIPELINE_CONFIG,
+    write this function's result for that directory as JSON, and keep only
+    the entries the change declares."""
+    import numpy
+    import scipy
+    manifests = {}
+    for name in sorted(os.listdir(os.path.join(outdir, "manifests"))):
+        with open(os.path.join(outdir, "manifests", name)) as fh:
+            manifest = json.load(fh)
+        manifests[name] = {key: manifest[key] for key in ("rows", "parameters")}
+    return {
+        "versions": {"python": sys.version.split()[0],
+                     "numpy": numpy.__version__, "scipy": scipy.__version__},
+        "files": {rel.replace(os.sep, "/"): hashlib.sha256(data).hexdigest()
+                  for rel, data in sorted(artifact_bytes(outdir).items())},
+        "manifests": manifests,
+    }
+
+
 @pytest.fixture(scope="module")
 def outdir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("pipeline")
@@ -314,6 +340,18 @@ class TestPipeline:
         assert first.keys() == second.keys()
         for rel in first:
             assert first[rel] == second[rel], f"{rel} differs between runs"
+
+    def test_outputs_match_golden_digests(self, outdir):
+        # a deliberate output change re-pins only the entries it names
+        with open(GOLDEN, encoding="utf-8") as fh:
+            golden = json.load(fh)
+        got = pipeline_digests(outdir)
+        differ = sorted(
+            name for part in ("files", "manifests")
+            for name in golden[part].keys() | got[part].keys()
+            if golden[part].get(name) != got[part].get(name))
+        assert not differ, (f"differ from {os.path.basename(GOLDEN)} "
+                            f"(pinned with {golden['versions']}): {differ}")
 
     def test_all_stops_at_first_failing_stage(self, outdir, tmp_path, caplog):
         out = tmp_path / "out"
