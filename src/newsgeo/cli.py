@@ -17,7 +17,6 @@ manifest, listing each input the stage read.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import itertools
@@ -84,32 +83,22 @@ class Run:
         return path
 
     def write_csv(self, name, header, rows):
+        """Write `header`, then each row as it is pulled from `rows`;
+        returns the number of rows."""
+        n = 0
         with open(self.out(name), "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            writer.writerows(rows)
-        return len(rows)
-
-    @contextlib.contextmanager
-    def record_writer(self, name, cls):
-        """Open `name` as CSV with one column per field of dataclass `cls`
-        in field order (read back by `_read_records`), and yield a function
-        that writes one record and returns it."""
-        header = [f.name for f in dataclasses.fields(cls)]
-        row_of = operator.attrgetter(*header)
-        with open(self.out(name), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-
-            def write(record):
-                writer.writerow(row_of(record))
-                return record
-            yield write
+            for n, row in enumerate(rows, 1):
+                writer.writerow(row)
+        return n
 
     def write_records(self, name, cls, records):
-        """Write dataclass records with `record_writer`; returns the count."""
-        with self.record_writer(name, cls) as write:
-            return sum(1 for _ in map(write, records))
+        """Write dataclass records, one column per field of `cls` in field
+        order (read back by `_read_records`); returns the count."""
+        header = [f.name for f in dataclasses.fields(cls)]
+        return self.write_csv(name, header,
+                              map(operator.attrgetter(*header), records))
 
     def write_json(self, name, doc):
         with open(self.out(name), "w", encoding="utf-8") as fh:
@@ -171,21 +160,29 @@ def stage_synth(cfg, run):
 
 def stage_ingest(cfg, run):
     from . import corpus_ingest
-    # one pass: each parsed comment is written to comments.csv on its way to
-    # the URL extractor, so the parsed archive is never held in memory
+    # one pass: each parsed comment is noted for the tables written after it
+    # on its way to the URL extractor, so the archive is never held in memory
     ledger = corpus_ingest.StreamLedger()
-    with open(run.input("synth/archive.ndjson", cfg.archive), "rb") as fh, \
-            run.record_writer("comments.csv",
-                              corpus_ingest.Comment) as write_comment:
-        records = map(write_comment,
-                      corpus_ingest.stream_comments(fh, ledger=ledger))
+    counts, authors, replies = {}, {}, []
+    with open(run.input("synth/archive.ndjson", cfg.archive), "rb") as fh:
+        records = corpus_ingest.note_comments(
+            corpus_ingest.stream_comments(fh, ledger=ledger),
+            counts, authors, replies)
         n_mentions = run.write_records(
             "mentions.csv", corpus_ingest.UrlMention,
             corpus_ingest.iter_url_mentions(records, ledger=ledger))
+    n_counts = run.write_records(
+        "author_subreddits.csv", corpus_ingest.SubredditCount,
+        (corpus_ingest.SubredditCount(*key, n)
+         for key, n in sorted(counts.items())))
+    n_replies = run.write_records(
+        "replies.csv", corpus_ingest.Reply,
+        (corpus_ingest.resolve_reply(reply, authors) for reply in replies))
     return {}, {"records": ledger.records, "malformed": ledger.malformed,
                 "deleted_author": ledger.deleted_author,
                 "mentions": n_mentions,
-                "urls_without_host": ledger.urls_without_host}
+                "urls_without_host": ledger.urls_without_host,
+                "author_subreddits": n_counts, "replies": n_replies}
 
 
 def stage_classify(cfg, run):
@@ -213,14 +210,15 @@ def stage_classify(cfg, run):
 
 def stage_geolocate(cfg, run):
     from . import corpus_ingest, geolocation
-    comments_path = run.input("comments.csv")
+    counts_path = run.input("author_subreddits.csv")
     map_path = run.input("synth/subreddit_states.csv", cfg.subreddit_map)
     pop_path = run.input("synth/populations.csv", cfg.populations)
     subreddit_states = geolocation.load_subreddit_state_map(map_path)
     ledger = geolocation.TallyLedger()
-    locations, summary = geolocation.assign_user_states(
-        _read_records(comments_path, corpus_ingest.Comment), subreddit_states,
-        ledger=ledger)
+    locations, summary = geolocation.resolve_assignments(
+        geolocation.tally_user_states(
+            _read_records(counts_path, corpus_ingest.SubredditCount),
+            subreddit_states, ledger=ledger))
     adoption, excluded = geolocation.adoption_and_scaling(
         locations, _read_populations(pop_path))
     n_authors = run.write_records(
@@ -368,24 +366,17 @@ def stage_diffusion(cfg, run):
 
 def stage_connectivity(cfg, run):
     from . import corpus_ingest, geolocation, interaction
-    comments_path = run.input("comments.csv")
+    replies_path = run.input("replies.csv")
     locations = _read_locations(run.input("user_locations.csv"))
     centroids = interaction.load_centroids(
         run.input("synth/centroids.csv", cfg.centroids))
     state_subs = geolocation.load_subreddit_state_map(
         run.input("synth/subreddit_states.csv", cfg.subreddit_map))
-    replies = []   # one pass: the index reads every row, the pairs only these
-
-    def keep_replies(records):
-        for rec in records:
-            if rec.parent_id is not None:
-                replies.append(rec)
-            yield rec
-    author_index = corpus_ingest.build_author_index(keep_replies(
-        _read_records(comments_path, corpus_ingest.Comment)))
+    # the replies go first and by position: the benchmark's tracer
+    # (pipebench/tracer.py) counts them from the first positional argument
     pairs = interaction.build_interaction_pairs(
-        replies, author_index, locations, scope=cfg.scope,
-        state_subreddits=state_subs)
+        _read_records(replies_path, corpus_ingest.Reply), locations,
+        scope=cfg.scope, state_subreddits=state_subs)
     profile = interaction.connectivity_profile(
         pairs, locations, centroids, bin_km=cfg.bin_km, scope=cfg.scope)
     run.write_csv("connectivity.csv",
@@ -478,7 +469,8 @@ def stage_report(cfg, run):
 # left out.
 STAGE_TABLE = {
     "synth": (stage_synth, ()),
-    "ingest": (stage_ingest, ("comments.csv", "mentions.csv")),
+    "ingest": (stage_ingest, ("mentions.csv", "author_subreddits.csv",
+                              "replies.csv")),
     "classify": (stage_classify, ("news_comments.csv", "tallies.csv")),
     "geolocate": (stage_geolocate,
                   ("user_locations.csv", "geolocate_summary.json")),

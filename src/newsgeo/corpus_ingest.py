@@ -3,22 +3,20 @@
 One JSON record per line in the Pushshift comment layout. Parsing is
 single-pass and tolerant: malformed lines (invalid JSON or UTF-8, missing
 fields, wrong field types, a string field holding a lone UTF-16 surrogate)
-are counted and skipped, never abort the stream.
+are counted and skipped, never abort the stream. The same pass notes, for
+non-deleted authors, the comments per subreddit and each reply's parent.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 from urllib.parse import urlsplit
 
 from .errors import DataIntegrityError, FormatError
-
-logger = logging.getLogger(__name__)
 
 DELETED_AUTHOR = "[deleted]"
 
@@ -30,12 +28,13 @@ _FORMAT_PROBE_LINES = 10_000
 # object.__setattr__, which makes building one about four times as slow.
 @dataclass(slots=True)
 class Comment:
-    """A parsed comment without its body, as stored in `comments.csv`."""
+    """A parsed archive comment."""
 
     comment_id: str
     author: str
     subreddit: str
     created_utc: int
+    body: str
     parent_id: str | None = None
 
     @property
@@ -44,18 +43,38 @@ class Comment:
 
 
 @dataclass(slots=True)
-class CommentRecord(Comment):
-    body: str = field(kw_only=True)
-
-
-@dataclass(slots=True)
 class UrlMention:
     comment_id: str
     author: str
-    subreddit: str
     created_utc: int
     url: str
     host: str
+
+
+@dataclass(slots=True)
+class SubredditCount:
+    """A row of author_subreddits.csv: an author's comments in a subreddit."""
+
+    author: str
+    subreddit: str
+    comments: int
+
+
+@dataclass(slots=True)
+class Reply:
+    """A row of `replies.csv`: a reply by a non-deleted author, and the
+    author of its parent comment; None when `resolve_reply` finds none."""
+
+    author: str
+    subreddit: str
+    parent_id: str
+    parent_author: str | None = None
+
+    # never true; pipebench/tracer.py reads it and `parent_id` from each
+    # reply that interaction.build_interaction_pairs is given
+    @property
+    def is_deleted_author(self) -> bool:
+        return self.author == DELETED_AUTHOR
 
 
 @dataclass
@@ -86,7 +105,7 @@ def _timestamp(value) -> int:
 _decode = json.JSONDecoder().raw_decode
 
 
-def _parse_line(line: str | bytes) -> CommentRecord | None:
+def _parse_line(line: str | bytes) -> Comment | None:
     # bytes are decoded strictly (a UTF-8-encoded surrogate is invalid
     # UTF-8, and UnicodeDecodeError a ValueError); a leading BOM is dropped.
     # As in json.loads, only JSON whitespace may surround the value.
@@ -102,20 +121,19 @@ def _parse_line(line: str | bytes) -> CommentRecord | None:
     if not isinstance(obj, dict):
         return None
     try:
-        comment_id = str(obj["id"])
-        author = str(obj["author"])
-        subreddit = str(obj["subreddit"])
+        comment_id, author = obj["id"], obj["author"]
+        subreddit, body = obj["subreddit"], obj["body"]
         created = _timestamp(obj["created_utc"])
-        body = str(obj["body"])
     except (KeyError, TypeError, ValueError):
         return None
-    if not comment_id or created <= 0:
+    # text fields must be JSON strings, or a null author becomes user "None"
+    if {type(comment_id), type(author), type(subreddit), type(body)} \
+            != {str} or not comment_id or created <= 0:
         return None
     parent = obj.get("parent_id")
-    if parent is not None:
-        parent = str(parent)
-        if not parent.startswith(_VALID_PARENT_PREFIXES):
-            return None
+    if parent is not None and not (isinstance(parent, str) and
+                                   parent.startswith(_VALID_PARENT_PREFIXES)):
+        return None
     # only a \uD800-\uDFFF escape decodes to a lone surrogate, which no
     # UTF-8 writer can encode; lines holding one are the only ones checked
     if "\\ud" in line or "\\uD" in line:
@@ -124,7 +142,7 @@ def _parse_line(line: str | bytes) -> CommentRecord | None:
                      parent or "")).encode("utf-8")
         except UnicodeEncodeError:
             return None
-    return CommentRecord(
+    return Comment(
         comment_id=comment_id,
         author=author,
         subreddit=subreddit,
@@ -138,8 +156,8 @@ def stream_comments(
     lines: Iterable[str | bytes],
     *,
     ledger: StreamLedger | None = None,
-) -> Iterator[CommentRecord]:
-    """Yield CommentRecords from NDJSON lines (bytes or text), in file order.
+) -> Iterator[Comment]:
+    """Yield Comments from NDJSON lines (bytes or text), in file order.
 
     Malformed lines are skipped and counted on `ledger`. If more than half of
     the first 10k lines are malformed the stream is almost certainly not a
@@ -164,6 +182,36 @@ def stream_comments(
         if record.is_deleted_author:
             led.deleted_author += 1
         yield record
+
+
+def note_comments(
+    records: Iterable[Comment], counts: dict[tuple[str, str], int],
+    authors: dict[str, str], replies: list[Reply],
+) -> Iterator[Comment]:
+    """Yield `records`, noting each comment by a non-deleted author: its
+    (author, subreddit) count in `counts`, its id -> author in `authors`,
+    and, if it is a reply, a Reply on `replies`. A duplicate id with
+    conflicting authors raises DataIntegrityError."""
+    for rec in records:
+        if not rec.is_deleted_author:
+            key = rec.author, rec.subreddit
+            counts[key] = counts.get(key, 0) + 1
+            if authors.setdefault(rec.comment_id, rec.author) != rec.author:
+                raise DataIntegrityError(
+                    f"comment id {rec.comment_id!r} maps to both "
+                    f"{authors[rec.comment_id]!r} and {rec.author!r}")
+            if rec.parent_id is not None:
+                replies.append(Reply(*key, rec.parent_id))
+        yield rec
+
+
+def resolve_reply(reply: Reply, authors: dict[str, str]) -> Reply:
+    """Set `reply.parent_author` from `authors` (id -> author), once every
+    comment is noted, since a parent may follow its reply. Posts are not
+    ingested, so a `t3_` parent, like an unknown id, leaves it None."""
+    if reply.parent_id.startswith("t1_"):
+        reply.parent_author = authors.get(reply.parent_id[3:])
+    return reply
 
 
 # Scheme-anchored scanner; deliberately conservative (recall on bare links
@@ -214,7 +262,7 @@ def _host(url: str) -> str | None:
 
 
 def iter_url_mentions(
-    records: Iterable[CommentRecord],
+    records: Iterable[Comment],
     *,
     ledger: StreamLedger | None = None,
 ) -> Iterator[UrlMention]:
@@ -233,27 +281,9 @@ def iter_url_mentions(
             yield UrlMention(
                 comment_id=rec.comment_id,
                 author=rec.author,
-                subreddit=rec.subreddit,
                 created_utc=rec.created_utc,
                 url=url,
                 host=host,
             )
 
 
-def build_author_index(records: Iterable[Comment]) -> dict[str, str]:
-    """comment_id -> author for every non-deleted-author comment.
-
-    Raises DataIntegrityError on a duplicate id with conflicting authors.
-    """
-    index: dict[str, str] = {}
-    for rec in records:
-        if rec.is_deleted_author:
-            continue
-        existing = index.get(rec.comment_id)
-        if existing is not None and existing != rec.author:
-            raise DataIntegrityError(
-                f"comment id {rec.comment_id!r} maps to both "
-                f"{existing!r} and {rec.author!r}"
-            )
-        index[rec.comment_id] = rec.author
-    return index

@@ -1,8 +1,8 @@
 """User-to-state inference from activity in state-matched subreddits.
 
 A user is assigned the state holding the strict plurality of their comments
-in mapped subreddits; ties leave the user unassigned. Comments by the
-deleted-author sentinel never contribute.
+in mapped subreddits; ties leave the user unassigned. The counts come from
+ingest, which leaves out comments by the deleted-author sentinel.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .corpus_ingest import Comment
+from .corpus_ingest import SubredditCount
 from .errors import ConfigurationError
 from .states import read_table, state_code
 
@@ -54,23 +54,21 @@ def load_subreddit_state_map(path: str) -> dict[str, str]:
 
 
 def tally_user_states(
-    corpus: Iterable[Comment], subreddit_states: dict[str, str],
+    counts: Iterable[SubredditCount], subreddit_states: dict[str, str],
     *, ledger: TallyLedger | None = None,
 ) -> dict[str, dict[str, int]]:
     """Per-author, per-state mapped-comment counts. Authors with no mapped
-    comment are counted on `ledger`, so the non-deleted authors of `corpus`
-    = authors tallied + `ledger.unmapped`."""
+    comment are counted on `ledger`, so the authors of `counts` = authors
+    tallied + `ledger.unmapped`."""
     tallies: dict[str, dict[str, int]] = {}
     unmapped_comment_authors = set()
-    for rec in corpus:
-        if rec.is_deleted_author:
-            continue
-        state = subreddit_states.get(rec.subreddit.lower())
+    for row in counts:
+        state = subreddit_states.get(row.subreddit.lower())
         if state is None:
-            unmapped_comment_authors.add(rec.author)
+            unmapped_comment_authors.add(row.author)
             continue
-        per_state = tallies.setdefault(rec.author, {})
-        per_state[state] = per_state.get(state, 0) + 1
+        per_state = tallies.setdefault(row.author, {})
+        per_state[state] = per_state.get(state, 0) + row.comments
     if ledger is not None:
         ledger.unmapped = len(unmapped_comment_authors.difference(tallies))
     return tallies
@@ -104,14 +102,6 @@ def resolve_assignments(
         fraction_unassigned=unassigned / n if n else 0.0,
     )
     return locations, summary
-
-
-def assign_user_states(
-    corpus: Iterable[Comment], subreddit_states: dict[str, str],
-    *, ledger: TallyLedger | None = None,
-) -> tuple[dict[str, UserLocation], AssignmentSummary]:
-    return resolve_assignments(
-        tally_user_states(corpus, subreddit_states, ledger=ledger))
 
 
 def state_user_counts(locations: dict[str, UserLocation]) -> dict[str, int]:

@@ -1,25 +1,22 @@
 """User-to-user reply pairs and the distance-binned connectivity profile.
 
-A pair exists when one geotagged user replied to another's comment. Only
-comments are read, so a reply to a post (a `t3_` parent) is counted as
-unresolved. Connectivity at distance d is the number of interacting pairs in
-the d bin divided by the exact number of possible geotagged user pairs whose
-state centroids fall in that bin.
+A pair exists when one geotagged user replied to another's comment. A reply
+whose parent's author ingest could not resolve, such as a reply to a post
+(a `t3_` parent), is counted as unresolved. Connectivity at distance d is
+the number of interacting pairs in the d bin divided by the exact number of
+possible geotagged user pairs whose state centroids fall in that bin.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .corpus_ingest import Comment
+from .corpus_ingest import Reply
 from .errors import ConfigurationError, FormatError
 from .geolocation import UserLocation, state_user_counts
 from .states import by_state, number, read_table, state_code
-
-logger = logging.getLogger(__name__)
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -79,18 +76,15 @@ class PairSet:
 
 
 def build_interaction_pairs(
-    corpus: Iterable[Comment],
-    author_index: dict[str, str],
+    replies: Iterable[Reply],
     locations: dict[str, UserLocation],
     scope: str = "all_subreddits",
     state_subreddits: dict[str, str] | None = None,
 ) -> PairSet:
     """Extract the unordered reply-pair set between geotagged users.
 
-    t1_ parents resolve through the comment author index; t3_ parents
-    (posts) are never in it and count as unresolved. Replies by deleted
-    authors are ignored; every other reply counts once: as a pair event, an
-    unresolved parent, a self-reply, or skipped (a non-geotagged user, or a
+    Every reply counts once: as a pair event, an unresolved parent (no
+    `parent_author`), a self-reply, or skipped (a non-geotagged user, or a
     reply inside a state-mapped subreddit under the non-location scope; the
     possible-pair denominator is unaffected).
     """
@@ -99,28 +93,24 @@ def build_interaction_pairs(
     if scope == "non_location_subreddits" and state_subreddits is None:
         raise ConfigurationError("non-location scope needs the subreddit map")
     pairs = PairSet()
-    for rec in corpus:
-        if rec.parent_id is None or rec.is_deleted_author:
-            continue
+    for rec in replies:
         if scope == "non_location_subreddits" and \
            rec.subreddit.lower() in state_subreddits:
             pairs.skipped += 1
             continue
-        prefix, _, raw_id = rec.parent_id.partition("_")
-        parent_author = author_index.get(raw_id) if prefix == "t1" else None
-        if parent_author is None:
+        if rec.parent_author is None:
             pairs.unresolved_parents += 1
             continue
-        if parent_author == rec.author:
+        if rec.parent_author == rec.author:
             pairs.self_replies += 1
             continue
         loc_a = locations.get(rec.author)
-        loc_b = locations.get(parent_author)
+        loc_b = locations.get(rec.parent_author)
         if loc_a is None or loc_b is None or \
            loc_a.state is None or loc_b.state is None:
             pairs.skipped += 1
             continue
-        pairs.add(rec.author, parent_author)
+        pairs.add(rec.author, rec.parent_author)
     return pairs
 
 

@@ -36,11 +36,8 @@ class DomainCatalog:
 class NewsComment:
     comment_id: str
     author: str
-    subreddit: str
     created_utc: int
     url: str
-    host: str
-    domain: str
     label: str
 
 
@@ -164,11 +161,8 @@ def classify_mentions(
         yield NewsComment(
             comment_id=mention.comment_id,
             author=mention.author,
-            subreddit=mention.subreddit,
             created_utc=mention.created_utc,
             url=mention.url,
-            host=host,
-            domain=domain,
             label=label,
         )
 

@@ -109,11 +109,13 @@ class SynthConfig:
         if self.comments_per_user[0] < 1:
             raise ConfigurationError("comments_per_user must start at 1 or "
                                      f"more, got {list(self.comments_per_user)}")
-        # one user's comments alone must leave the 8-digit ids room
-        if self.comments_per_user[1] >= _MAX_RECORDS:
-            raise ConfigurationError(
-                f"comments_per_user must end below {_MAX_RECORDS}, got "
-                f"{list(self.comments_per_user)}")
+        # one user's comments alone must leave the 8-digit ids room, and
+        # the broken lines may number no more than the ids can
+        for name, count in (("comments_per_user", self.comments_per_user[1]),
+                            ("n_malformed_lines", self.n_malformed_lines)):
+            if count >= _MAX_RECORDS:
+                raise ConfigurationError(
+                    f"{name} must stay below {_MAX_RECORDS}, got {count}")
         # a negative gap posts each cascade in the reverse of its state order
         if self.cascade_gap_days_range[0] < 0:
             raise ConfigurationError(

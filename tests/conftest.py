@@ -4,15 +4,34 @@ import os
 import numpy as np
 import pytest
 
-from newsgeo.corpus_ingest import CommentRecord
+from newsgeo.corpus_ingest import (Comment, SubredditCount, note_comments,
+                                   resolve_reply)
+from newsgeo.geolocation import resolve_assignments, tally_user_states
 from newsgeo.news_catalog import load_catalog
 
 
 def make_record(comment_id, author="alice", subreddit="general",
                 created_utc=1_451_606_400, body="", parent_id=None):
-    return CommentRecord(comment_id=comment_id, author=author,
-                         subreddit=subreddit, created_utc=created_utc,
-                         body=body, parent_id=parent_id)
+    return Comment(comment_id=comment_id, author=author,
+                   subreddit=subreddit, created_utc=created_utc, body=body,
+                   parent_id=parent_id)
+
+
+def ingest_tables(records):
+    """The rows ingest writes for `records`: those of author_subreddits.csv
+    and those of replies.csv, parents resolved."""
+    counts, authors, replies = {}, {}, []
+    for _ in note_comments(records, counts, authors, replies):
+        pass
+    return ([SubredditCount(*key, n) for key, n in sorted(counts.items())],
+            [resolve_reply(reply, authors) for reply in replies])
+
+
+def assign_states(records, subreddit_states, ledger=None):
+    """What `geolocate` makes of the table ingest writes for `records`."""
+    counts, _ = ingest_tables(records)
+    return resolve_assignments(tally_user_states(counts, subreddit_states,
+                                                 ledger=ledger))
 
 
 def ndjson_line(comment_id, author="alice", subreddit="general",

@@ -20,14 +20,14 @@ from newsgeo.contagion import (StateGraph, assortativity, infer_state_network,
                                pagerank)
 from newsgeo.diffusion import (TimelineEvent, UrlTimeline, cascade_times,
                                reach_distribution, walk)
-from newsgeo.geolocation import UserLocation, assign_user_states
+from newsgeo.geolocation import UserLocation
 from newsgeo.interaction import PairSet, centroid_distance, connectivity_profile
 from newsgeo.news_catalog import load_catalog, validate_trust_scores
 from newsgeo.scaling_laws import circulation_residual
 from newsgeo.stats_core import classify_exponent, fit_scaling, ols_fit, step_aic
 from newsgeo.states import STATE_CODES
 
-from conftest import artifact_bytes, make_record
+from conftest import artifact_bytes, assign_states, make_record
 from test_contagion import pagerank_dense_oracle, random_graph
 from test_contagion import exposure
 from test_stats_core import (exhaustive_best_subset_aic, ols_normal_equations,
@@ -178,12 +178,12 @@ def test_criterion_05_geolocation(capsys):
                     records.append(make_record(
                         f"c{next(cid)}", author=author,
                         subreddit=f"{state.lower()}state"))
-        locations, _ = assign_user_states(records, subreddit_states)
+        locations, _ = assign_states(records, subreddit_states)
         assert {a: loc.state for a, loc in locations.items()} == expected
         assert all(locations[a].state is None for a in tie_users)
         for _ in range(20):
             order = [records[int(i)] for i in rng.permutation(len(records))]
-            shuffled, _ = assign_user_states(order, subreddit_states)
+            shuffled, _ = assign_states(order, subreddit_states)
             assert {a: loc.state for a, loc in shuffled.items()} == expected
 
 

@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 from newsgeo import cli, errors
 from newsgeo.cli import STAGES, main
 from newsgeo.config import RunConfig, config_from_dict, config_load
-from newsgeo.corpus_ingest import Comment, extract_urls, stream_comments
+from newsgeo.corpus_ingest import (Reply, StreamLedger, SubredditCount,
+                                   extract_urls, stream_comments)
 from newsgeo.errors import ConfigurationError, NewsgeoError
 from newsgeo.synth import SynthConfig
 
@@ -387,7 +388,8 @@ CONSUMERS = {
     "synth/attributes.csv": (("attributes", "regress", "contagion"), "synth"),
     "synth/catalog_*.txt": (("classify",), "synth"),
     "synth/catalog_satire.txt": (("classify",), "synth"),
-    "comments.csv": (("geolocate", "connectivity"), "ingest"),
+    "author_subreddits.csv": (("geolocate",), "ingest"),
+    "replies.csv": (("connectivity",), "ingest"),
     "mentions.csv": (("classify",), "ingest"),
     "news_comments.csv": (("scale", "diffusion"), "classify"),
     "tallies.csv": (("report",), "classify"),
@@ -413,9 +415,9 @@ MANIFEST_INPUTS = {
     "classify": ["mentions.csv", "synth/catalog_fake.txt",
                  "synth/catalog_lowcred.txt", "synth/catalog_reputable.txt",
                  "synth/catalog_satire.txt"],
-    "geolocate": ["comments.csv", "synth/populations.csv",
+    "geolocate": ["author_subreddits.csv", "synth/populations.csv",
                   "synth/subreddit_states.csv"],
-    "connectivity": ["comments.csv", "synth/centroids.csv",
+    "connectivity": ["replies.csv", "synth/centroids.csv",
                      "synth/subreddit_states.csv", "user_locations.csv"],
     "contagion": ["first_exposures.csv", "synth/attributes.csv"],
     "report": ["cascade_times.csv", "connectivity.csv",
@@ -521,6 +523,23 @@ class TestStageInputs:
         assert replies == rows["pair_events"] + rows["unresolved_parents"] + \
             rows["skipped"] + rows["self_replies"]
 
+    def test_ingest_tables_account_for_every_comment(self, outdir):
+        def rows(stage):
+            return json.loads(open(os.path.join(
+                outdir, "manifests", f"{stage}.json")).read())["rows"]
+        ingest, connectivity = rows("ingest"), rows("connectivity")
+        counts = list(cli._read_records(
+            os.path.join(outdir, "author_subreddits.csv"), SubredditCount))
+        replies = list(cli._read_records(
+            os.path.join(outdir, "replies.csv"), Reply))
+        assert ingest["deleted_author"] > 0
+        assert sum(c.comments for c in counts) == \
+            ingest["records"] - ingest["deleted_author"]
+        assert len(counts) == ingest["author_subreddits"]
+        assert len(replies) == ingest["replies"] == \
+            connectivity["pair_events"] + connectivity["unresolved_parents"] \
+            + connectivity["skipped"] + connectivity["self_replies"]
+
 
 def test_ingest_manifest_counts_urls_without_host(outdir, tmp_path):
     out = str(tmp_path / "out")
@@ -575,8 +594,7 @@ def test_geolocate_manifest_accounts_for_every_author(outdir):
     ledger = json.loads(open(os.path.join(
         outdir, "synth", "ledger.json")).read())
     authors = {c.author for c in cli._read_records(
-        os.path.join(outdir, "comments.csv"), Comment)
-        if not c.is_deleted_author}
+        os.path.join(outdir, "author_subreddits.csv"), SubredditCount)}
     assert rows["assigned"] + rows["tied"] == rows["authors"]
     assert rows["authors"] + rows["unmapped"] == len(authors)
     assert rows["tied"] == \
@@ -704,13 +722,19 @@ def test_missing_centroid_exits_2(outdir, tmp_path, caplog):
     assert f"ConfigurationError: no centroid for state {state!r}" in caplog.text
 
 
+# artifact -> a column of integers in it
+INT_COLUMN = {"author_subreddits.csv": "comments",
+              "mentions.csv": "created_utc",
+              "news_comments.csv": "created_utc"}
+
+
 @pytest.mark.parametrize("artifact,change", [
     (artifact, change)
-    for artifact in ("comments.csv", "mentions.csv", "news_comments.csv",
-                     "user_locations.csv", "first_exposures.csv")
+    for artifact in ("author_subreddits.csv", "replies.csv", "mentions.csv",
+                     "news_comments.csv", "user_locations.csv",
+                     "first_exposures.csv")
     for change in ("short", "long", "not-int")
-    if change != "not-int" or artifact not in ("user_locations.csv",
-                                               "first_exposures.csv")])
+    if change != "not-int" or artifact in INT_COLUMN])
 def test_bad_codec_row_exits_5(outdir, tmp_path, artifact, change):
     out = str(tmp_path / "out")
     shutil.copytree(outdir, out)
@@ -723,7 +747,7 @@ def test_bad_codec_row_exits_5(outdir, tmp_path, artifact, change):
     elif change == "long":
         row = row + ["extra"]
     else:
-        row[header.index("created_utc")] = "soon"
+        row[header.index(INT_COLUMN[artifact])] = "soon"
     with open(path, "a", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(row)
     with open(path, "rb") as fh:
@@ -827,23 +851,67 @@ def test_utf8_encoded_surrogate_line_is_malformed(outdir, tmp_path):
     assert after == dict(before, malformed=before["malformed"] + 1)
 
 
+def test_null_author_line_is_malformed(outdir, tmp_path):
+    out = str(tmp_path / "out")
+    shutil.copytree(outdir, out)
+    with open(os.path.join(out, "manifests", "ingest.json")) as fh:
+        before = json.load(fh)["rows"]
+    with open(os.path.join(out, "synth", "archive.ndjson"), "a") as fh:
+        fh.write(json.dumps({"id": "zz1", "author": None, "body": "hi",
+                             "subreddit": "newslinks",
+                             "created_utc": 1451607778}) + "\n")
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    assert main(["ingest", "--config", cfg, "--out-dir", out]) == 0
+    with open(os.path.join(out, "manifests", "ingest.json")) as fh:
+        after = json.load(fh)["rows"]
+    assert after == dict(before, malformed=before["malformed"] + 1)
+    with open(os.path.join(out, "author_subreddits.csv"), newline="") as fh:
+        assert not any("None" in row for row in csv.reader(fh))
+
+
+def test_duplicate_id_of_another_author_exits_4(outdir, tmp_path):
+    out = str(tmp_path / "out")
+    shutil.copytree(outdir, out)
+    with open(os.path.join(out, "manifests", "ingest.json")) as fh:
+        before = json.load(fh)["rows"]
+    archive = os.path.join(out, "synth", "archive.ndjson")
+    with open(archive, "rb") as fh:
+        first = next(stream_comments(fh))
+    with open(archive, "a") as fh:
+        fh.write(json.dumps({"id": first.comment_id, "author": "impostor",
+                             "body": "hi", "subreddit": "newslinks",
+                             "created_utc": 1451607778}) + "\n")
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    proc = run_cli_process("ingest", "--config", cfg, "--out-dir", out)
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"ingest: DataIntegrityError: comment id {first.comment_id!r}" \
+        in proc.stderr
+    # the stage stops before its manifest, so the one from the first run
+    # stands; a parse with the same ledger shows the line is well formed
+    with open(archive, "rb") as fh:
+        ledger = StreamLedger()
+        assert sum(1 for _ in stream_comments(fh, ledger=ledger)) == \
+            before["records"] + 1
+    assert ledger.malformed == before["malformed"]
+
+
 # commas, quotes, line breaks and non-ASCII text must survive the CSV codec
 _cell = st.text(st.sampled_from(',"\r\n x\u00e9\u4e2d')) | \
     st.text(st.characters(blacklist_categories=("Cs",)))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.builds(Comment, comment_id=_cell, author=_cell,
-                          subreddit=_cell,
-                          created_utc=st.integers(1, 2**40),
-                          parent_id=st.none() | st.just("t1_x"))))
-def test_comment_rows_round_trip(comments):
+@given(st.lists(st.builds(Reply, author=_cell, subreddit=_cell,
+                          parent_id=st.just("t1_x") | _cell,
+                          parent_author=st.none() | _cell.filter(bool))))
+def test_comment_rows_round_trip(replies):
     with tempfile.TemporaryDirectory() as tmp:
         run = cli.Run(tmp)
-        assert run.write_records("comments.csv", Comment, comments) == \
-            len(comments)
-        path = os.path.join(tmp, "comments.csv")
-        assert list(cli._read_records(path, Comment)) == comments
+        assert run.write_records("replies.csv", Reply, replies) == \
+            len(replies)
+        path = os.path.join(tmp, "replies.csv")
+        assert list(cli._read_records(path, Reply)) == replies
 
 
 @pytest.mark.parametrize("old,new", [

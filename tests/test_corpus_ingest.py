@@ -6,16 +6,17 @@ from hypothesis import given, strategies as st
 
 from newsgeo.corpus_ingest import (
     StreamLedger,
+    Reply,
     _parse_line,
-    build_author_index,
     extract_urls,
     host_of,
     iter_url_mentions,
+    note_comments,
     stream_comments,
 )
 from newsgeo.errors import DataIntegrityError, FormatError
 
-from conftest import make_record, ndjson_line
+from conftest import ingest_tables, make_record, ndjson_line
 
 
 _TEXT = ndjson_line("c0", body="see https://a.com/x", parent_id="t1_p")
@@ -97,9 +98,17 @@ class TestStreamComments:
         ndjson_line("c0", author="u_@@x").encode().replace(
             b"@@", b"\xed\xa0\x80"),
         ndjson_line("c0").encode("utf-16"),
+        ndjson_line("c0", author=None),
+        ndjson_line("c0", subreddit=["iastate"]),
+        ndjson_line(True),
+        ndjson_line(123),
+        ndjson_line("c0", body=None),
+        ndjson_line("c0", parent_id=["t1_p"]),
     ], ids=["true", "false", "fractional", "infinity", "invalid-utf8",
             "deep-nesting", "surrogate-author", "surrogate-url",
-            "utf8-encoded-surrogate", "utf-16"])
+            "utf8-encoded-surrogate", "utf-16", "author-null",
+            "subreddit-list", "id-true", "id-int", "body-null",
+            "parent-list"])
     def test_bad_line_counts_as_malformed(self, line):
         ledger = StreamLedger()
         records = list(stream_comments([line, ndjson_line("c1")], ledger=ledger))
@@ -246,19 +255,29 @@ def test_every_extracted_url_is_a_mention_or_counted(rng):
     assert extracted == len(mentions) + ledger.urls_without_host
 
 
+def noted_authors(records):
+    """The id -> author index `note_comments` builds over `records`."""
+    authors = {}
+    for _ in note_comments(records, {}, authors, []):
+        pass
+    return authors
+
+
 class TestAuthorIndex:
     def test_two_distinct_authors(self):
         records = [make_record("c1", author="a"), make_record("c2", author="b")]
-        assert build_author_index(records) == {"c1": "a", "c2": "b"}
+        assert noted_authors(records) == {"c1": "a", "c2": "b"}
 
     def test_deleted_author_excluded(self):
-        records = [make_record("c1", author="[deleted]")]
-        assert build_author_index(records) == {}
+        records = [make_record("c1", author="[deleted]"),
+                   make_record("c2", author="[deleted]", parent_id="t1_c1")]
+        assert noted_authors(records) == {}
+        assert ingest_tables(records) == ([], [])
 
     def test_conflicting_duplicate_raises(self):
         records = [make_record("c1", author="a"), make_record("c1", author="b")]
-        with pytest.raises(DataIntegrityError):
-            build_author_index(records)
+        with pytest.raises(DataIntegrityError, match="'c1'"):
+            noted_authors(records)
 
     def test_synthetic_corpus_index_size(self, rng):
         records = []
@@ -269,7 +288,37 @@ class TestAuthorIndex:
             if not deleted:
                 expected += 1
             records.append(make_record(f"c{i}", author=author))
-        assert len(build_author_index(records)) == expected
+        assert len(noted_authors(records)) == expected
+
+
+class TestNoteComments:
+    def test_every_record_passes_through(self):
+        records = [make_record("c1", author="[deleted]"),
+                   make_record("c2", parent_id="t1_c1")]
+        assert list(note_comments(records, {}, {}, [])) == records
+
+    def test_counts_per_author_and_subreddit(self):
+        records = [make_record("c1", author="a", subreddit="s"),
+                   make_record("c2", author="a", subreddit="s"),
+                   make_record("c3", author="a", subreddit="S"),
+                   make_record("c4", author="b", subreddit="s")]
+        counts, _ = ingest_tables(records)
+        assert [(r.author, r.subreddit, r.comments) for r in counts] == \
+            [("a", "S", 1), ("a", "s", 2), ("b", "s", 1)]
+
+    def test_parents_resolve_in_archive_order(self):
+        # the first reply's parent comes later in the archive
+        records = [make_record("r1", author="a", parent_id="t1_p1"),
+                   make_record("p1", author="b", subreddit="x"),
+                   make_record("r2", author="b", parent_id="t3_p1"),
+                   make_record("r3", author="a", parent_id="t1_gone"),
+                   make_record("r4", author="a", subreddit="x",
+                               parent_id="t1_p1")]
+        _, replies = ingest_tables(records)
+        assert replies == [Reply("a", "general", "t1_p1", "b"),
+                           Reply("b", "general", "t3_p1", None),
+                           Reply("a", "general", "t1_gone", None),
+                           Reply("a", "x", "t1_p1", "b")]
 
 
 def test_stream_extract_composition_is_deterministic():

@@ -31,9 +31,8 @@ def timeline(url, label, events):
 
 
 def news(cid, author, url, ts, label="fake"):
-    return NewsComment(comment_id=cid, author=author, subreddit="s",
-                       created_utc=ts, url=url, host="h", domain="d",
-                       label=label)
+    return NewsComment(comment_id=cid, author=author, created_utc=ts,
+                       url=url, label=label)
 
 
 def loc(author, state):

@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from newsgeo.corpus_ingest import SubredditCount
 from newsgeo.errors import ConfigurationError, InsufficientDataError
 from newsgeo.geolocation import (
     TallyLedger,
     adoption_and_scaling,
-    assign_user_states,
     load_subreddit_state_map,
     resolve_assignments,
     state_user_counts,
     tally_user_states,
 )
 
-from conftest import make_record
+from conftest import assign_states, ingest_tables, make_record
 
 SUB_MAP = {"seattle": "WA", "california": "CA", "texas": "TX"}
 
@@ -51,33 +51,41 @@ class TestLoadMap:
 class TestAssignment:
     def test_strict_argmax(self):
         corpus = posts("a", "seattle", 3) + posts("a", "california", 1)
-        locations, _ = assign_user_states(corpus, SUB_MAP)
+        locations, _ = assign_states(corpus, SUB_MAP)
         assert locations["a"].state == "WA"
 
     def test_tie_is_unassigned(self):
         corpus = posts("a", "seattle", 2) + posts("a", "california", 2)
-        locations, summary = assign_user_states(corpus, SUB_MAP)
+        locations, summary = assign_states(corpus, SUB_MAP)
         assert locations["a"].state is None
         assert summary.fraction_unassigned == 1.0
 
     def test_deleted_author_never_assigned(self):
         corpus = posts("[deleted]", "seattle", 5)
-        locations, _ = assign_user_states(corpus, SUB_MAP)
+        locations, _ = assign_states(corpus, SUB_MAP)
         assert locations == {}
 
     def test_unmapped_subreddits_ignored(self):
         corpus = posts("a", "seattle", 1) + posts("a", "knitting", 50)
-        locations, _ = assign_user_states(corpus, SUB_MAP)
+        locations, _ = assign_states(corpus, SUB_MAP)
         assert locations["a"].state == "WA"
-        assert tally_user_states(corpus, SUB_MAP) == {"a": {"WA": 1}}
+        assert tally_user_states(ingest_tables(corpus)[0], SUB_MAP) == \
+            {"a": {"WA": 1}}
+
+    def test_tally_sums_comment_counts(self):
+        rows = [SubredditCount("a", "Seattle", 2),
+                SubredditCount("a", "seattle", 3),
+                SubredditCount("a", "texas", 4)]
+        assert tally_user_states(rows, SUB_MAP) == {"a": {"WA": 5, "TX": 4}}
+        assert resolve_assignments(tally_user_states(rows, SUB_MAP))[0] \
+            ["a"].state == "WA"
 
     def test_ledger_counts_authors_with_no_mapped_comment(self):
         corpus = (posts("a", "seattle", 1) + posts("a", "knitting", 2)
                   + posts("b", "knitting", 3) + posts("c", "general", 1)
                   + posts("[deleted]", "knitting", 4))
         ledger = TallyLedger()
-        locations, summary = assign_user_states(corpus, SUB_MAP,
-                                                ledger=ledger)
+        locations, summary = assign_states(corpus, SUB_MAP, ledger=ledger)
         assert set(locations) == {"a"}
         assert ledger.unmapped == 2          # b and c; never [deleted]
         assert summary.mapped_authors + ledger.unmapped == \
@@ -87,7 +95,7 @@ class TestAssignment:
         corpus = (posts("single", "seattle", 2)
                   + posts("two", "seattle", 3) + posts("two", "california", 1)
                   + posts("tied", "seattle", 1) + posts("tied", "texas", 1))
-        _, summary = assign_user_states(corpus, SUB_MAP)
+        _, summary = assign_states(corpus, SUB_MAP)
         assert summary.mapped_authors == 3
         assert summary.fraction_single_state == pytest.approx(1 / 3)
         assert summary.fraction_at_most_two == pytest.approx(1.0)
@@ -99,20 +107,20 @@ class TestAssignment:
         corpus = (posts("a", "seattle", 3) + posts("a", "california", 2)
                   + posts("b", "texas", 1) + posts("c", "seattle", 1)
                   + posts("c", "texas", 1))
-        base, _ = assign_user_states(corpus, SUB_MAP)
+        base, _ = assign_states(corpus, SUB_MAP)
         for _ in range(20):
             shuffled = list(corpus)
             rng.shuffle(shuffled)
-            again, _ = assign_user_states(shuffled, SUB_MAP)
+            again, _ = assign_states(shuffled, SUB_MAP)
             assert {a: loc.state for a, loc in again.items()} == \
                 {a: loc.state for a, loc in base.items()}
 
     def test_argmax_monotonicity(self):
         # adding comments in the current argmax state never changes it
         corpus = posts("a", "seattle", 3) + posts("a", "california", 1)
-        locations, _ = assign_user_states(corpus, SUB_MAP)
+        locations, _ = assign_states(corpus, SUB_MAP)
         assert locations["a"].state == "WA"
-        more, _ = assign_user_states(corpus + posts("a", "seattle", 10), SUB_MAP)
+        more, _ = assign_states(corpus + posts("a", "seattle", 10), SUB_MAP)
         assert more["a"].state == "WA"
 
     def test_planted_synthetic_assignments(self, rng):
@@ -131,7 +139,7 @@ class TestAssignment:
                 home = states[int(rng.integers(0, len(states)))]
                 corpus += posts(author, subs[home], int(rng.integers(1, 5)))
                 expected[author] = home
-        locations, _ = assign_user_states(corpus, SUB_MAP)
+        locations, _ = assign_states(corpus, SUB_MAP)
         assert {a: loc.state for a, loc in locations.items()} == expected
 
 

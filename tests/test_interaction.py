@@ -3,9 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from newsgeo.corpus_ingest import build_author_index, stream_comments
+from newsgeo.corpus_ingest import stream_comments
 from newsgeo.errors import ConfigurationError
-from newsgeo.geolocation import UserLocation, assign_user_states
+from newsgeo.geolocation import UserLocation
 from newsgeo.interaction import (
     PairSet,
     _bin_of,
@@ -15,7 +15,7 @@ from newsgeo.interaction import (
 )
 from newsgeo.synth import SynthConfig, generate
 
-from conftest import make_record
+from conftest import assign_states, ingest_tables, make_record
 
 
 def loc(author, state):
@@ -33,6 +33,12 @@ CENTROIDS = {
 def reply(cid, author, parent_cid, subreddit="general"):
     return make_record(cid, author=author, subreddit=subreddit,
                        parent_id=f"t1_{parent_cid}")
+
+
+def pairs_of(corpus, locations, **kwargs):
+    """The pairs `connectivity` finds in the replies ingest writes."""
+    return build_interaction_pairs(ingest_tables(corpus)[1], locations,
+                                   **kwargs)
 
 
 class TestCentroidDistance:
@@ -68,34 +74,30 @@ class TestBuildPairs:
 
     def test_single_reply_single_pair(self):
         corpus = [make_record("p1", author="b"), reply("c1", "a", "p1")]
-        index = build_author_index(corpus)
-        pairs = build_interaction_pairs(corpus, index, self.locations())
+        pairs = pairs_of(corpus, self.locations())
         assert pairs.counts == {("a", "b"): 1}
 
     def test_self_reply_excluded(self):
         corpus = [make_record("p1", author="a"), reply("c1", "a", "p1")]
-        index = build_author_index(corpus)
-        pairs = build_interaction_pairs(corpus, index, self.locations())
+        pairs = pairs_of(corpus, self.locations())
         assert pairs.counts == {}
         assert pairs.self_replies == 1
 
     def test_unordered_symmetry(self):
         corpus = [make_record("p1", author="b"), reply("c1", "a", "p1"),
                   make_record("p2", author="a"), reply("c2", "b", "p2")]
-        index = build_author_index(corpus)
-        pairs = build_interaction_pairs(corpus, index, self.locations())
+        pairs = pairs_of(corpus, self.locations())
         assert pairs.counts == {("a", "b"): 2}
 
     def test_non_geotagged_excluded(self):
         corpus = [make_record("p1", author="z"), reply("c1", "a", "p1")]
-        index = build_author_index(corpus)
-        pairs = build_interaction_pairs(corpus, index, self.locations())
+        pairs = pairs_of(corpus, self.locations())
         assert pairs.counts == {}
         assert pairs.skipped == 1
 
     def test_unresolvable_parent_tallied(self):
         corpus = [reply("c1", "a", "missing")]
-        pairs = build_interaction_pairs(corpus, {}, self.locations())
+        pairs = pairs_of(corpus, self.locations())
         assert pairs.counts == {}
         assert pairs.unresolved_parents == 1
 
@@ -103,26 +105,22 @@ class TestBuildPairs:
         corpus = [make_record("p1", author="b", subreddit="seattle"),
                   reply("c1", "a", "p1", subreddit="seattle"),
                   make_record("p2", author="b"), reply("c2", "c", "p2")]
-        index = build_author_index(corpus)
-        all_scope = build_interaction_pairs(corpus, index, self.locations())
-        non_loc = build_interaction_pairs(
-            corpus, index, self.locations(),
-            scope="non_location_subreddits",
-            state_subreddits={"seattle": "WA"})
+        all_scope = pairs_of(corpus, self.locations())
+        non_loc = pairs_of(corpus, self.locations(),
+                           scope="non_location_subreddits",
+                           state_subreddits={"seattle": "WA"})
         assert set(non_loc.counts) < set(all_scope.counts)
         assert ("b", "c") in non_loc.counts
 
     def test_non_location_scope_requires_map(self):
         with pytest.raises(ConfigurationError):
-            build_interaction_pairs([], {}, {},
-                                    scope="non_location_subreddits")
+            build_interaction_pairs([], {}, scope="non_location_subreddits")
 
     def test_t3_parent_is_unresolved(self):
         # only comments are read, so a reply to a post has no known parent
         corpus = [make_record("post9", author="b"),
                   make_record("c1", author="a", parent_id="t3_post9")]
-        index = build_author_index(corpus)
-        pairs = build_interaction_pairs(corpus, index, self.locations())
+        pairs = pairs_of(corpus, self.locations())
         assert pairs.counts == {}
         assert pairs.unresolved_parents == 1
 
@@ -142,8 +140,7 @@ class TestBuildPairs:
             pair = tuple(sorted((a, b)))
             expected[pair] = expected.get(pair, 0) + 1
             cid += 1
-        index = build_author_index(corpus)
-        pairs = build_interaction_pairs(corpus, index, locations)
+        pairs = pairs_of(corpus, locations)
         assert pairs.counts == expected
 
     @pytest.mark.parametrize("scope", ["all_subreddits",
@@ -155,15 +152,14 @@ class TestBuildPairs:
                                    interaction_users_per_state=3,
                                    connectivity_base=0.5))
         corpus = list(stream_comments(out.archive))
-        locations, _ = assign_user_states(corpus, out.subreddit_states)
+        locations, _ = assign_states(corpus, out.subreddit_states)
         # plant the drops the generator does not make
         target = next(r for r in corpus if r.author in locations)
         corpus += [reply("x1", target.author, target.comment_id),
                    make_record("x2", author=target.author, parent_id="t3_p"),
                    reply("x3", "not-geotagged", target.comment_id)]
-        pairs = build_interaction_pairs(
-            corpus, build_author_index(corpus), locations, scope=scope,
-            state_subreddits=out.subreddit_states)
+        pairs = pairs_of(corpus, locations, scope=scope,
+                         state_subreddits=out.subreddit_states)
         replies = sum(1 for r in corpus
                       if r.parent_id is not None and not r.is_deleted_author)
         assert replies == sum(pairs.counts.values()) + \

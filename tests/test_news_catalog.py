@@ -16,8 +16,8 @@ def mention(comment_id, url, author="alice", host=None):
         host = url.split("//", 1)[1].split("/", 1)[0].lower()
         if host.startswith("www."):
             host = host[4:]
-    return UrlMention(comment_id=comment_id, author=author, subreddit="s",
-                      created_utc=1, url=url, host=host)
+    return UrlMention(comment_id=comment_id, author=author, created_utc=1,
+                      url=url, host=host)
 
 
 class TestLoadCatalog:

@@ -1,15 +1,15 @@
-"""The records that flow one per comment, mention or news comment through
-the pipeline are slotted and mutable: a frozen dataclass sets each field
+"""The records that flow one per comment, mention, table row or news
+comment through the pipeline are slotted and mutable: a frozen dataclass sets each field
 through object.__setattr__ and is several times slower to build."""
 
 import pytest
 
-from newsgeo.corpus_ingest import Comment, CommentRecord, UrlMention
+from newsgeo.corpus_ingest import Comment, Reply, SubredditCount, UrlMention
 from newsgeo.diffusion import TimelineEvent
 from newsgeo.news_catalog import NewsComment
 
 
-@pytest.mark.parametrize("cls", [Comment, CommentRecord, UrlMention,
+@pytest.mark.parametrize("cls", [Comment, UrlMention, SubredditCount, Reply,
                                  NewsComment, TimelineEvent],
                          ids=lambda cls: cls.__name__)
 def test_record_is_slotted_and_not_frozen(cls):

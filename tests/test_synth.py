@@ -11,12 +11,11 @@ import pytest
 
 from newsgeo.corpus_ingest import (
     StreamLedger,
-    build_author_index,
     iter_url_mentions,
     stream_comments,
 )
 from newsgeo.errors import ConfigurationError
-from newsgeo.geolocation import assign_user_states, state_user_counts
+from newsgeo.geolocation import state_user_counts
 from newsgeo.interaction import build_interaction_pairs
 from newsgeo.news_catalog import classify_mentions, load_catalog
 from newsgeo.stats_core import classify_exponent, fit_scaling
@@ -27,6 +26,8 @@ from newsgeo.synth import (
     generate,
     write_outputs,
 )
+
+from conftest import assign_states, ingest_tables
 
 
 def archive_lines(output):
@@ -109,7 +110,8 @@ class TestConfigValidation:
         ("cascade_gap_days_range", [0, 1e300]),
         ("cascade_gap_days_range", [0, 10**400]),
         ("connectivity_gamma", -0.5), ("connectivity_gamma", -1e300),
-        ("seed", -1)])
+        ("seed", -1), ("n_malformed_lines", 10**8),
+        ("n_malformed_lines", 10**12)])
     def test_wrong_type_names_key(self, key, value):
         with pytest.raises(ConfigurationError, match=key):
             SynthConfig.from_dict({key: value})
@@ -186,27 +188,27 @@ class TestLedgerConsistency:
         assert len(mentions) == output.ledger["url_mention_total"]
 
     def test_assignments_match_ledger_exactly(self, output):
-        locations, _ = assign_user_states(records_of(output),
-                                          output.subreddit_states)
+        locations, _ = assign_states(records_of(output),
+                                     output.subreddit_states)
         expected = output.ledger["assignments"]
         got = {a: loc.state for a, loc in locations.items()}
         assert got == expected
 
     def test_tie_users_all_unassigned(self, output):
-        locations, _ = assign_user_states(records_of(output),
-                                          output.subreddit_states)
+        locations, _ = assign_states(records_of(output),
+                                     output.subreddit_states)
         for author in output.ledger["tie_authors"]:
             assert locations[author].state is None
 
     def test_state_user_counts(self, output):
-        locations, _ = assign_user_states(records_of(output),
-                                          output.subreddit_states)
+        locations, _ = assign_states(records_of(output),
+                                     output.subreddit_states)
         assert state_user_counts(locations) == output.ledger["state_user_counts"]
 
     def test_news_tallies_recomputed(self, output, tmp_path):
         catalog = catalog_of(output, tmp_path)
-        locations, _ = assign_user_states(records_of(output),
-                                          output.subreddit_states)
+        locations, _ = assign_states(records_of(output),
+                                     output.subreddit_states)
         counts = {}
         mentions = iter_url_mentions(records_of(output))
         for nc in classify_mentions(mentions, catalog):
@@ -218,9 +220,8 @@ class TestLedgerConsistency:
 
     def test_interaction_pairs_recomputed(self, output):
         records = records_of(output)
-        index = build_author_index(records)
-        locations, _ = assign_user_states(records, output.subreddit_states)
-        pairs = build_interaction_pairs(records, index, locations)
+        locations, _ = assign_states(records, output.subreddit_states)
+        pairs = build_interaction_pairs(ingest_tables(records)[1], locations)
         got = sorted([list(p) for p in pairs.counts])
         assert got == output.ledger["interaction_pairs"]
 
