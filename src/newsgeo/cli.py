@@ -173,8 +173,8 @@ def stage_ingest(cfg, run):
             corpus_ingest.iter_url_mentions(records, ledger=ledger))
     n_counts = run.write_records(
         "author_subreddits.csv", corpus_ingest.SubredditCount,
-        (corpus_ingest.SubredditCount(*key, n)
-         for key, n in sorted(counts.items())))
+        (corpus_ingest.SubredditCount(*key, counts[key])
+         for key in sorted(counts)))
     n_replies = run.write_records(
         "replies.csv", corpus_ingest.Reply,
         (corpus_ingest.resolve_reply(reply, authors) for reply in replies))

@@ -887,10 +887,10 @@ def test_duplicate_id_of_another_author_exits_4(outdir, tmp_path):
     assert "Traceback" not in proc.stderr
     assert f"ingest: DataIntegrityError: comment id {first.comment_id!r}" \
         in proc.stderr
-    # the stage stops before its manifest, so the one from the first run
-    # stands; a parse with the same ledger shows the line is well formed
+    # a failed stage writes no manifest: the line counts as a record, not
+    # as malformed
+    ledger = StreamLedger()
     with open(archive, "rb") as fh:
-        ledger = StreamLedger()
         assert sum(1 for _ in stream_comments(fh, ledger=ledger)) == \
             before["records"] + 1
     assert ledger.malformed == before["malformed"]
