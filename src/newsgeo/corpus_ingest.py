@@ -92,12 +92,19 @@ _VALID_PARENT_PREFIXES = ("t1_", "t3_")
 
 
 def _timestamp(value) -> int:
-    """Seconds from an int, an integral float or a numeric string; booleans
-    and fractional floats are ValueErrors rather than silently coerced."""
+    """Seconds from a `created_utc` that is not an int: an integral float
+    or a numeric string. Booleans and fractional floats are ValueErrors
+    rather than silently coerced."""
     if isinstance(value, bool) or \
        isinstance(value, float) and not value.is_integer():
         raise ValueError(f"bad timestamp {value!r}")
     return int(value)
+
+
+# created_utc must fit a signed 64-bit integer: a larger one, parsed from an
+# int, an integral float like 1e300 or a string of digits, would overflow
+# the float of a cascade time downstream
+_MAX_TIMESTAMP = 2**63 - 1
 
 
 # json.loads wraps the scanner in type checks and two whitespace regex
@@ -116,22 +123,23 @@ def _parse_line(line: str | bytes) -> Comment | None:
         obj, end = _decode(text)
     except (ValueError, RecursionError):
         return None
-    if end != len(text):
-        return None
-    if not isinstance(obj, dict):
+    if end != len(text) or type(obj) is not dict:
         return None
     try:
         comment_id, author = obj["id"], obj["author"]
         subreddit, body = obj["subreddit"], obj["body"]
-        created = _timestamp(obj["created_utc"])
+        created = obj["created_utc"]
+        if type(created) is not int:
+            created = _timestamp(created)
     except (KeyError, TypeError, ValueError):
         return None
     # text fields must be JSON strings, or a null author becomes user "None"
-    if {type(comment_id), type(author), type(subreddit), type(body)} \
-            != {str} or not comment_id or created <= 0:
+    if type(comment_id) is not str or type(author) is not str or \
+            type(subreddit) is not str or type(body) is not str or \
+            not comment_id or not 0 < created <= _MAX_TIMESTAMP:
         return None
     parent = obj.get("parent_id")
-    if parent is not None and not (isinstance(parent, str) and
+    if parent is not None and not (type(parent) is str and
                                    parent.startswith(_VALID_PARENT_PREFIXES)):
         return None
     # only a \uD800-\uDFFF escape decodes to a lone surrogate, which no
@@ -142,14 +150,7 @@ def _parse_line(line: str | bytes) -> Comment | None:
                      parent or "")).encode("utf-8")
         except UnicodeEncodeError:
             return None
-    return Comment(
-        comment_id=comment_id,
-        author=author,
-        subreddit=subreddit,
-        created_utc=created,
-        body=body,
-        parent_id=parent,
-    )
+    return Comment(comment_id, author, subreddit, created, body, parent)
 
 
 def stream_comments(
@@ -179,7 +180,7 @@ def stream_comments(
                 )
             continue
         led.records += 1
-        if record.is_deleted_author:
+        if record.author == DELETED_AUTHOR:
             led.deleted_author += 1
         yield record
 
@@ -193,15 +194,18 @@ def note_comments(
     and, if it is a reply, a Reply on `replies`. A duplicate id with
     conflicting authors raises DataIntegrityError."""
     for rec in records:
-        if not rec.is_deleted_author:
-            key = rec.author, rec.subreddit
+        author = rec.author
+        if author != DELETED_AUTHOR:
+            key = author, rec.subreddit
             counts[key] = counts.get(key, 0) + 1
-            if authors.setdefault(rec.comment_id, rec.author) != rec.author:
+            comment_id = rec.comment_id
+            if authors.setdefault(comment_id, author) != author:
                 raise DataIntegrityError(
-                    f"comment id {rec.comment_id!r} maps to both "
-                    f"{authors[rec.comment_id]!r} and {rec.author!r}")
-            if rec.parent_id is not None:
-                replies.append(Reply(*key, rec.parent_id))
+                    f"comment id {comment_id!r} maps to both "
+                    f"{authors[comment_id]!r} and {author!r}")
+            parent = rec.parent_id
+            if parent is not None:
+                replies.append(Reply(*key, parent))
         yield rec
 
 
@@ -273,7 +277,11 @@ def iter_url_mentions(
     """
     led = ledger if ledger is not None else StreamLedger()
     for rec in records:
-        for url in extract_urls(rec.body):
+        # every URL holds "://", and most bodies do not: skip their scan
+        body = rec.body
+        if "://" not in body:
+            continue
+        for url in extract_urls(body):
             host = host_of(url)
             if host is None:
                 led.urls_without_host += 1

@@ -9,6 +9,7 @@ randomness.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -71,14 +72,33 @@ class OlsResult:
         return float(self.coefficients[1 + self.names.index(name)])
 
 
-def _check_rank(design: np.ndarray, names: list[str]) -> None:
-    # QR diagonal localizes the first dependent column for the error message
-    _, r = np.linalg.qr(design)
+def _check_rank(design: np.ndarray, names: Sequence[str]) -> None:
+    # QR diagonal localizes the first dependent column for the error message;
+    # design's first column is the intercept, and `names` name the rest
+    r = np.linalg.qr(design, mode="r")
     diag = np.abs(np.diag(r))
     tol = design.shape[0] * np.finfo(float).eps * (diag.max() if diag.size else 1.0)
     for j, d in enumerate(diag):
         if d <= tol:
-            raise SingularDesignError(names[j])
+            raise SingularDesignError(names[j - 1] if j else "(intercept)")
+
+
+def _least_squares(
+    X: np.ndarray, y: np.ndarray, names: Sequence[str],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Least squares of y on an intercept and the n x k columns of X:
+    (design, coefficients, fitted, residuals, RSS). Raises
+    SingularDesignError naming the first linearly dependent column.
+
+    The core of `ols_fit`, and what `step_aic` scores each move with, so a
+    move's AIC is bit-for-bit the one its full fit would report."""
+    n, k = X.shape
+    design = np.column_stack([np.ones(n), X]) if k else np.ones((n, 1))
+    _check_rank(design, names)
+    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
+    fitted = design @ coef
+    residuals = y - fitted
+    return design, coef, fitted, residuals, float(residuals @ residuals)
 
 
 def _two_sided_p(t, df):
@@ -120,13 +140,7 @@ def ols_fit(
     if n <= k + 1:
         raise InsufficientDataError(f"n={n} too small for {k} predictors")
 
-    design = np.column_stack([np.ones(n), X]) if k else np.ones((n, 1))
-    _check_rank(design, ["(intercept)"] + list(names))
-
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    fitted = design @ coef
-    residuals = y - fitted
-    rss = float(residuals @ residuals)
+    design, coef, fitted, residuals, rss = _least_squares(X, y, names)
     # n > k + 1, so at least one residual degree of freedom is left
     df_resid = n - (k + 1)
     sigma2 = rss / df_resid
@@ -263,37 +277,43 @@ def step_aic(
     """
     names = sorted(candidates)
     y = np.asarray(y, dtype=float)
+    n = len(y)
 
-    def fit_subset(subset: tuple[str, ...]) -> OlsResult:
+    def design_of(subset: tuple[str, ...]) -> np.ndarray:
         if subset:
-            X = np.column_stack([candidates[v] for v in subset])
-        else:
-            X = np.empty((len(y), 0))
-        return ols_fit(X, y, names=list(subset))
+            return np.column_stack([candidates[v] for v in subset])
+        return np.empty((n, 0))
+
+    def aic_of(subset: tuple[str, ...]) -> float:
+        # a move is scored by its AIC alone; only the start and the
+        # selected model get a full ols_fit
+        rss = _least_squares(design_of(subset), y, subset)[-1]
+        return aic_from_rss(n, rss, len(subset) + 1)[0]
 
     current: tuple[str, ...] = tuple(names)
-    current_fit = fit_subset(current)
-    trace = [StepRecord("start", None, current_fit.aic, current)]
+    start_fit = ols_fit(design_of(current), y, names=list(current))
+    current_aic = start_fit.aic
+    trace = [StepRecord("start", None, current_aic, current)]
 
     while True:
-        moves: list[tuple[float, int, tuple[str, ...], str, str, OlsResult]] = []
+        moves: list[tuple[float, int, tuple[str, ...], str, str]] = []
         for v in current:
             subset = tuple(u for u in current if u != v)
-            f = fit_subset(subset)
-            moves.append((f.aic, len(subset), subset, "drop", v, f))
+            moves.append((aic_of(subset), len(subset), subset, "drop", v))
         for v in names:
             if v in current:
                 continue
             subset = tuple(sorted(current + (v,)))
-            f = fit_subset(subset)
-            moves.append((f.aic, len(subset), subset, "add", v, f))
+            moves.append((aic_of(subset), len(subset), subset, "add", v))
         if not moves:
             break
         moves.sort(key=lambda m: (m[0], m[1], m[2]))
-        best_aic, _, best_subset, action, variable, best_fit = moves[0]
-        if best_aic >= current_fit.aic:
+        best_aic, _, best_subset, action, variable = moves[0]
+        if best_aic >= current_aic:
             break
-        current, current_fit = best_subset, best_fit
+        current, current_aic = best_subset, best_aic
         trace.append(StepRecord(action, variable, best_aic, best_subset))
 
-    return StepwiseResult(fit=current_fit, selected=list(current), trace=trace)
+    fit = start_fit if len(trace) == 1 else \
+        ols_fit(design_of(current), y, names=list(current))
+    return StepwiseResult(fit=fit, selected=list(current), trace=trace)

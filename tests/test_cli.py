@@ -541,6 +541,80 @@ class TestStageInputs:
             + connectivity["skipped"] + connectivity["self_replies"]
 
 
+def manifest_rows(out, stage):
+    with open(os.path.join(out, "manifests", f"{stage}.json")) as fh:
+        return json.load(fh)["rows"]
+
+
+def test_every_reply_drop_is_counted(outdir, tmp_path):
+    # one reply for each way connectivity drops one, and an author whom
+    # geolocate cannot map
+    out = str(tmp_path / "out")
+    shutil.copytree(outdir, out)
+    before = {stage: manifest_rows(out, stage)
+              for stage in ("ingest", "geolocate", "connectivity")}
+    archive = os.path.join(out, "synth", "archive.ndjson")
+    with open(archive, "rb") as fh:
+        parent = next(r for r in stream_comments(fh)
+                      if not r.is_deleted_author)
+    with open(archive, "a", encoding="utf-8") as fh:
+        for i, (author, parent_id) in enumerate([
+                (parent.author, "t3_post1"),                # a post
+                (parent.author, "t1_nosuchid"),             # unknown id
+                (parent.author, f"t1_{parent.comment_id}"),  # self-reply
+                ("drifter", f"t1_{parent.comment_id}")]):   # unmapped
+            fh.write(json.dumps({"id": f"drop{i}", "author": author,
+                                 "subreddit": "general",
+                                 "created_utc": 1_451_606_400, "body": "hi",
+                                 "parent_id": parent_id}) + "\n")
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    for stage in ("ingest", "geolocate", "connectivity"):
+        assert main([stage, "--config", cfg, "--out-dir", out]) == 0
+    ingest, geolocate, connectivity = (
+        manifest_rows(out, stage)
+        for stage in ("ingest", "geolocate", "connectivity"))
+    assert ingest["replies"] == before["ingest"]["replies"] + 4
+    assert geolocate["unmapped"] == before["geolocate"]["unmapped"] + 1 > 0
+    authors = {c.author for c in cli._read_records(
+        os.path.join(out, "author_subreddits.csv"), SubredditCount)}
+    assert geolocate["authors"] + geolocate["unmapped"] == len(authors)
+    for key, planted in (("unresolved_parents", 2), ("self_replies", 1),
+                         ("skipped", 1)):
+        assert connectivity[key] == \
+            before["connectivity"][key] + planted > 0, key
+    assert connectivity["pair_events"] == \
+        before["connectivity"]["pair_events"]
+    assert ingest["replies"] == connectivity["pair_events"] + \
+        connectivity["unresolved_parents"] + connectivity["skipped"] + \
+        connectivity["self_replies"]
+
+
+def test_created_utc_bound_holds_through_all(outdir, tmp_path):
+    # a news comment at the last time below 2**63 runs through every stage;
+    # one at a 401-digit time is malformed, where it used to overflow the
+    # float of its cascade time
+    out = str(tmp_path / "out")
+    shutil.copytree(outdir, out)
+    before = manifest_rows(out, "ingest")
+    archive = os.path.join(out, "synth", "archive.ndjson")
+    with open(archive, "rb") as fh:
+        news = next(r for r in stream_comments(fh)
+                    if extract_urls(r.body) and not r.is_deleted_author)
+    with open(archive, "a", encoding="utf-8") as fh:
+        for comment_id, created in (("late", 2**63 - 1), ("huge", 10**400)):
+            fh.write(json.dumps({"id": comment_id, "author": news.author,
+                                 "subreddit": news.subreddit,
+                                 "created_utc": created,
+                                 "body": news.body}) + "\n")
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    assert main(["all", "--config", cfg, "--out-dir", out]) == 0
+    after = manifest_rows(out, "ingest")
+    assert after["records"] == before["records"] + 1
+    assert after["malformed"] == before["malformed"] + 1
+    with open(os.path.join(out, "mentions.csv"), encoding="utf-8") as fh:
+        assert f"late,{news.author},{2**63 - 1}," in fh.read()
+
+
 def test_ingest_manifest_counts_urls_without_host(outdir, tmp_path):
     out = str(tmp_path / "out")
     shutil.copytree(outdir, out)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from urllib.parse import urlsplit
 
@@ -104,11 +105,16 @@ class TestStreamComments:
         ndjson_line(123),
         ndjson_line("c0", body=None),
         ndjson_line("c0", parent_id=["t1_p"]),
+        ndjson_line("c0", created_utc=2**63),
+        ndjson_line("c0", created_utc=10**400),
+        ndjson_line("c0", created_utc=1e300),
+        ndjson_line("c0", created_utc="9" * 401),
     ], ids=["true", "false", "fractional", "infinity", "invalid-utf8",
             "deep-nesting", "surrogate-author", "surrogate-url",
             "utf8-encoded-surrogate", "utf-16", "author-null",
             "subreddit-list", "id-true", "id-int", "body-null",
-            "parent-list"])
+            "parent-list", "time-2**63", "time-401-digits", "time-1e300",
+            "time-401-digit-string"])
     def test_bad_line_counts_as_malformed(self, line):
         ledger = StreamLedger()
         records = list(stream_comments([line, ndjson_line("c1")], ledger=ledger))
@@ -127,14 +133,18 @@ class TestStreamComments:
             (rec,) = stream_comments([raw])
             assert rec.author == "a\U0001F600"
 
-    @pytest.mark.parametrize("created", [1_451_606_400, 1_451_606_400.0,
-                                         "1451606400"],
-                             ids=["int", "integral-float", "numeric-string"])
-    def test_integral_timestamps_accepted(self, created):
+    # 2**63 - 1 is the last created_utc below the bound
+    @pytest.mark.parametrize("created,seconds", [
+        (1_451_606_400, 1_451_606_400), (1_451_606_400.0, 1_451_606_400),
+        ("1451606400", 1_451_606_400), (2**63 - 1, 2**63 - 1),
+        (str(2**63 - 1), 2**63 - 1),
+    ], ids=["int", "integral-float", "numeric-string", "largest-int",
+            "largest-numeric-string"])
+    def test_integral_timestamps_accepted(self, created, seconds):
         line = ndjson_line("c0", created_utc=created)
         for raw in (line, line.encode()):
             (rec,) = stream_comments([raw])
-            assert rec.created_utc == 1_451_606_400
+            assert rec.created_utc == seconds
 
     @given(st.lists(st.one_of(st.binary(max_size=120), st.just(_LINE),
                               _CORRUPTED_LINE), max_size=40))
@@ -165,17 +175,56 @@ def _reference_accepts(line):
 # but JSON does not allow around a value, and the BOM
 _PAD = st.text(" \t\n\r\x0b\x0c\x1c\xa0\u2028\ufeff", max_size=3)
 
+_MISSING, _MALFORMED = object(), object()
+# (JSON key, value or _MISSING, the record field it becomes or _MALFORMED);
+# the first row leaves the line as it is
+_FIELD_MUTATIONS = [
+    ("id", "c0", "c0"),
+    *((key, value, _MALFORMED)
+      for key in ("id", "author", "subreddit", "body")
+      for value in (None, [], ["x"], True, 7, {}, _MISSING)),
+    ("id", "", _MALFORMED),
+    ("body", "", ""),
+    *(("created_utc", value, _MALFORMED)
+      for value in (None, [1_451_606_400], True, False, {}, _MISSING, 0, -1,
+                    2**63, 10**400, "9" * 401, 1e300, 2.0**63, 0.5, "x")),
+    ("created_utc", 2**63 - 1, 2**63 - 1),
+    ("created_utc", str(2**63 - 1), 2**63 - 1),
+    ("created_utc", 2.0**62, 2**62),
+    ("parent_id", None, None),
+    ("parent_id", _MISSING, None),
+    ("parent_id", "t3_q", "t3_q"),
+    *(("parent_id", value, _MALFORMED)
+      for value in (["t1_p"], True, 3, {}, "t2_p", "")),
+]
+
+
+def _mutated(key, value):
+    """_TEXT with its `key` set to `value`, or dropped if _MISSING."""
+    obj = json.loads(_TEXT)
+    if value is _MISSING:
+        del obj[key]
+    else:
+        obj[key] = value
+    return json.dumps(obj)
+
 
 @given(bom=st.sampled_from(["", "\ufeff"]), prefix=_PAD, suffix=_PAD,
        extra=st.sampled_from(["", "{}", "1", "x", ",", "]", '""']),
        tail=_PAD, as_bytes=st.booleans())
 def test_parse_line_accepts_what_json_loads_accepts(bom, prefix, suffix,
                                                      extra, tail, as_bytes):
-    line = bom + prefix + _TEXT + suffix + extra + tail
-    if as_bytes:
-        line = line.encode()
-    expected = _RECORD if _reference_accepts(line) else None
-    assert _parse_line(line) == expected
+    # every field mutation in every framing: a line is a record when
+    # json.loads reads it and each field has a type the README allows
+    for key, value, field in _FIELD_MUTATIONS:
+        line = bom + prefix + _mutated(key, value) + suffix + extra + tail
+        if as_bytes:
+            line = line.encode()
+        expected = None
+        if _reference_accepts(line) and field is not _MALFORMED:
+            expected = dataclasses.replace(
+                _RECORD, **{{"id": "comment_id"}.get(key, key): field})
+        assert _parse_line(line) == expected, (key, value)
 
 
 class TestExtractUrls:

@@ -73,6 +73,41 @@ def exhaustive_best_subset_aic(candidates, y):
     return best[1]
 
 
+def reference_step_aic(candidates, y):
+    """Stepwise AIC as it was first written: every candidate move gets a
+    full ols_fit, and the best move's fit becomes the current one."""
+    names = sorted(candidates)
+
+    def fit_subset(subset):
+        X = np.column_stack([candidates[v] for v in subset]) \
+            if subset else np.empty((len(y), 0))
+        return ols_fit(X, y, names=list(subset))
+
+    current = tuple(names)
+    current_fit = fit_subset(current)
+    trace = [("start", None, current_fit.aic, current)]
+    while True:
+        moves = []
+        for v in current:
+            subset = tuple(u for u in current if u != v)
+            moves.append((fit_subset(subset).aic, len(subset), subset,
+                          "drop", v))
+        for v in names:
+            if v not in current:
+                subset = tuple(sorted(current + (v,)))
+                moves.append((fit_subset(subset).aic, len(subset), subset,
+                              "add", v))
+        if not moves:
+            break
+        moves.sort(key=lambda m: m[:3])
+        aic, _, subset, action, variable = moves[0]
+        if aic >= current_fit.aic:
+            break
+        current, current_fit = subset, fit_subset(subset)
+        trace.append((action, variable, aic, subset))
+    return current_fit, list(current), trace
+
+
 # --------------------------------------------------------------------------
 # ols_fit
 # --------------------------------------------------------------------------
@@ -266,6 +301,69 @@ class TestStepAic:
         result = step_aic(candidates, y)
         aics = [step.aic for step in result.trace]
         assert all(b < a for a, b in zip(aics, aics[1:]))
+
+
+def sylvester_hadamard(n):
+    """An n x n matrix of orthogonal +-1 columns, the first all ones."""
+    h = np.ones((1, 1))
+    while len(h) < n:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+class TestStepAicMatchesReference:
+    """step_aic scores each move by its AIC alone; the search that fits
+    every move in full must choose the same moves with bit-equal AICs."""
+
+    @staticmethod
+    def assert_same_search(candidates, y):
+        result = step_aic(candidates, y)
+        fit, selected, trace = reference_step_aic(candidates, y)
+        assert result.selected == selected
+        assert [(r.action, r.variable, r.aic.hex(), r.variables)
+                for r in result.trace] == \
+            [(action, variable, aic.hex(), subset)
+             for action, variable, aic, subset in trace]
+        assert result.fit.names == fit.names
+        assert np.array_equal(result.fit.coefficients, fit.coefficients)
+        assert np.array_equal(result.fit.residuals, fit.residuals)
+        return result
+
+    # correlated columns and one weak signal: every search drops, and the
+    # searches of seeds 23 and 40 also add a dropped variable back
+    @pytest.mark.parametrize("seed", [*range(10), 23, 40])
+    def test_seeded_designs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(15, 40))
+        k = int(rng.integers(3, 8))
+        X = rng.standard_normal((n, k)) @ rng.standard_normal((k, k))
+        y = 0.3 * X[:, 0] + rng.standard_normal(n)
+        candidates = {f"v{i}": X[:, i] for i in range(k)}
+        result = self.assert_same_search(candidates, y)
+        actions = {r.action for r in result.trace}
+        assert "drop" in actions
+        assert ("add" in actions) == (seed in (23, 40))
+
+    def test_aic_tie_breaks_the_same_way(self):
+        # orthogonal +-1 columns: dropping c or d leaves bit-equal AICs,
+        # and the tie goes to the lexicographically first subset (a, b, c)
+        h = sylvester_hadamard(16)
+        candidates = dict(zip("abcd", h[:, 1:5].T))
+        y = 3 * h[:, 1] + 2 * h[:, 2] + 0.5 * h[:, 5]
+        drop_c, drop_d = (
+            ols_fit(np.column_stack([candidates[v] for v in kept]), y).aic
+            for kept in ("abd", "abc"))
+        assert drop_c == drop_d
+        result = self.assert_same_search(candidates, y)
+        assert [(r.action, r.variable) for r in result.trace] == \
+            [("start", None), ("drop", "d"), ("drop", "c")]
+
+    def test_dependent_candidate_named(self, rng):
+        x = rng.standard_normal(30)
+        candidates = {"a": x, "b": 2 * x, "c": rng.standard_normal(30)}
+        with pytest.raises(SingularDesignError) as exc:
+            step_aic(candidates, rng.standard_normal(30))
+        assert exc.value.column == "b"
 
 
 class TestPValues:
