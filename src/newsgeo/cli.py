@@ -17,7 +17,6 @@ manifest, listing each input the stage read.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import itertools
 import json
@@ -85,13 +84,8 @@ class Run:
     def write_csv(self, name, header, rows):
         """Write `header`, then each row as it is pulled from `rows`;
         returns the number of rows."""
-        n = 0
-        with open(self.out(name), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for n, row in enumerate(rows, 1):
-                writer.writerow(row)
-        return n
+        from .states import write_table
+        return write_table(self.out(name), header, rows)
 
     def write_records(self, name, cls, records):
         """Write dataclass records, one column per field of `cls` in field
@@ -109,37 +103,33 @@ def _read_records(path, cls):
     """Yield the `cls` records of a CSV written by `Run.write_records`: int
     fields parsed, empty `str | None` fields None, the rest strings. A
     wrong header, a row with the wrong number of fields or an int field
-    that does not parse, or a row the csv module rejects, raises
-    FormatError."""
+    that does not parse raises FormatError, as does what `open_table`
+    rejects."""
+    from .states import open_table
     columns = dataclasses.fields(cls)
     width = len(columns)
     ints = [i for i, f in enumerate(columns) if f.type in (int, "int")]
     nullable = [i for i, f in enumerate(columns)
                 if f.type in (str | None, "str | None")]
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header != [f.name for f in columns]:
-                raise FormatError(f"{path}: header {header} does not match "
-                                  f"the {cls.__name__} fields")
-            for row in reader:
-                if len(row) != width:
-                    raise FormatError(f"{path}: line {reader.line_num} has "
-                                      f"{len(row)} fields, expected {width}")
-                try:
-                    for i in ints:
-                        row[i] = int(row[i])
-                except ValueError:
-                    raise FormatError(
-                        f"{path}: line {reader.line_num}: "
-                        f"{row[i]!r} is not an integer") from None
-                for i in nullable:
-                    row[i] = row[i] or None
-                yield cls(*row)
-        except csv.Error as exc:
-            raise FormatError(f"{path}: line {reader.line_num}: {exc}") \
-                from None
+    with open_table(path) as reader:
+        header = next(reader, None)
+        if header != [f.name for f in columns]:
+            raise FormatError(f"{path}: header {header} does not match "
+                              f"the {cls.__name__} fields")
+        for row in reader:
+            if len(row) != width:
+                raise FormatError(f"{path}: line {reader.line_num} has "
+                                  f"{len(row)} fields, expected {width}")
+            try:
+                for i in ints:
+                    row[i] = int(row[i])
+            except ValueError:
+                raise FormatError(
+                    f"{path}: line {reader.line_num}: "
+                    f"{row[i]!r} is not an integer") from None
+            for i in nullable:
+                row[i] = row[i] or None
+            yield cls(*row)
 
 
 # --------------------------------------------------------------------------

@@ -133,10 +133,12 @@ def _parse_line(line: str | bytes) -> Comment | None:
             created = _timestamp(created)
     except (KeyError, TypeError, ValueError):
         return None
-    # text fields must be JSON strings, or a null author becomes user "None"
+    # text fields must be JSON strings, or a null author becomes user "None";
+    # an empty author would read back from replies.csv as no parent author
     if type(comment_id) is not str or type(author) is not str or \
             type(subreddit) is not str or type(body) is not str or \
-            not comment_id or not 0 < created <= _MAX_TIMESTAMP:
+            not (comment_id and author and subreddit) or \
+            not 0 < created <= _MAX_TIMESTAMP:
         return None
     parent = obj.get("parent_id")
     if parent is not None and not (type(parent) is str and

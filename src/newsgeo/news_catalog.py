@@ -23,7 +23,6 @@ _SEVERITY = {label: i for i, label in enumerate(LABELS)}
 @dataclass
 class DomainCatalog:
     entries: dict[str, str] = field(default_factory=dict)
-    provenance: dict[str, list[str]] = field(default_factory=dict)
 
     def label_counts(self) -> dict[str, int]:
         counts = {label: 0 for label in LABELS}
@@ -100,9 +99,6 @@ def load_catalog(label_files: list[tuple[str, str]]) -> DomainCatalog:
             domain = _normalize_entry(line)
             if domain is None:
                 continue
-            catalog.provenance.setdefault(domain, [])
-            if path not in catalog.provenance[domain]:
-                catalog.provenance[domain].append(path)
             current = catalog.entries.get(domain)
             if current is None or _SEVERITY[label] < _SEVERITY[current]:
                 catalog.entries[domain] = label

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -14,7 +13,7 @@ from .errors import (
     DegenerateVariableError,
     FormatError,
 )
-from .states import number, state_code
+from .states import number, open_table, state_code
 from .stats_core import pearson
 
 # Canonical attribute columns, grouped the way the regression suites use them.
@@ -61,17 +60,11 @@ class StateAttributeTable:
 def load_attributes(path: str) -> StateAttributeTable:
     """Read the attribute CSV (header `state` plus known columns). A state
     code outside the 50 states is a ConfigurationError, a second row for a
-    state a DataIntegrityError, and a row of another width than the header,
-    a cell that is not a number, or a file that is not UTF-8 a
-    FormatError."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            return _read_attributes(path, reader)
-    except UnicodeDecodeError:
-        raise FormatError(f"{path} is not UTF-8") from None
-    except csv.Error as exc:
-        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
+    state a DataIntegrityError, and a row of another width than the header
+    or a cell that is not a number a FormatError, as is what `open_table`
+    rejects."""
+    with open_table(path) as reader:
+        return _read_attributes(path, reader)
 
 
 def _read_attributes(path: str, reader) -> StateAttributeTable:

@@ -1,6 +1,8 @@
-"""The 50 U.S. state codes, and the reader of the fixed-column state tables.
+"""The 50 U.S. state codes, and the one CSV codec: every table a stage
+reads or writes is opened by `open_table` or written by `write_table`.
 DC and territories are excluded end to end."""
 
+import contextlib
 import csv
 import math
 import re
@@ -17,39 +19,69 @@ STATE_CODES = (
 
 STATE_SET = frozenset(STATE_CODES)
 
-# read_table decodes with "surrogateescape": a byte that is not UTF-8 becomes
-# one of these lone surrogates
+# a byte that is not UTF-8, decoded with "surrogateescape"
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
+
+@contextlib.contextmanager
+def open_table(path):
+    """A csv.reader over `path`, decoded as strict UTF-8. A row the csv
+    module rejects, or a byte that is not UTF-8, raises FormatError naming
+    the file and line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise FormatError(f"{path}: line {reader.line_num}: {exc}") \
+                from None
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: line {_first_bad_line(path)} is "
+                              "not UTF-8") from None
+
+
+def _first_bad_line(path):
+    """The number of the first line of `path` that holds a byte that is
+    not UTF-8, counted as csv.reader counts lines."""
+    with open(path, newline="", encoding="utf-8",
+              errors="surrogateescape") as fh:
+        for n, line in enumerate(fh, 1):
+            if _NOT_UTF8.search(line):
+                return n
+
+
+def write_table(path, header, rows):
+    """Write `header`, then each row as it is pulled from `rows`; returns
+    the number of rows."""
+    n = 0
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for n, row in enumerate(rows, 1):
+            writer.writerow(row)
+    return n
 
 
 def read_table(path, columns):
     """Yield (stripped cells, "<path>: line <n>") per data row; skip blank
     and `#` rows, and the first other row if it is the header (its first
-    cell names the first column); raise FormatError on non-UTF-8, wrong
-    width or a row the csv module rejects."""
-    with open(path, newline="", encoding="utf-8",
-              errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
+    cell names the first column); raise FormatError on a row of the wrong
+    width, and as `open_table` does."""
+    with open_table(path) as reader:
         first = True
-        try:
-            for row in reader:
-                where = f"{path}: line {reader.line_num}"
-                if _NOT_UTF8.search(",".join(row)):
-                    raise FormatError(f"{where} is not UTF-8")
-                cells = [c.strip() for c in row]
-                if not any(cells) or cells[0].startswith("#"):
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            cells = [c.strip() for c in row]
+            if not any(cells) or cells[0].startswith("#"):
+                continue
+            if first:
+                first = False
+                if cells[0].lower() == columns[0]:
                     continue
-                if first:
-                    first = False
-                    if cells[0].lower() == columns[0]:
-                        continue
-                if len(cells) != len(columns):
-                    raise FormatError(f"{where} has {len(cells)} fields, "
-                                      f"expected {len(columns)}")
-                yield cells, where
-        except csv.Error as exc:
-            raise FormatError(f"{path}: line {reader.line_num}: {exc}") \
-                from None
+            if len(cells) != len(columns):
+                raise FormatError(f"{where} has {len(cells)} fields, "
+                                  f"expected {len(columns)}")
+            yield cells, where
 
 
 def by_state(rows):

@@ -48,7 +48,6 @@ class OlsResult:
     fstat: float
     df_model: int
     aic: float
-    aic_degenerate: bool
     residuals: np.ndarray
     fitted: np.ndarray
     n: int
@@ -63,10 +62,6 @@ class OlsResult:
     @cached_property
     def stars(self) -> list[str]:
         return [significance_stars(p) for p in self.pvalues]
-
-    @property
-    def k(self) -> int:
-        return len(self.names)
 
     def coefficient_of(self, name: str) -> float:
         return float(self.coefficients[1 + self.names.index(name)])
@@ -159,7 +154,6 @@ def ols_fit(
         adj_r2 = r2
         fstat = float("nan")
 
-    aic, degenerate = aic_from_rss(n, rss, k + 1)
     return OlsResult(
         names=list(names),
         coefficients=coef,
@@ -171,8 +165,7 @@ def ols_fit(
         df_resid=df_resid,
         fstat=fstat,
         df_model=k,
-        aic=aic,
-        aic_degenerate=degenerate,
+        aic=aic_from_rss(n, rss, k + 1)[0],
         residuals=residuals,
         fitted=fitted,
         n=n,

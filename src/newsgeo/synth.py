@@ -24,7 +24,6 @@ file a line at a time and no line outlives its write.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -37,7 +36,7 @@ import numpy as np
 
 from .config import LABELS, check_keys
 from .errors import ConfigurationError
-from .states import STATE_CODES
+from .states import STATE_CODES, write_table
 
 EPOCH_2016 = 1_451_606_400
 SPAN_SECONDS = 4 * 365 * 86_400
@@ -492,31 +491,21 @@ def write_outputs(output: SynthOutput, outdir: str) -> dict[str, str]:
             fh.writelines(d + "\n" for d in domain_list)
 
     paths["subreddit_map"] = os.path.join(outdir, "subreddit_states.csv")
-    with open(paths["subreddit_map"], "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subreddit", "state"])
-        for sub, state in sorted(output.subreddit_states.items()):
-            writer.writerow([sub, state])
+    write_table(paths["subreddit_map"], ["subreddit", "state"],
+                sorted(output.subreddit_states.items()))
 
     paths["populations"] = os.path.join(outdir, "populations.csv")
-    with open(paths["populations"], "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["state", "population"])
-        for state, pop in sorted(output.populations.items()):
-            writer.writerow([state, pop])
+    write_table(paths["populations"], ["state", "population"],
+                sorted(output.populations.items()))
 
     paths["centroids"] = os.path.join(outdir, "centroids.csv")
-    with open(paths["centroids"], "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["state", "lat", "lon"])
-        for state, (lat, lon) in sorted(output.centroids.items()):
-            writer.writerow([state, f"{lat:.6f}", f"{lon:.6f}"])
+    write_table(paths["centroids"], ["state", "lat", "lon"],
+                ([state, f"{lat:.6f}", f"{lon:.6f}"]
+                 for state, (lat, lon) in sorted(output.centroids.items())))
 
     paths["attributes"] = os.path.join(outdir, "attributes.csv")
-    columns = list(output.attributes[0].keys())
-    with open(paths["attributes"], "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
-        writer.writeheader()
-        writer.writerows(output.attributes)
+    columns = list(output.attributes[0])
+    write_table(paths["attributes"], columns,
+                ([row[c] for c in columns] for row in output.attributes))
 
     return paths

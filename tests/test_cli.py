@@ -1,8 +1,10 @@
+import ast
 import csv
 import dataclasses
 import glob
 import hashlib
 import inspect
+import io
 import json
 import os
 import re
@@ -507,6 +509,25 @@ class TestStageInputs:
         del expected[os.path.join("synth", "archive.ndjson")]
         assert artifact_bytes(out) == expected
 
+    def test_only_states_imports_csv(self):
+        # one CSV codec: every other module reads and writes its tables
+        # through states.open_table and states.write_table
+        importers = set()
+        for path in glob.glob(os.path.join(os.path.dirname(cli.__file__),
+                                           "*.py")):
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                if any(name.split(".")[0] == "csv" for name in names):
+                    importers.add(os.path.basename(path))
+        assert importers == {"states.py"}
+
     @pytest.mark.parametrize("stage", sorted(MANIFEST_INPUTS))
     def test_manifest_lists_every_input(self, outdir, stage):
         manifest = json.loads(open(os.path.join(
@@ -807,7 +828,7 @@ INT_COLUMN = {"author_subreddits.csv": "comments",
     for artifact in ("author_subreddits.csv", "replies.csv", "mentions.csv",
                      "news_comments.csv", "user_locations.csv",
                      "first_exposures.csv")
-    for change in ("short", "long", "not-int")
+    for change in ("short", "long", "not-int", "not-utf8")
     if change != "not-int" or artifact in INT_COLUMN])
 def test_bad_codec_row_exits_5(outdir, tmp_path, artifact, change):
     out = str(tmp_path / "out")
@@ -820,10 +841,14 @@ def test_bad_codec_row_exits_5(outdir, tmp_path, artifact, change):
         row = row[:-1]
     elif change == "long":
         row = row + ["extra"]
-    else:
+    elif change == "not-int":
         row[header.index(INT_COLUMN[artifact])] = "soon"
-    with open(path, "a", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(row)
+    text = io.StringIO()
+    csv.writer(text).writerow(row)
+    with open(path, "ab") as fh:
+        # the last row again, led by a byte that is not UTF-8
+        fh.write((b"\xe9" if change == "not-utf8" else b"") +
+                 text.getvalue().encode())
     with open(path, "rb") as fh:
         line = len(fh.read().splitlines())
     cfg = write_config(tmp_path, PIPELINE_CONFIG)
@@ -832,6 +857,9 @@ def test_bad_codec_row_exits_5(outdir, tmp_path, artifact, change):
     assert proc.returncode == 5, proc.stderr
     assert "Traceback" not in proc.stderr
     assert f"FormatError: {path}: line {line}" in proc.stderr
+    if change == "not-utf8":
+        assert f"FormatError: {path}: line {line} is not UTF-8" \
+            in proc.stderr
 
 
 # state table, appended row -> the stage that reads it, exit code, error

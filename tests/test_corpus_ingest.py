@@ -109,12 +109,14 @@ class TestStreamComments:
         ndjson_line("c0", created_utc=10**400),
         ndjson_line("c0", created_utc=1e300),
         ndjson_line("c0", created_utc="9" * 401),
+        ndjson_line("c0", author=""),
+        ndjson_line("c0", subreddit=""),
     ], ids=["true", "false", "fractional", "infinity", "invalid-utf8",
             "deep-nesting", "surrogate-author", "surrogate-url",
             "utf8-encoded-surrogate", "utf-16", "author-null",
             "subreddit-list", "id-true", "id-int", "body-null",
             "parent-list", "time-2**63", "time-401-digits", "time-1e300",
-            "time-401-digit-string"])
+            "time-401-digit-string", "author-empty", "subreddit-empty"])
     def test_bad_line_counts_as_malformed(self, line):
         ledger = StreamLedger()
         records = list(stream_comments([line, ndjson_line("c1")], ledger=ledger))
@@ -184,6 +186,8 @@ _FIELD_MUTATIONS = [
       for key in ("id", "author", "subreddit", "body")
       for value in (None, [], ["x"], True, 7, {}, _MISSING)),
     ("id", "", _MALFORMED),
+    ("author", "", _MALFORMED),
+    ("subreddit", "", _MALFORMED),
     ("body", "", ""),
     *(("created_utc", value, _MALFORMED)
       for value in (None, [1_451_606_400], True, False, {}, _MISSING, 0, -1,

@@ -35,8 +35,8 @@ _SCALING = {"scaling_laws", "state_attributes", "states", "stats_core"}
 # stage -> (newsgeo modules loaded, numpy loaded, scipy.special loaded)
 IMPORT_BUDGET = {
     "synth": ({"states", "synth"}, True, False),
-    "ingest": ({"corpus_ingest"}, False, False),
-    "classify": ({"corpus_ingest", "news_catalog"}, False, False),
+    "ingest": ({"corpus_ingest", "states"}, False, False),
+    "classify": ({"corpus_ingest", "news_catalog", "states"}, False, False),
     "geolocate": ({"corpus_ingest", "geolocation", "states", "stats_core"},
                   True, False),
     "attributes": ({"state_attributes", "states", "stats_core"}, True, True),

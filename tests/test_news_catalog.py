@@ -39,11 +39,10 @@ class TestLoadCatalog:
         # sharedsite.org is listed both fake and reputable
         assert catalog.entries["sharedsite.org"] == "fake"
 
-    def test_severity_is_idempotent_under_reload(self, catalog):
-        # re-load from the recorded provenance paths; labels come from names
-        seen = {p for paths in catalog.provenance.values() for p in paths}
-        files = [(p, p.rsplit("/", 1)[-1].removesuffix(".txt"))
-                 for p in sorted(seen)]
+    def test_severity_is_idempotent_under_reload(self, catalog, tmp_path):
+        # re-load the fixture's own files in path order; labels come from
+        # names
+        files = [(str(p), p.stem) for p in sorted(tmp_path.glob("*.txt"))]
         reloaded = load_catalog(files)
         assert reloaded.entries == catalog.entries
 

@@ -97,7 +97,7 @@ class TestLoad:
     def test_non_utf8_file_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"state,openness\nOH,1.0\n\xff\n")
-        with pytest.raises(FormatError, match="not UTF-8"):
+        with pytest.raises(FormatError, match="line 3 is not UTF-8"):
             load_attributes(str(path))
 
     def test_bad_swing_value_rejected(self, tmp_path):
