@@ -25,10 +25,11 @@ _NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 @contextlib.contextmanager
 def open_table(path):
-    """A csv.reader over `path`, decoded as strict UTF-8. A row the csv
+    """A csv.reader over `path`, decoded as strict UTF-8 with a leading
+    byte-order mark, as spreadsheet programs write, dropped. A row the csv
     module rejects, or a byte that is not UTF-8, raises FormatError naming
     the file and line."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             yield reader
@@ -43,7 +44,7 @@ def open_table(path):
 def _first_bad_line(path):
     """The number of the first line of `path` that holds a byte that is
     not UTF-8, counted as csv.reader counts lines."""
-    with open(path, newline="", encoding="utf-8",
+    with open(path, newline="", encoding="utf-8-sig",
               errors="surrogateescape") as fh:
         for n, line in enumerate(fh, 1):
             if _NOT_UTF8.search(line):

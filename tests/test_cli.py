@@ -197,7 +197,6 @@ def pipeline_digests(outdir):
     write this function's result for that directory as JSON, and keep only
     the entries the change declares."""
     import numpy
-    import scipy
     manifests = {}
     for name in sorted(os.listdir(os.path.join(outdir, "manifests"))):
         with open(os.path.join(outdir, "manifests", name)) as fh:
@@ -205,7 +204,7 @@ def pipeline_digests(outdir):
         manifests[name] = {key: manifest[key] for key in ("rows", "parameters")}
     return {
         "versions": {"python": sys.version.split()[0],
-                     "numpy": numpy.__version__, "scipy": scipy.__version__},
+                     "numpy": numpy.__version__},
         "files": {rel.replace(os.sep, "/"): hashlib.sha256(data).hexdigest()
                   for rel, data in sorted(artifact_bytes(outdir).items())},
         "manifests": manifests,
@@ -772,6 +771,13 @@ def test_mid_file_header_row_is_data(outdir, tmp_path, caplog):
     assert main(["geolocate", "--config", cfg, "--out-dir", out]) == 2
     assert f"geolocate: ConfigurationError: {path}: line 4: 'state' is " \
         "not one of the 50 states" in caplog.text
+
+
+def test_populations_led_by_a_byte_order_mark(tmp_path):
+    # spreadsheet programs lead a CSV export with one
+    path = tmp_path / "populations.csv"
+    path.write_bytes(b"\xef\xbb\xbfstate,population\r\nAL,100\r\nWY,7\r\n")
+    assert cli._read_populations(str(path)) == {"AL": 100, "WY": 7}
 
 
 def run_cli_process(*args):

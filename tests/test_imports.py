@@ -32,24 +32,24 @@ CONFIG = {
 _BASE = {"cli", "config", "errors"}
 _SCALING = {"scaling_laws", "state_attributes", "states", "stats_core"}
 
-# stage -> (newsgeo modules loaded, numpy loaded, scipy.special loaded)
+# stage -> (newsgeo modules loaded, numpy loaded); no stage loads scipy
 IMPORT_BUDGET = {
-    "synth": ({"states", "synth"}, True, False),
-    "ingest": ({"corpus_ingest", "states"}, False, False),
-    "classify": ({"corpus_ingest", "news_catalog", "states"}, False, False),
+    "synth": ({"states", "synth"}, True),
+    "ingest": ({"corpus_ingest", "states"}, False),
+    "classify": ({"corpus_ingest", "news_catalog", "states"}, False),
     "geolocate": ({"corpus_ingest", "geolocation", "states", "stats_core"},
-                  True, False),
-    "attributes": ({"state_attributes", "states", "stats_core"}, True, True),
+                  True),
+    "attributes": ({"state_attributes", "states", "stats_core"}, True),
     "scale": (_SCALING | {"corpus_ingest", "geolocation", "news_catalog"},
-              True, False),
-    "regress": (_SCALING, True, True),
+              True),
+    "regress": (_SCALING, True),
     "diffusion": ({"corpus_ingest", "diffusion", "geolocation",
-                   "news_catalog", "states"}, False, False),
+                   "news_catalog", "states"}, False),
     "connectivity": ({"corpus_ingest", "geolocation", "interaction",
-                      "states"}, False, False),
+                      "states"}, False),
     "contagion": ({"contagion", "diffusion", "state_attributes", "states",
-                   "stats_core"}, True, False),
-    "report": (set(), False, False),
+                   "stats_core"}, True),
+    "report": (set(), False),
 }
 
 _PROBE = """
@@ -61,7 +61,7 @@ print(json.dumps({
     "newsgeo": sorted(m.split(".", 1)[1] for m in sys.modules
                       if m.startswith("newsgeo.")),
     "numpy": "numpy" in sys.modules,
-    "scipy.special": "scipy.special" in sys.modules,
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
 }))
 """
 
@@ -92,11 +92,11 @@ def test_stage_imports_only_what_it_runs(pipeline, stage):
          "--out-dir", out],
         check=True, capture_output=True, text=True, env=_env())
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    modules, numpy, scipy_special = IMPORT_BUDGET[stage]
+    modules, numpy = IMPORT_BUDGET[stage]
     assert loaded["code"] == 0, proc.stderr
     assert set(loaded["newsgeo"]) == _BASE | modules
     assert loaded["numpy"] is numpy
-    assert loaded["scipy.special"] is scipy_special
+    assert loaded["scipy"] == []
 
 
 def test_package_serves_every_traced_layer():

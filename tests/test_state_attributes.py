@@ -100,6 +100,13 @@ class TestLoad:
         with pytest.raises(FormatError, match="line 3 is not UTF-8"):
             load_attributes(str(path))
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfstate,openness\nOH,1.5\n")
+        table = load_attributes(str(path))
+        assert table.columns == ["openness"]
+        assert table.values == {"OH": {"openness": 1.5}}
+
     def test_bad_swing_value_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         write_csv(path, ["state", "swing_state"], [["OH", 0.5]])

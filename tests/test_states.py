@@ -45,6 +45,13 @@ class TestReadTable:
         with pytest.raises(FormatError, match="line 3 is not UTF-8"):
             rows(tmp_path, b"WA,1,2\nTX,3,4\nCA\xe9,5,6\n")
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        bom = b"\xef\xbb\xbf"
+        assert rows(tmp_path, bom + b"state,lat,lon\nWA,1,2\n") == \
+            [(["WA", "1", "2"], "line 2")]
+        with pytest.raises(FormatError, match="line 2 is not UTF-8"):
+            rows(tmp_path, bom + b"WA,1,2\nCA\xe9,5,6\n")
+
     def test_oversized_field_names_the_line(self, tmp_path):
         with pytest.raises(FormatError, match="line 2: field larger"):
             rows(tmp_path, b"WA,1,2\nTX," + b"x" * 200_000 + b",4\n")
