@@ -23,6 +23,7 @@ from newsgeo.errors import (
 )
 from newsgeo.stats_core import (
     AIC_PERFECT_FIT,
+    _beta_fraction,
     _two_sided_p,
     aic_from_rss,
     ols_fit,
@@ -420,6 +421,12 @@ class TestPValues:
         assert p[:4].tolist() == [1.0, 1.0, 0.0, 0.0]
         assert math.isnan(p[4])
         assert math.isnan(_two_sided_p(math.nan, df))
+
+    def test_fraction_that_does_not_converge_raises(self):
+        # at x = 1 the fraction does not settle; the kernel's branch never
+        # passes it an x that close to 1
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            _beta_fraction(0.5, 0.5, 1.0)
 
     @pytest.mark.parametrize("t", [5e-324, 1e-300, 1e-12, 1e-8, -1e-8, 1e-6])
     def test_tiny_t_at_df_1(self, t):
