@@ -249,8 +249,7 @@ def stage_attributes(cfg, run):
     # run for its checks: a column with zero variance over the complete-case
     # states, or fewer than two such states, exits 1
     std_table, dropped = state_attributes.zscore(table, variables)
-    matrix = state_attributes.cross_correlation(table, variables,
-                                                alpha=cfg.alpha)
+    matrix = state_attributes.cross_correlation(table, variables, cfg.alpha)
     n_pairs = run.write_csv(
         "correlations.csv",
         ["var_a", "var_b", "r", "p", "insignificant", "available"],
@@ -336,7 +335,7 @@ def stage_diffusion(cfg, run):
                 reach_rows.append([label, unit, k, f"{fraction:.10g}"])
         for k in cfg.cascade_ks:
             stats = diffusion.cascade_times(walk.spreads, k,
-                                            qualify=cfg.reach_qualify)
+                                            cfg.reach_qualify)
             for label in sorted(stats):
                 st = stats[label]
                 time_rows.append([label, unit, k, f"{st.mean_days:.10g}",
@@ -366,15 +365,15 @@ def stage_connectivity(cfg, run):
     # (pipebench/tracer.py) counts them from the first positional argument
     pairs = interaction.build_interaction_pairs(
         _read_records(replies_path, corpus_ingest.Reply), locations,
-        scope=cfg.scope, state_subreddits=state_subs)
-    profile = interaction.connectivity_profile(
-        pairs, locations, centroids, bin_km=cfg.bin_km, scope=cfg.scope)
+        cfg.scope, state_subs)
+    bins = interaction.connectivity_profile(pairs, locations, centroids,
+                                            cfg.bin_km)
     run.write_csv("connectivity.csv",
                   ["scope", "d_km", "interacting_pairs", "possible_pairs",
                    "connectivity"],
-                  [[profile.scope, b.d_km, b.interacting_pairs,
+                  [[cfg.scope, b.d_km, b.interacting_pairs,
                     b.possible_pairs, f"{b.connectivity:.10g}"]
-                   for b in profile.bins])
+                   for b in bins])
     run.write_json("connectivity_meta.json", {
         "scope": cfg.scope, "bin_km": cfg.bin_km,
         "unresolved_parents": pairs.unresolved_parents,
@@ -385,7 +384,7 @@ def stage_connectivity(cfg, run):
         "denominator": "exact per-bin pair count",
     })
     return ({"scope": cfg.scope, "bin_km": cfg.bin_km},
-            {"bins": len(profile.bins), "pairs": len(pairs.counts),
+            {"bins": len(bins), "pairs": len(pairs.counts),
              "pair_events": sum(pairs.counts.values()),
              "unresolved_parents": pairs.unresolved_parents,
              "skipped": pairs.skipped, "self_replies": pairs.self_replies})
@@ -401,15 +400,14 @@ def stage_contagion(cfg, run):
     summary = {}
     scores = {}  # pagerank.csv column -> state -> score
     for label in config_mod.LABELS:
-        graph = contagion.infer_state_network(
-            exposures, label, min_states=cfg.min_states,
-            rule=cfg.rule)
+        graph = contagion.infer_state_network(exposures, label,
+                                              cfg.min_states, cfg.rule)
         entry = {"urls": graph.metadata["urls"],
                  "edges": len(graph.edges),
                  "total_weight": graph.total_weight(),
                  "rule": cfg.rule}
         if graph.edges:
-            scores[label] = contagion.pagerank(graph, damping=cfg.damping)
+            scores[label] = contagion.pagerank(graph, cfg.damping)
             if len(graph.edges) >= 2:
                 entry["assortativity"] = {}
                 for var in ("cultural_tightness", "republican", "population",

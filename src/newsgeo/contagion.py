@@ -24,8 +24,6 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-RULES = ("chain", "star")
-
 
 @dataclass
 class StateGraph:
@@ -52,14 +50,12 @@ class StateGraph:
 def infer_state_network(
     exposures: Iterable[FirstExposure],
     news_type: str,
-    min_states: int = 5,
-    rule: str = "chain",
+    min_states: int,
+    rule: str,
 ) -> StateGraph:
-    """Accumulate directed first-exposure edges over qualifying URLs."""
-    if rule not in RULES:
-        raise ValueError(f"unknown inference rule {rule!r}")
-    graph = StateGraph(metadata={"news_type": news_type, "rule": rule,
-                                 "min_states": min_states, "urls": 0})
+    """Accumulate directed first-exposure edges over qualifying URLs, the
+    chain rule or else the star rule; `metadata["urls"]` counts them."""
+    graph = StateGraph(metadata={"urls": 0})
     for exposure in exposures:
         if exposure.label != news_type:
             continue
@@ -79,7 +75,7 @@ def infer_state_network(
     return graph
 
 
-def pagerank(graph: StateGraph, damping: float = 0.85) -> dict[str, float]:
+def pagerank(graph: StateGraph, damping: float) -> dict[str, float]:
     """Weighted PageRank with out-weight-proportional transitions and
     uniform redistribution of dangling mass. Scores sum to 1.
 

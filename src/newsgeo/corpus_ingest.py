@@ -37,15 +37,11 @@ class Comment:
     body: str
     parent_id: str | None = None
 
-    @property
-    def is_deleted_author(self) -> bool:
-        return self.author == DELETED_AUTHOR
-
 
 @dataclass(slots=True)
 class UrlMention:
     comment_id: str
-    author: str
+    author: str | None
     created_utc: int
     url: str
     host: str
@@ -272,7 +268,8 @@ def iter_url_mentions(
     *,
     ledger: StreamLedger | None = None,
 ) -> Iterator[UrlMention]:
-    """A UrlMention for every URL in each record's body, in order.
+    """A UrlMention for every URL in each record's body, in order, with no
+    author for a comment by the deleted-author sentinel.
 
     A URL with no host (`http:///x`) is skipped and counted on `ledger`, so
     URLs extracted = mentions + `ledger.urls_without_host`.
@@ -283,6 +280,9 @@ def iter_url_mentions(
         body = rec.body
         if "://" not in body:
             continue
+        author = rec.author
+        if author == DELETED_AUTHOR:
+            author = None
         for url in extract_urls(body):
             host = host_of(url)
             if host is None:
@@ -290,7 +290,7 @@ def iter_url_mentions(
                 continue
             yield UrlMention(
                 comment_id=rec.comment_id,
-                author=rec.author,
+                author=author,
                 created_utc=rec.created_utc,
                 url=url,
                 host=host,

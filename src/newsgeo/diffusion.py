@@ -15,16 +15,10 @@ if TYPE_CHECKING:
 SECONDS_PER_DAY = 86_400.0
 
 UNITS = ("authors", "states")
+# unit -> the getter of the event field it counts: the author (None when
+# deleted), or the state (None when untagged)
 _UNIT_OF = {"authors": operator.attrgetter("author"),
             "states": operator.attrgetter("state")}
-
-
-def _unit_of(unit):
-    """The getter of the event field that `unit` counts: the author, or the
-    state (None when untagged)."""
-    if unit not in _UNIT_OF:
-        raise ValueError(f"unknown unit {unit!r}")
-    return _UNIT_OF[unit]
 
 
 # total order of a timeline: timestamp, then comment id for stable ties
@@ -34,7 +28,7 @@ _EVENT_ORDER = operator.attrgetter("created_utc", "comment_id")
 @dataclass(slots=True)
 class TimelineEvent:
     created_utc: int
-    author: str
+    author: str | None
     state: str | None
     comment_id: str
 
@@ -58,9 +52,10 @@ class UrlTimeline:
         self.events.sort(key=_EVENT_ORDER)
 
     def spread(self, unit: str) -> Spread:
-        """One walk over the sorted events. A state unit skips untagged
-        events; the seconds count from the first event, tagged or not."""
-        unit_of = _unit_of(unit)
+        """One walk over the sorted events. An event without the unit (an
+        untagged state, a deleted author) is skipped; the seconds count from
+        the first event, with the unit or not."""
+        unit_of = _UNIT_OF[unit]
         units: list[str] = []
         seconds: list[int] = []
         if self.events:
@@ -132,9 +127,10 @@ class UnitWalk:
 
 def walk(timelines: Iterable[UrlTimeline], unit: str) -> UnitWalk:
     """Walk each timeline once over `unit`. A one-event timeline, which most
-    URLs have, reaches one unit (none for an untagged state) and builds no
-    spread, which keeps the walk from allocating an object per URL."""
-    unit_of = _unit_of(unit)
+    URLs have, reaches one unit (none if its event lacks the unit) and
+    builds no spread, which keeps the walk from allocating an object per
+    URL."""
+    unit_of = _UNIT_OF[unit]
     result = UnitWalk()
     for tl in timelines:
         if len(tl.events) == 1:
@@ -167,9 +163,9 @@ def reach_distribution(
     units, for k = 1, 2, ... up to the observed maximum.
 
     `reaches` maps each news type to the reach of each of its URLs that
-    reached a unit (`UnitWalk.reaches`). For states a URL with no geotagged
-    event is left out of the denominator, so the curve starts at exactly
-    1.0.
+    reached a unit (`UnitWalk.reaches`). A URL with no event of the unit
+    (for states no geotagged event, for authors only deleted ones) is left
+    out of the denominator, so the curve starts at exactly 1.0.
     """
     curves: dict[str, list[tuple[int, float]]] = {}
     for label, values in sorted(reaches.items()):
@@ -188,8 +184,6 @@ def reach_distribution(
 
 @dataclass
 class CascadeStat:
-    label: str
-    k: int
     mean_days: float
     median_days: float
     n_urls: int
@@ -198,31 +192,25 @@ class CascadeStat:
 def cascade_times(
     spreads: Iterable[Spread],
     k: int,
-    qualify: str = "at_least",
+    qualify: str,
 ) -> dict[str, CascadeStat]:
     """Mean and median time-to-reach-k (in days) per news type, from the
     `UnitWalk.spreads` of one unit: a URL of reach below 2 never qualifies.
 
     `qualify` selects the population: "at_least" takes every URL that
-    reached k or more distinct units (the default), "exactly" only those
-    that stopped at exactly k. Empty result for types with no qualifier.
+    reached k or more distinct units, "exactly" only those that stopped at
+    exactly k. Empty result for types with no qualifier.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if qualify not in ("at_least", "exactly"):
-        raise ValueError(f"unknown qualifier {qualify!r}")
     per_label: dict[str, list[float]] = {}
     for tl, units, seconds in spreads:
         reach = len(units)
-        if (qualify == "at_least" and reach < k) or \
-           (qualify == "exactly" and reach != k):
+        if reach < k or (reach > k and qualify == "exactly"):
             continue
         per_label.setdefault(tl.label, []).append(
             float(seconds[k - 1]) / SECONDS_PER_DAY)
     out: dict[str, CascadeStat] = {}
     for label, days in sorted(per_label.items()):
         out[label] = CascadeStat(
-            label=label, k=k,
             mean_days=sum(days) / len(days),
             median_days=statistics.median(days),
             n_urls=len(days),

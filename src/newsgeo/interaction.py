@@ -20,8 +20,6 @@ from .states import by_state, number, read_table, state_code
 
 EARTH_RADIUS_KM = 6371.0
 
-SCOPES = ("all_subreddits", "non_location_subreddits")
-
 
 def load_centroids(path: str) -> dict[str, tuple[float, float]]:
     """Table `state,lat,lon` -> state -> (lat, lon) in degrees; FormatError
@@ -78,8 +76,8 @@ class PairSet:
 def build_interaction_pairs(
     replies: Iterable[Reply],
     locations: dict[str, UserLocation],
-    scope: str = "all_subreddits",
-    state_subreddits: dict[str, str] | None = None,
+    scope: str,
+    state_subreddits: dict[str, str],
 ) -> PairSet:
     """Extract the unordered reply-pair set between geotagged users.
 
@@ -88,10 +86,6 @@ def build_interaction_pairs(
     reply inside a state-mapped subreddit under the non-location scope; the
     possible-pair denominator is unaffected).
     """
-    if scope not in SCOPES:
-        raise ConfigurationError(f"unknown scope {scope!r}")
-    if scope == "non_location_subreddits" and state_subreddits is None:
-        raise ConfigurationError("non-location scope needs the subreddit map")
     pairs = PairSet()
     for rec in replies:
         if scope == "non_location_subreddits" and \
@@ -125,13 +119,6 @@ class ConnectivityBin:
         return self.interacting_pairs / self.possible_pairs
 
 
-@dataclass
-class ConnectivityProfile:
-    scope: str
-    bin_km: float
-    bins: list[ConnectivityBin]
-
-
 def _bin_of(distance: float, same_state: bool, bin_km: float) -> float:
     """Bin of a pair: 0 within a state, else the centroid distance rounded
     to the nearest multiple of `bin_km`, halves up (150 km -> 200 at 100 km
@@ -146,9 +133,8 @@ def connectivity_profile(
     pairs: PairSet,
     locations: dict[str, UserLocation],
     centroids: dict[str, tuple[float, float]],
-    bin_km: float = 100.0,
-    scope: str = "all_subreddits",
-) -> ConnectivityProfile:
+    bin_km: float,
+) -> list[ConnectivityBin]:
     """Interacting vs possible geotagged pairs per distance bin.
 
     Possible pairs are counted exactly: C(n, 2) within a state (bin 0) and
@@ -175,10 +161,9 @@ def connectivity_profile(
         key = _bin_of(d, same_state=same, bin_km=bin_km)
         interacting[key] = interacting.get(key, 0) + 1
 
-    bins = [
+    return [
         ConnectivityBin(d_km=d, interacting_pairs=interacting.get(d, 0),
                         possible_pairs=n)
         for d, n in sorted(possible.items())
         if n > 0
     ]
-    return ConnectivityProfile(scope=scope, bin_km=bin_km, bins=bins)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .config import LABELS
-from .corpus_ingest import DELETED_AUTHOR, UrlMention
+from .corpus_ingest import UrlMention
 from .errors import ConfigurationError, FormatError
 
 logger = logging.getLogger(__name__)
@@ -34,7 +34,7 @@ class DomainCatalog:
 @dataclass(slots=True)
 class NewsComment:
     comment_id: str
-    author: str
+    author: str | None
     created_utc: int
     url: str
     label: str
@@ -91,7 +91,8 @@ def load_catalog(label_files: list[tuple[str, str]]) -> DomainCatalog:
         if label not in _SEVERITY:
             raise ConfigurationError(f"unknown news label {label!r}")
         try:
-            with open(path, encoding="utf-8") as fh:
+            # drop a leading byte-order mark, as spreadsheet programs write
+            with open(path, encoding="utf-8-sig") as fh:
                 lines = fh.readlines()
         except UnicodeDecodeError:
             raise FormatError(f"{path} is not UTF-8") from None
@@ -130,10 +131,10 @@ def classify_mentions(
 
     When `tallies` is given (label -> TypeTally), comment-level tallies are
     accumulated in place: a comment counts once per news type even if it
-    holds several same-type URLs. The deleted-author sentinel counts for
-    comment/site/url tallies but never as a user. Mentions read and mentions
-    left unmatched are counted on `ledger`, so mentions read = NewsComments
-    emitted + `ledger.unmatched`.
+    holds several same-type URLs. A mention with no author (a deleted one)
+    counts for comment/site/url tallies but never as a user. Mentions read
+    and mentions left unmatched are counted on `ledger`, so mentions read =
+    NewsComments emitted + `ledger.unmatched`.
     """
     led = ledger if ledger is not None else MatchLedger()
     domains: dict[str, str | None] = {}   # host -> match_host(host)
@@ -150,7 +151,7 @@ def classify_mentions(
         if tallies is not None:
             tally = tallies.setdefault(label, TypeTally())
             tally.comments.add(mention.comment_id)
-            if mention.author != DELETED_AUTHOR:
+            if mention.author is not None:
                 tally.users.add(mention.author)
             tally.sites.add(domain)
             tally.urls.add(mention.url)

@@ -138,16 +138,14 @@ def zscore(
 
 @dataclass
 class CorrelationMatrix:
-    variables: list[str]
     r: np.ndarray
     p: np.ndarray
     insignificant: np.ndarray    # bool, p >= alpha
     available: np.ndarray        # bool, enough complete pairs
-    alpha: float = 0.05
 
 
 def cross_correlation(
-    table: StateAttributeTable, variables: list[str], alpha: float = 0.05
+    table: StateAttributeTable, variables: list[str], alpha: float
 ) -> CorrelationMatrix:
     """Pairwise-complete Pearson r and two-sided p for every variable pair."""
     m = len(variables)
@@ -169,5 +167,4 @@ def cross_correlation(
             p[i, j] = p[j, i] = pij
             if pij >= alpha:
                 insig[i, j] = insig[j, i] = True
-    return CorrelationMatrix(variables=list(variables), r=r, p=p,
-                             insignificant=insig, available=avail, alpha=alpha)
+    return CorrelationMatrix(r=r, p=p, insignificant=insig, available=avail)

@@ -163,11 +163,12 @@ def _two_sided_p(t, df):
     return np.vectorize(_t_two_sided, otypes=[float])(t, df)
 
 
-def aic_from_rss(n: int, rss: float, edf: int) -> tuple[float, bool]:
-    """AIC = n*ln(RSS/n) + 2*edf (extract-AIC convention, constants dropped)."""
+def aic_from_rss(n: int, rss: float, edf: int) -> float:
+    """AIC = n*ln(RSS/n) + 2*edf (extract-AIC convention, constants dropped);
+    AIC_PERFECT_FIT for a fit with no residual."""
     if rss <= 0.0:
-        return AIC_PERFECT_FIT, True
-    return n * math.log(rss / n) + 2.0 * edf, False
+        return AIC_PERFECT_FIT
+    return n * math.log(rss / n) + 2.0 * edf
 
 
 def ols_fit(
@@ -223,7 +224,7 @@ def ols_fit(
         df_resid=df_resid,
         fstat=fstat,
         df_model=k,
-        aic=aic_from_rss(n, rss, k + 1)[0],
+        aic=aic_from_rss(n, rss, k + 1),
         residuals=residuals,
         fitted=fitted,
         n=n,
@@ -339,7 +340,7 @@ def step_aic(
         # a move is scored by its AIC alone; only the start and the
         # selected model get a full ols_fit
         rss = _least_squares(design_of(subset), y, subset)[-1]
-        return aic_from_rss(n, rss, len(subset) + 1)[0]
+        return aic_from_rss(n, rss, len(subset) + 1)
 
     current: tuple[str, ...] = tuple(names)
     start_fit = ols_fit(design_of(current), y, names=list(current))

@@ -4,10 +4,15 @@ import os
 import numpy as np
 import pytest
 
+from newsgeo.config import RunConfig
 from newsgeo.corpus_ingest import (Comment, SubredditCount, note_comments,
                                    resolve_reply)
 from newsgeo.geolocation import resolve_assignments, tally_user_states
 from newsgeo.news_catalog import load_catalog
+
+# the analysis parameters a run takes when its config sets none; a test that
+# does not vary a parameter takes it from here
+DEFAULTS = RunConfig()
 
 
 def make_record(comment_id, author="alice", subreddit="general",

@@ -27,7 +27,7 @@ from newsgeo.scaling_laws import circulation_residual
 from newsgeo.stats_core import classify_exponent, fit_scaling, ols_fit, step_aic
 from newsgeo.states import STATE_CODES
 
-from conftest import artifact_bytes, assign_states, make_record
+from conftest import DEFAULTS, artifact_bytes, assign_states, make_record
 from test_contagion import pagerank_dense_oracle, random_graph
 from test_contagion import exposure
 from test_stats_core import (exhaustive_best_subset_aic, ols_normal_equations,
@@ -210,24 +210,25 @@ def test_criterion_06_connectivity(capsys):
             if rng.random() < p:
                 pairs.add(a, b)
                 chosen.add((a, b))
-        profile = connectivity_profile(pairs, locations, centroids)
+        bin_km = DEFAULTS.bin_km
+        bins = connectivity_profile(pairs, locations, centroids, bin_km)
         # brute-force all-pairs oracle for both numerator and denominator
         possible = {}
         interacting = {}
         for a, b in itertools.combinations(names, 2):
             d = centroid_distance(users[a], users[b], centroids)
-            key = 0.0 if users[a] == users[b] else round(d / 100) * 100.0
+            key = 0.0 if users[a] == users[b] else \
+                round(d / bin_km) * bin_km
             possible[key] = possible.get(key, 0) + 1
             if (a, b) in chosen:
                 interacting[key] = interacting.get(key, 0) + 1
-        for b_ in profile.bins:
+        for b_ in bins:
             assert b_.possible_pairs == possible[b_.d_km]
             assert b_.interacting_pairs == interacting.get(b_.d_km, 0)
         n = len(names)
-        assert sum(b_.possible_pairs for b_ in profile.bins) == \
-            n * (n - 1) // 2
-        xs = [math.log(b_.d_km) for b_ in profile.bins if b_.d_km > 0]
-        ys = [math.log(b_.connectivity) for b_ in profile.bins if b_.d_km > 0]
+        assert sum(b_.possible_pairs for b_ in bins) == n * (n - 1) // 2
+        xs = [math.log(b_.d_km) for b_ in bins if b_.d_km > 0]
+        ys = [math.log(b_.connectivity) for b_ in bins if b_.d_km > 0]
         slope = ols_fit(np.array(xs), np.array(ys),
                         names=["logd"]).coefficient_of("logd")
         assert slope == pytest.approx(-gamma, abs=0.1)
@@ -257,7 +258,8 @@ def test_criterion_07_diffusion(capsys):
         tls = [_random_timeline(rng, f"u{i}", int(rng.integers(1, 8)),
                                 n_authors=5) for i in range(500)]
         for k in (2, 3, 4):
-            stats = cascade_times(walk(tls, "authors").spreads, k)
+            stats = cascade_times(walk(tls, "authors").spreads, k,
+                                  qualify="at_least")
             expected = []
             for tl in tls:
                 events = sorted((e.created_utc, e.comment_id, e.author)
@@ -297,9 +299,9 @@ def test_criterion_08_contagion(capsys):
         assert star.total_weight() == pytest.approx(total)
         for _ in range(50):
             graph = random_graph(rng)
-            scores = pagerank(graph)
+            scores = pagerank(graph, DEFAULTS.damping)
             assert sum(scores.values()) == pytest.approx(1.0, abs=1e-12)
-            oracle = pagerank_dense_oracle(graph)
+            oracle = pagerank_dense_oracle(graph, DEFAULTS.damping)
             for s in graph.nodes:
                 assert scores[s] == pytest.approx(oracle[s], abs=1e-8)
         graph = random_graph(rng, n=12)

@@ -7,6 +7,7 @@ import inspect
 import io
 import json
 import os
+import pkgutil
 import re
 import shutil
 import subprocess
@@ -16,15 +17,17 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import newsgeo
 from newsgeo import cli, errors
 from newsgeo.cli import STAGES, main
 from newsgeo.config import RunConfig, config_from_dict, config_load
-from newsgeo.corpus_ingest import (Reply, StreamLedger, SubredditCount,
-                                   extract_urls, stream_comments)
+from newsgeo.corpus_ingest import (DELETED_AUTHOR, Reply, StreamLedger,
+                                   SubredditCount, extract_urls,
+                                   stream_comments)
 from newsgeo.errors import ConfigurationError, NewsgeoError
 from newsgeo.synth import SynthConfig
 
-from conftest import artifact_bytes
+from conftest import DEFAULTS, artifact_bytes, make_record
 
 
 PIPELINE_CONFIG = {
@@ -98,6 +101,30 @@ def test_every_config_field_is_read_by_the_cli():
                  if f.name.startswith("catalog_")}
     unread = {f.name for f in dataclasses.fields(RunConfig)} - read
     assert not unread, f"config keys never read by a stage: {sorted(unread)}"
+
+
+def test_only_the_config_defaults_an_analysis_parameter():
+    # a value defaulted in two places can drift apart: RunConfig holds each
+    # default, and every other function takes the value from its caller
+    names = {f.name for f in dataclasses.fields(RunConfig)} | {"qualify"}
+    defaulted = []
+    for info in pkgutil.iter_modules(newsgeo.__path__):
+        if info.name == "config":
+            continue
+        module = getattr(newsgeo, info.name)
+        public = [obj for name, obj in vars(module).items()
+                  if not name.startswith("_") and
+                  getattr(obj, "__module__", None) == module.__name__]
+        functions = [obj for obj in public if inspect.isfunction(obj)] + [
+            fn for cls in public if inspect.isclass(cls)
+            for name, fn in vars(cls).items()
+            if inspect.isfunction(fn) and not name.startswith("_")]
+        defaulted += [f"{fn.__module__}.{fn.__qualname__}({name})"
+                      for fn in functions
+                      for name, param in inspect.signature(fn)
+                      .parameters.items()
+                      if name in names and param.default is not param.empty]
+    assert not defaulted, f"defaults outside RunConfig: {defaulted}"
 
 
 def readme_config_tables():
@@ -539,7 +566,8 @@ class TestStageInputs:
             outdir, "manifests", "connectivity.json")).read())["rows"]
         with open(os.path.join(outdir, "synth", "archive.ndjson"), "rb") as fh:
             replies = sum(1 for r in stream_comments(fh)
-                          if r.parent_id is not None and not r.is_deleted_author)
+                          if r.parent_id is not None and
+                          r.author != DELETED_AUTHOR)
         assert replies == rows["pair_events"] + rows["unresolved_parents"] + \
             rows["skipped"] + rows["self_replies"]
 
@@ -576,7 +604,7 @@ def test_every_reply_drop_is_counted(outdir, tmp_path):
     archive = os.path.join(out, "synth", "archive.ndjson")
     with open(archive, "rb") as fh:
         parent = next(r for r in stream_comments(fh)
-                      if not r.is_deleted_author)
+                      if r.author != DELETED_AUTHOR)
     with open(archive, "a", encoding="utf-8") as fh:
         for i, (author, parent_id) in enumerate([
                 (parent.author, "t3_post1"),                # a post
@@ -619,7 +647,7 @@ def test_created_utc_bound_holds_through_all(outdir, tmp_path):
     archive = os.path.join(out, "synth", "archive.ndjson")
     with open(archive, "rb") as fh:
         news = next(r for r in stream_comments(fh)
-                    if extract_urls(r.body) and not r.is_deleted_author)
+                    if extract_urls(r.body) and r.author != DELETED_AUTHOR)
     with open(archive, "a", encoding="utf-8") as fh:
         for comment_id, created in (("late", 2**63 - 1), ("huge", 10**400)):
             fh.write(json.dumps({"id": comment_id, "author": news.author,
@@ -739,8 +767,9 @@ def test_pagerank_table_leaves_unscored_cells_empty(tmp_path, reputable,
         header, *rows = csv.reader(fh)
     assert header == ["state", "fake", "lowcred", "satire", "reputable",
                       "reputable_minus_lowcred"]
-    scores = {label: pagerank(infer_state_network(exposures, label,
-                                                  min_states=2))
+    scores = {label: pagerank(infer_state_network(exposures, label, 2,
+                                                  DEFAULTS.rule),
+                              DEFAULTS.damping)
               for label in ("fake", "lowcred", "reputable")}
     reputable_states = set(reputable.split())
     assert [row[0] for row in rows] == ["CA", "NY", "TX"]
@@ -1020,6 +1049,45 @@ def test_comment_rows_round_trip(replies):
             len(replies)
         path = os.path.join(tmp, "replies.csv")
         assert list(cli._read_records(path, Reply)) == replies
+
+
+def test_deleted_author_is_no_reached_author(tmp_path, catalog):
+    # u1 is posted by alice and by [deleted], u2 by [deleted] alone. Ingest
+    # writes [deleted] as an empty author, which the stages after it read
+    # back as no author: u1 reaches one author, and u2 none, so it leaves
+    # the authors denominator as an untagged URL leaves the states one
+    from newsgeo import corpus_ingest, diffusion, news_catalog
+    from newsgeo.geolocation import UserLocation
+    records = [
+        make_record("c1", author="alice", created_utc=100,
+                    body="https://fakery.com/u1"),
+        make_record("c2", author=DELETED_AUTHOR, created_utc=200,
+                    body="https://fakery.com/u1"),
+        make_record("c3", author=DELETED_AUTHOR, created_utc=300,
+                    body="https://fakery.com/u2")]
+    run = cli.Run(str(tmp_path))
+    run.write_records("mentions.csv", corpus_ingest.UrlMention,
+                      corpus_ingest.iter_url_mentions(records))
+    tallies = {}
+    run.write_records("news_comments.csv", news_catalog.NewsComment,
+                      news_catalog.classify_mentions(
+                          cli._read_records(str(tmp_path / "mentions.csv"),
+                                            corpus_ingest.UrlMention),
+                          catalog, tallies))
+    for name in ("mentions.csv", "news_comments.csv"):
+        with open(tmp_path / name, newline="", encoding="utf-8") as fh:
+            assert [row[1] for row in csv.reader(fh)] == \
+                ["author", "alice", "", ""], name
+    assert tallies["fake"].counts()["unique_users"] == 1
+    timelines = diffusion.build_url_timelines(
+        cli._read_records(str(tmp_path / "news_comments.csv"),
+                          news_catalog.NewsComment),
+        {"alice": UserLocation("alice", "AL")})
+    for unit in diffusion.UNITS:
+        walked = diffusion.walk(timelines.values(), unit)
+        assert walked.reaches == {"fake": [1]}, unit
+        # and so no cascade time, which is read from the spreads alone
+        assert walked.spreads == [], unit
 
 
 @pytest.mark.parametrize("old,new", [

@@ -12,6 +12,8 @@ from newsgeo.diffusion import (TimelineEvent, UrlTimeline, first_exposures,
                                walk)
 from newsgeo.errors import AlignmentError, UndefinedCorrelationError
 
+from conftest import DEFAULTS
+
 
 def exposure(url, label, state_order, start=0, gap=100):
     """The first-exposure record `diffusion` writes for a URL whose i-th
@@ -37,7 +39,7 @@ def random_graph(rng, n=10, p=0.5):
     return graph
 
 
-def pagerank_dense_oracle(graph, damping=0.85, iterations=500):
+def pagerank_dense_oracle(graph, damping, iterations=500):
     """Dense power iteration on the explicit Google matrix."""
     nodes = graph.nodes
     n = len(nodes)
@@ -63,7 +65,8 @@ def pagerank_dense_oracle(graph, damping=0.85, iterations=500):
 class TestInference:
     def test_chain_rule_edges(self):
         record = exposure("u", "fake", ["CA", "TX", "NY"])
-        graph = infer_state_network([record], "fake", min_states=2)
+        graph = infer_state_network([record], "fake", min_states=2,
+                                    rule="chain")
         assert graph.edges == {("CA", "TX"): 1.0, ("TX", "NY"): 1.0}
 
     def test_star_rule_edges(self):
@@ -75,7 +78,8 @@ class TestInference:
     def test_min_states_cut(self):
         records = [exposure("u1", "fake", ["CA", "TX"]),
                    exposure("u2", "fake", ["CA", "TX", "NY", "WA", "OH"])]
-        graph = infer_state_network(records, "fake", min_states=5)
+        graph = infer_state_network(records, "fake", min_states=5,
+                                    rule=DEFAULTS.rule)
         assert graph.metadata["urls"] == 1
 
     def test_repeat_posts_after_first_exposure_ignored(self):
@@ -86,7 +90,8 @@ class TestInference:
         assert tl.spread("states")[1] == ["CA", "TX", "NY"]
         [record] = first_exposures(walk([tl], "states").spreads)
         assert record.states == "CA TX NY"
-        graph = infer_state_network([record], "fake", min_states=2)
+        graph = infer_state_network([record], "fake", min_states=2,
+                                    rule="chain")
         assert graph.edges == {("CA", "TX"): 1.0, ("TX", "NY"): 1.0}
 
     def test_rule_invariant_total_weight(self, rng):
@@ -115,11 +120,13 @@ class TestInference:
             records.append(exposure(f"u{u}", "fake", order))
             for a, b in zip(order, order[1:]):
                 expected[(a, b)] = expected.get((a, b), 0.0) + 1.0
-        graph = infer_state_network(records, "fake", min_states=2)
+        graph = infer_state_network(records, "fake", min_states=2,
+                                    rule="chain")
         assert graph.edges == expected
 
     def test_empty_graph_diagnostic(self):
-        graph = infer_state_network([], "fake")
+        graph = infer_state_network([], "fake", DEFAULTS.min_states,
+                                    DEFAULTS.rule)
         assert graph.edges == {}
         assert graph.metadata["urls"] == 0
 
@@ -132,36 +139,37 @@ class TestPagerank:
             for b in nodes:
                 if a != b:
                     graph.add_edge(a, b, 1.0)
-        scores = pagerank(graph)
+        scores = pagerank(graph, DEFAULTS.damping)
         for s in nodes:
             assert scores[s] == pytest.approx(0.25, abs=1e-10)
 
     def test_sink_attracts_mass(self):
         graph = StateGraph()
         graph.add_edge("A", "B", 1.0)
-        scores = pagerank(graph)
+        scores = pagerank(graph, DEFAULTS.damping)
         assert scores["B"] > scores["A"]
         assert sum(scores.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_dense_oracle(self, rng):
         for _ in range(20):
             graph = random_graph(rng)
-            scores = pagerank(graph)
-            oracle = pagerank_dense_oracle(graph)
+            scores = pagerank(graph, DEFAULTS.damping)
+            oracle = pagerank_dense_oracle(graph, DEFAULTS.damping)
             for s in graph.nodes:
                 assert scores[s] == pytest.approx(oracle[s], abs=1e-8)
 
     def test_invariant_under_weight_scaling(self, rng):
         graph = random_graph(rng)
         scaled = StateGraph(edges={e: 17.0 * w for e, w in graph.edges.items()})
-        a = pagerank(graph)
-        b = pagerank(scaled)
+        a = pagerank(graph, DEFAULTS.damping)
+        b = pagerank(scaled, DEFAULTS.damping)
         for s in graph.nodes:
             assert a[s] == pytest.approx(b[s], abs=1e-10)
 
     def test_scores_sum_to_one(self, rng):
         graph = random_graph(rng)
-        assert sum(pagerank(graph).values()) == pytest.approx(1.0, abs=1e-12)
+        scores = pagerank(graph, DEFAULTS.damping)
+        assert sum(scores.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDifferential:
@@ -171,7 +179,7 @@ class TestDifferential:
 
     def test_differentials_sum_to_zero(self, rng):
         graph = random_graph(rng)
-        a = pagerank(graph, damping=0.85)
+        a = pagerank(graph, DEFAULTS.damping)
         b = pagerank(graph, damping=0.7)
         diff = pagerank_differential(a, b)
         assert sum(diff.values()) == pytest.approx(0.0, abs=1e-12)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from newsgeo.corpus_ingest import (
+    DELETED_AUTHOR,
     StreamLedger,
     Reply,
     _parse_line,
@@ -72,7 +73,7 @@ class TestStreamComments:
         lines = [ndjson_line("c0", author="[deleted]")]
         ledger = StreamLedger()
         records = list(stream_comments(lines, ledger=ledger))
-        assert records[0].is_deleted_author
+        assert records[0].author == DELETED_AUTHOR
         assert ledger.deleted_author == 1
 
     def test_mostly_garbage_raises_format_error(self):
@@ -306,6 +307,15 @@ def test_every_extracted_url_is_a_mention_or_counted(rng):
     assert planted > 0
     assert ledger.urls_without_host == planted
     assert extracted == len(mentions) + ledger.urls_without_host
+
+
+def test_deleted_author_mention_has_no_author():
+    # the deleted-author sentinel is no user; its URLs are still mentions
+    records = [make_record("c0", author=DELETED_AUTHOR,
+                           body="https://a.com/x https://b.com/y"),
+               make_record("c1", body="https://a.com/z")]
+    assert [(m.comment_id, m.author) for m in iter_url_mentions(records)] == \
+        [("c0", None), ("c0", None), ("c1", "alice")]
 
 
 def noted_authors(records):

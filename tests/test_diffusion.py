@@ -18,6 +18,8 @@ from newsgeo.diffusion import (
 from newsgeo.geolocation import UserLocation
 from newsgeo.news_catalog import NewsComment
 
+from conftest import DEFAULTS
+
 
 def event(ts, author, state, cid):
     return TimelineEvent(created_utc=ts, author=author, state=state,
@@ -146,17 +148,15 @@ class TestCascadeTimes:
         tls = [timeline("u", "fake",
                         [event(0, "a", "WA", "c1"),
                          event(86_400, "b", "CA", "c2")])]
-        stats = cascade_times(walk(tls, "states").spreads, 2)
+        stats = cascade_times(walk(tls, "states").spreads, 2,
+                              DEFAULTS.reach_qualify)
         assert stats["fake"].mean_days == pytest.approx(1.0)
         assert stats["fake"].median_days == pytest.approx(1.0)
 
     def test_no_qualifier_empty(self):
         tls = [timeline("u", "fake", [event(0, "a", "WA", "c1")])]
-        assert cascade_times(walk(tls, "states").spreads, 2) == {}
-
-    def test_k_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            cascade_times([], 1)
+        assert cascade_times(walk(tls, "states").spreads, 2,
+                             DEFAULTS.reach_qualify) == {}
 
     def test_exactly_filter(self):
         two = timeline("u1", "fake", [event(0, "a", "WA", "c1"),
@@ -192,7 +192,8 @@ class TestCascadeTimes:
                        f"a{int(rng.integers(0, 5))}", None, f"c{i}_{j}")
                  for j in range(k)]))
         for k in (2, 3, 4):
-            stats = cascade_times(walk(tls, "authors").spreads, k)
+            stats = cascade_times(walk(tls, "authors").spreads, k,
+                                  qualify="at_least")
             # oracle: recompute from raw event lists
             expected = []
             for tl in tls:

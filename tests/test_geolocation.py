@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from newsgeo.corpus_ingest import SubredditCount
+from newsgeo.corpus_ingest import DELETED_AUTHOR, SubredditCount
 from newsgeo.errors import ConfigurationError, InsufficientDataError
 from newsgeo.geolocation import (
     TallyLedger,
@@ -89,7 +89,7 @@ class TestAssignment:
         assert set(locations) == {"a"}
         assert ledger.unmapped == 2          # b and c; never [deleted]
         assert summary.mapped_authors + ledger.unmapped == \
-            len({r.author for r in corpus if not r.is_deleted_author})
+            len({r.author for r in corpus if r.author != DELETED_AUTHOR})
 
     def test_summary_fractions(self):
         corpus = (posts("single", "seattle", 2)

@@ -3,8 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from newsgeo.corpus_ingest import stream_comments
-from newsgeo.errors import ConfigurationError
+from newsgeo.corpus_ingest import DELETED_AUTHOR, stream_comments
 from newsgeo.geolocation import UserLocation
 from newsgeo.interaction import (
     PairSet,
@@ -15,7 +14,7 @@ from newsgeo.interaction import (
 )
 from newsgeo.synth import SynthConfig, generate
 
-from conftest import assign_states, ingest_tables, make_record
+from conftest import DEFAULTS, assign_states, ingest_tables, make_record
 
 
 def loc(author, state):
@@ -35,10 +34,15 @@ def reply(cid, author, parent_cid, subreddit="general"):
                        parent_id=f"t1_{parent_cid}")
 
 
-def pairs_of(corpus, locations, **kwargs):
+# the subreddit map of the scope tests
+STATE_SUBREDDITS = {"seattle": "WA"}
+
+
+def pairs_of(corpus, locations, scope=DEFAULTS.scope,
+             state_subreddits=STATE_SUBREDDITS):
     """The pairs `connectivity` finds in the replies ingest writes."""
     return build_interaction_pairs(ingest_tables(corpus)[1], locations,
-                                   **kwargs)
+                                   scope, state_subreddits)
 
 
 class TestCentroidDistance:
@@ -107,14 +111,9 @@ class TestBuildPairs:
                   make_record("p2", author="b"), reply("c2", "c", "p2")]
         all_scope = pairs_of(corpus, self.locations())
         non_loc = pairs_of(corpus, self.locations(),
-                           scope="non_location_subreddits",
-                           state_subreddits={"seattle": "WA"})
+                           scope="non_location_subreddits")
         assert set(non_loc.counts) < set(all_scope.counts)
         assert ("b", "c") in non_loc.counts
-
-    def test_non_location_scope_requires_map(self):
-        with pytest.raises(ConfigurationError):
-            build_interaction_pairs([], {}, scope="non_location_subreddits")
 
     def test_t3_parent_is_unresolved(self):
         # only comments are read, so a reply to a post has no known parent
@@ -161,7 +160,7 @@ class TestBuildPairs:
         pairs = pairs_of(corpus, locations, scope=scope,
                          state_subreddits=out.subreddit_states)
         replies = sum(1 for r in corpus
-                      if r.parent_id is not None and not r.is_deleted_author)
+                      if r.parent_id is not None and r.author != DELETED_AUTHOR)
         assert replies == sum(pairs.counts.values()) + \
             pairs.unresolved_parents + pairs.skipped + pairs.self_replies
         assert pairs.self_replies >= 1 and pairs.unresolved_parents >= 1
@@ -189,8 +188,9 @@ class TestConnectivityProfile:
         pairs.add("a", "b")
         pairs.add("a", "c")
         pairs.add("b", "c")
-        profile = connectivity_profile(pairs, locations, CENTROIDS)
-        bin0 = profile.bins[0]
+        bins = connectivity_profile(pairs, locations, CENTROIDS,
+                                    DEFAULTS.bin_km)
+        bin0 = bins[0]
         assert bin0.d_km == 0.0
         assert bin0.possible_pairs == 3
         assert bin0.connectivity == pytest.approx(1.0)
@@ -199,8 +199,9 @@ class TestConnectivityProfile:
         states = list(CENTROIDS)
         users = {f"u{i}": states[int(rng.integers(0, 4))] for i in range(80)}
         locations = {u: loc(u, s) for u, s in users.items()}
-        profile = connectivity_profile(PairSet(), locations, CENTROIDS)
-        total = sum(b.possible_pairs for b in profile.bins)
+        bins = connectivity_profile(PairSet(), locations, CENTROIDS,
+                                    DEFAULTS.bin_km)
+        total = sum(b.possible_pairs for b in bins)
         n = len(users)
         assert total == n * (n - 1) // 2
 
@@ -218,7 +219,8 @@ class TestConnectivityProfile:
                 continue
             pairs.add(a, b)
             chosen.add(tuple(sorted((a, b))))
-        profile = connectivity_profile(pairs, locations, CENTROIDS)
+        bin_km = DEFAULTS.bin_km
+        bins = connectivity_profile(pairs, locations, CENTROIDS, bin_km)
         # oracle: enumerate every unordered user pair
         possible = {}
         interacting = {}
@@ -227,12 +229,12 @@ class TestConnectivityProfile:
             if sa == sb:
                 key = 0.0
             else:
-                key = math.floor(
-                    centroid_distance(sa, sb, CENTROIDS) / 100 + 0.5) * 100.0
+                key = math.floor(centroid_distance(sa, sb, CENTROIDS)
+                                 / bin_km + 0.5) * bin_km
             possible[key] = possible.get(key, 0) + 1
             if tuple(sorted((a, b))) in chosen:
                 interacting[key] = interacting.get(key, 0) + 1
-        for b_ in profile.bins:
+        for b_ in bins:
             assert b_.possible_pairs == possible[b_.d_km]
             assert b_.interacting_pairs == interacting.get(b_.d_km, 0)
 
@@ -241,7 +243,8 @@ class TestConnectivityProfile:
         pairs = PairSet()
         for a, b in combinations(sorted(locations), 2):
             pairs.add(a, b)
-        profile = connectivity_profile(pairs, locations, CENTROIDS)
-        for b_ in profile.bins:
+        bins = connectivity_profile(pairs, locations, CENTROIDS,
+                                    DEFAULTS.bin_km)
+        for b_ in bins:
             assert b_.interacting_pairs <= b_.possible_pairs
             assert 0.0 <= b_.connectivity <= 1.0

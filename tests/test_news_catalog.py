@@ -58,6 +58,14 @@ class TestLoadCatalog:
         with pytest.raises(FormatError, match=f"{path} is not UTF-8"):
             load_catalog([(str(path), "fake")])
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # spreadsheet programs lead a UTF-8 file with a byte-order mark
+        path = tmp_path / "fake.txt"
+        path.write_bytes(b"\xef\xbb\xbfinfowars.com\nnaturalnews.com\n")
+        catalog = load_catalog([(str(path), "fake")])
+        assert sorted(catalog.entries) == ["infowars.com", "naturalnews.com"]
+        assert match_host("infowars.com", catalog) == "infowars.com"
+
     def test_randomized_overlaps_match_set_algebra(self, tmp_path, rng):
         pool = [f"d{i}.com" for i in range(300)]
         picks = {}
@@ -125,6 +133,19 @@ class TestClassifyMentions:
         assert counts["unique_comments"] == 1
         assert counts["unique_sites"] == 1
         assert counts["unique_urls"] == 2
+
+    def test_mention_with_no_author_is_no_user(self, catalog):
+        # ingest gives a comment by the deleted-author sentinel no author
+        mentions = [mention("c1", "https://fakery.com/a"),
+                    mention("c2", "https://fakery.com/b", author="bob"),
+                    mention("c3", "https://fakery.com/c", author=None),
+                    mention("c4", "https://fakery.com/a")]
+        tallies = {}
+        out = list(classify_mentions(mentions, catalog, tallies))
+        assert [nc.author for nc in out] == ["alice", "bob", None, "alice"]
+        counts = tallies["fake"].counts()
+        assert counts["unique_users"] == 2
+        assert counts["unique_comments"] == 4
 
     def test_classification_is_order_independent(self, catalog):
         mentions = [mention(f"c{i}", f"https://fakery.com/{i}") for i in range(10)]

@@ -235,20 +235,18 @@ class TestPearson:
 
 class TestAic:
     def test_nested_equal_rss_differ_by_two(self):
-        a, _ = aic_from_rss(48, 10.0, 3)
-        b, _ = aic_from_rss(48, 10.0, 4)
+        a = aic_from_rss(48, 10.0, 3)
+        b = aic_from_rss(48, 10.0, 4)
         assert b - a == pytest.approx(2.0)
 
     def test_known_arithmetic(self):
         # n=48, RSS=48, edf=3 -> 48*ln(1) + 6
-        value, degenerate = aic_from_rss(48, 48.0, 3)
+        value = aic_from_rss(48, 48.0, 3)
         assert value == pytest.approx(6.0)
-        assert not degenerate
+        assert value != AIC_PERFECT_FIT
 
     def test_zero_rss_sentinel(self):
-        value, degenerate = aic_from_rss(10, 0.0, 2)
-        assert value == AIC_PERFECT_FIT
-        assert degenerate
+        assert aic_from_rss(10, 0.0, 2) == AIC_PERFECT_FIT
 
     def test_random_fits_match_formula(self, rng):
         for _ in range(20):

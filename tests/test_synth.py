@@ -27,7 +27,7 @@ from newsgeo.synth import (
     write_outputs,
 )
 
-from conftest import assign_states, ingest_tables
+from conftest import DEFAULTS, assign_states, ingest_tables
 
 
 def archive_lines(output):
@@ -221,7 +221,9 @@ class TestLedgerConsistency:
     def test_interaction_pairs_recomputed(self, output):
         records = records_of(output)
         locations, _ = assign_states(records, output.subreddit_states)
-        pairs = build_interaction_pairs(ingest_tables(records)[1], locations)
+        pairs = build_interaction_pairs(ingest_tables(records)[1], locations,
+                                        DEFAULTS.scope,
+                                        output.subreddit_states)
         got = sorted([list(p) for p in pairs.counts])
         assert got == output.ledger["interaction_pairs"]
 
