@@ -139,9 +139,7 @@ def _read_records(path, cls):
 
 def stage_synth(cfg, run):
     from . import synth
-    synth_params = dict(cfg.synth)
-    synth_params.setdefault("seed", cfg.seed)
-    scfg = synth.SynthConfig.from_dict(synth_params)
+    scfg = synth.SynthConfig.from_dict({**cfg.synth, "seed": cfg.seed})
     output = synth.generate(scfg)
     paths = synth.write_outputs(output, os.path.join(run.outdir, "synth"))
     return synth._config_as_dict(scfg), {"records": output.ledger["n_records"],
@@ -193,13 +191,14 @@ def stage_classify(cfg, run):
                    "unique_sites", "unique_urls"],
                   [[label, *tallies.get(label, news_catalog.TypeTally())
                     .counts().values()] for label in config_mod.LABELS])
-    return ({"catalog_counts": catalog.label_counts()},
+    return ({"catalog_counts": news_catalog.label_counts(catalog)},
             {"mentions": ledger.mentions, "news_comments": n_news,
              "unmatched": ledger.unmatched})
 
 
 def stage_geolocate(cfg, run):
     from . import corpus_ingest, geolocation
+    from .stats_core import fit_scaling
     counts_path = run.input("author_subreddits.csv")
     map_path = run.input("synth/subreddit_states.csv", cfg.subreddit_map)
     pop_path = run.input("synth/populations.csv", cfg.populations)
@@ -209,15 +208,17 @@ def stage_geolocate(cfg, run):
         geolocation.tally_user_states(
             _read_records(counts_path, corpus_ingest.SubredditCount),
             subreddit_states, ledger=ledger))
-    adoption, excluded = geolocation.adoption_and_scaling(
-        locations, _read_populations(pop_path))
+    # the adoption law: users against population
+    adoption, _ = fit_scaling(_read_populations(pop_path),
+                              geolocation.state_user_counts(locations))
     n_authors = run.write_records(
         "user_locations.csv", geolocation.UserLocation,
-        (locations[a] for a in sorted(locations)))
+        (geolocation.UserLocation(author, locations[author])
+         for author in sorted(locations)))
     run.write_json("geolocate_summary.json", {
         **dataclasses.asdict(summary), "adoption_beta": adoption.beta,
         "adoption_r2": adoption.r2,
-        "adoption_excluded_states": excluded})
+        "adoption_excluded_states": adoption.excluded_states})
     return {}, {"authors": n_authors, "assigned": summary.assigned,
                 "tied": summary.unassigned, "unmapped": ledger.unmapped}
 
@@ -234,9 +235,9 @@ def _read_populations(path):
 
 
 def _read_locations(path):
-    """author -> UserLocation"""
+    """author -> state, None for a tie"""
     from . import geolocation
-    return {loc.author: loc
+    return {loc.author: loc.state
             for loc in _read_records(path, geolocation.UserLocation)}
 
 
@@ -244,8 +245,7 @@ def stage_attributes(cfg, run):
     from . import state_attributes
     table = state_attributes.load_attributes(
         run.input("synth/attributes.csv", cfg.attributes))
-    variables = [c for c in table.columns
-                 if c in state_attributes.ATTRIBUTE_COLUMNS]
+    variables = table.columns
     # run for its checks: a column with zero variance over the complete-case
     # states, or fewer than two such states, exits 1
     std_table, dropped = state_attributes.zscore(table, variables)
@@ -265,11 +265,11 @@ def _state_type_counts(news_path, locations):
     from . import news_catalog
     tallies = {}
     for nc in _read_records(news_path, news_catalog.NewsComment):
-        loc = locations.get(nc.author)
-        if loc is None or loc.state is None:
+        state = locations.get(nc.author)
+        if state is None:
             continue
         per_state = tallies.setdefault(nc.label, {})
-        per_state[loc.state] = per_state.get(loc.state, 0) + 1
+        per_state[state] = per_state.get(state, 0) + 1
     return tallies
 
 
@@ -285,14 +285,13 @@ def stage_scale(cfg, run):
          for label in sorted(tallies) for state in sorted(tallies[label])])
 
     table = scaling_laws.circulation_residual(tallies, users)
-    fits = {label: {**dataclasses.asdict(tc.fit),
-                    "excluded_states": tc.excluded_states}
-            for label, tc in table.items()}
     run.write_csv("residuals.csv", ["news_type", "state", "residual"],
-                  [[label, state, f"{tc.residuals[state]:.12g}"]
-                   for label, tc in table.items()
-                   for state in sorted(tc.residuals)])
-    run.write_json("scaling_fits.json", fits)
+                  [[label, state, f"{residuals[state]:.12g}"]
+                   for label, (_, residuals) in table.items()
+                   for state in sorted(residuals)])
+    run.write_json("scaling_fits.json",
+                   {label: dataclasses.asdict(fit)
+                    for label, (fit, _) in table.items()})
     return {}, {"cells": n_cells}
 
 

@@ -35,8 +35,8 @@ class RunConfig:
     rule: str = "chain"
     reach_qualify: str = "at_least"
     cascade_ks: list[int] = field(default_factory=lambda: [2, 3, 5])
-    seed: int = 0
-    # synth stage parameters (passed through to SynthConfig)
+    seed: int = 0                  # the synth seed
+    # synth stage parameters other than the seed (passed to SynthConfig)
     synth: dict = field(default_factory=dict)
 
     def catalog_files(self) -> list[tuple[str | None, str]]:
@@ -125,3 +125,9 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigurationError(f"bad value for key 'alpha': {cfg.alpha}")
     if any(k < 2 for k in cfg.cascade_ks):
         raise ConfigurationError("bad value for key 'cascade_ks': entries must be >= 2")
+    if len(set(cfg.cascade_ks)) < len(cfg.cascade_ks):
+        raise ConfigurationError(
+            f"bad value for key 'cascade_ks': {cfg.cascade_ks} repeats an entry")
+    if "seed" in cfg.synth:
+        raise ConfigurationError("unknown synth key 'seed': the synth seed is "
+                                 "the top-level key 'seed'")

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
-    from .geolocation import UserLocation
     from .news_catalog import NewsComment
 
 SECONDS_PER_DAY = 86_400.0
@@ -89,21 +88,19 @@ Spread = tuple[UrlTimeline, list[str], list[int]]
 
 def build_url_timelines(
     news_comments: Iterable[NewsComment],
-    locations: dict[str, UserLocation],
+    locations: dict[str, str | None],
 ) -> dict[str, UrlTimeline]:
     """One sorted timeline per distinct URL; events carry the author's state
-    when the author is geotagged."""
+    (`locations`: author -> state) when the author is geotagged."""
     timelines: dict[str, UrlTimeline] = {}
     for nc in news_comments:
         tl = timelines.get(nc.url)
         if tl is None:
             tl = timelines[nc.url] = UrlTimeline(url=nc.url, label=nc.label)
-        loc = locations.get(nc.author)
-        state = loc.state if loc is not None else None
         tl.events.append(TimelineEvent(
             created_utc=nc.created_utc,
             author=nc.author,
-            state=state,
+            state=locations.get(nc.author),
             comment_id=nc.comment_id,
         ))
     for tl in timelines.values():

@@ -8,18 +8,17 @@ ingest, which leaves out comments by the deleted-author sentinel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from .corpus_ingest import SubredditCount
 from .errors import ConfigurationError
 from .states import read_table, state_code
 
-if TYPE_CHECKING:
-    from .stats_core import ScalingFit
-
 
 @dataclass
 class UserLocation:
+    """A row of `user_locations.csv`."""
+
     author: str
     state: str | None                       # None means unassigned (tie)
 
@@ -76,9 +75,10 @@ def tally_user_states(
 
 def resolve_assignments(
     tallies: dict[str, dict[str, int]]
-) -> tuple[dict[str, UserLocation], AssignmentSummary]:
-    """Strict-argmax assignment over per-author tallies; tie -> unassigned."""
-    locations: dict[str, UserLocation] = {}
+) -> tuple[dict[str, str | None], AssignmentSummary]:
+    """Strict-argmax assignment over per-author tallies: author -> state,
+    None for a tie."""
+    locations: dict[str, str | None] = {}
     single = at_most_two = unassigned = 0
     for author in sorted(tallies):
         counts = tallies[author]
@@ -91,7 +91,7 @@ def resolve_assignments(
             single += 1
         if len(counts) <= 2:
             at_most_two += 1
-        locations[author] = UserLocation(author=author, state=state)
+        locations[author] = state
     n = len(tallies)
     summary = AssignmentSummary(
         mapped_authors=n,
@@ -104,23 +104,10 @@ def resolve_assignments(
     return locations, summary
 
 
-def state_user_counts(locations: dict[str, UserLocation]) -> dict[str, int]:
+def state_user_counts(locations: dict[str, str | None]) -> dict[str, int]:
+    """State -> assigned users."""
     counts: dict[str, int] = {}
-    for loc in locations.values():
-        if loc.state is not None:
-            counts[loc.state] = counts.get(loc.state, 0) + 1
+    for state in locations.values():
+        if state is not None:
+            counts[state] = counts.get(state, 0) + 1
     return counts
-
-
-def adoption_and_scaling(
-    locations: dict[str, UserLocation], populations: dict[str, int]
-) -> tuple[ScalingFit, list[str]]:
-    """Log-log fit of Reddit users vs population over the states, and the
-    sorted populated states with no user, which the fit leaves out."""
-    # imported here: `diffusion` and `connectivity` import this module for
-    # UserLocation alone and never load numpy
-    from .stats_core import fit_scaling
-
-    users = state_user_counts(locations)
-    fit, _ = fit_scaling(populations, users)
-    return fit, sorted(s for s in populations if s not in users)

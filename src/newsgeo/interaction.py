@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .corpus_ingest import Reply
 from .errors import ConfigurationError, FormatError
-from .geolocation import UserLocation, state_user_counts
+from .geolocation import state_user_counts
 from .states import by_state, number, read_table, state_code
 
 EARTH_RADIUS_KM = 6371.0
@@ -41,10 +41,8 @@ def _centroid(lat: str, lon: str, where: str) -> tuple[float, float]:
 def centroid_distance(
     a: str, b: str, centroids: dict[str, tuple[float, float]]
 ) -> float:
-    """Haversine great-circle km between state centroids; 0 for a == b. A
-    state with no centroid raises ConfigurationError naming it."""
-    if a == b:
-        return 0.0
+    """Haversine great-circle km between state centroids. A state with no
+    centroid raises ConfigurationError naming it."""
     try:
         lat1, lon1 = centroids[a]
         lat2, lon2 = centroids[b]
@@ -75,7 +73,7 @@ class PairSet:
 
 def build_interaction_pairs(
     replies: Iterable[Reply],
-    locations: dict[str, UserLocation],
+    locations: dict[str, str | None],
     scope: str,
     state_subreddits: dict[str, str],
 ) -> PairSet:
@@ -98,10 +96,8 @@ def build_interaction_pairs(
         if rec.parent_author == rec.author:
             pairs.self_replies += 1
             continue
-        loc_a = locations.get(rec.author)
-        loc_b = locations.get(rec.parent_author)
-        if loc_a is None or loc_b is None or \
-           loc_a.state is None or loc_b.state is None:
+        if locations.get(rec.author) is None or \
+           locations.get(rec.parent_author) is None:
             pairs.skipped += 1
             continue
         pairs.add(rec.author, rec.parent_author)
@@ -119,19 +115,17 @@ class ConnectivityBin:
         return self.interacting_pairs / self.possible_pairs
 
 
-def _bin_of(distance: float, same_state: bool, bin_km: float) -> float:
-    """Bin of a pair: 0 within a state, else the centroid distance rounded
-    to the nearest multiple of `bin_km`, halves up (150 km -> 200 at 100 km
-    bins). Cross-state pairs under bin_km/2 share bin 0 with same-state
-    pairs."""
-    if same_state:
-        return 0.0
+def _bin_of(distance: float, bin_km: float) -> float:
+    """Bin of a centroid distance: the distance rounded to the nearest
+    multiple of `bin_km`, halves up (150 km -> 200 at 100 km bins). A
+    same-state pair is 0 km apart, so cross-state pairs under bin_km/2
+    share bin 0 with it."""
     return math.floor(distance / bin_km + 0.5) * bin_km
 
 
 def connectivity_profile(
     pairs: PairSet,
-    locations: dict[str, UserLocation],
+    locations: dict[str, str | None],
     centroids: dict[str, tuple[float, float]],
     bin_km: float,
 ) -> list[ConnectivityBin]:
@@ -139,26 +133,26 @@ def connectivity_profile(
 
     Possible pairs are counted exactly: C(n, 2) within a state (bin 0) and
     n_a * n_b across each distinct state pair, placed in the bin of the
-    centroid distance. Bins with no possible pairs are omitted.
+    centroid distance. Each state pair is binned once, and each
+    interacting pair takes the bin of its states. Bins with no possible
+    pairs are omitted.
     """
     users = state_user_counts(locations)
     states = sorted(users)
+    bin_of: dict[tuple[str, str], float] = {}
     possible: dict[float, int] = {}
     for i, a in enumerate(states):
         n_a = users[a]
+        bin_of[a, a] = 0.0
         possible[0.0] = possible.get(0.0, 0) + n_a * (n_a - 1) // 2
         for b in states[i + 1:]:
-            d = centroid_distance(a, b, centroids)
-            key = _bin_of(d, same_state=False, bin_km=bin_km)
+            key = bin_of[a, b] = bin_of[b, a] = _bin_of(
+                centroid_distance(a, b, centroids), bin_km)
             possible[key] = possible.get(key, 0) + n_a * users[b]
 
     interacting: dict[float, int] = {}
     for (u, v) in pairs.counts:
-        sa = locations[u].state
-        sb = locations[v].state
-        same = sa == sb
-        d = centroid_distance(sa, sb, centroids)
-        key = _bin_of(d, same_state=same, bin_km=bin_km)
+        key = bin_of[locations[u], locations[v]]
         interacting[key] = interacting.get(key, 0) + 1
 
     return [

@@ -20,17 +20,6 @@ logger = logging.getLogger(__name__)
 _SEVERITY = {label: i for i, label in enumerate(LABELS)}
 
 
-@dataclass
-class DomainCatalog:
-    entries: dict[str, str] = field(default_factory=dict)
-
-    def label_counts(self) -> dict[str, int]:
-        counts = {label: 0 for label in LABELS}
-        for label in self.entries.values():
-            counts[label] += 1
-        return counts
-
-
 @dataclass(slots=True)
 class NewsComment:
     comment_id: str
@@ -79,14 +68,22 @@ def _normalize_entry(raw: str) -> str | None:
     return domain or None
 
 
-def load_catalog(label_files: list[tuple[str, str]]) -> DomainCatalog:
-    """Build a DomainCatalog from (path, label) pairs.
+def label_counts(catalog: dict[str, str]) -> dict[str, int]:
+    """Label -> catalog domains, for every label."""
+    counts = {label: 0 for label in LABELS}
+    for label in catalog.values():
+        counts[label] += 1
+    return counts
+
+
+def load_catalog(label_files: list[tuple[str, str]]) -> dict[str, str]:
+    """Domain -> label, from (path, label) pairs.
 
     Conflicts resolve most-severe-wins; an empty result is a configuration
     error (wrong paths, empty files), and a file that is not UTF-8 a
     FormatError.
     """
-    catalog = DomainCatalog()
+    catalog: dict[str, str] = {}
     for path, label in label_files:
         if label not in _SEVERITY:
             raise ConfigurationError(f"unknown news label {label!r}")
@@ -100,29 +97,29 @@ def load_catalog(label_files: list[tuple[str, str]]) -> DomainCatalog:
             domain = _normalize_entry(line)
             if domain is None:
                 continue
-            current = catalog.entries.get(domain)
+            current = catalog.get(domain)
             if current is None or _SEVERITY[label] < _SEVERITY[current]:
-                catalog.entries[domain] = label
-    if not catalog.entries:
+                catalog[domain] = label
+    if not catalog:
         raise ConfigurationError("catalog is empty after loading all label files")
-    logger.info("catalog loaded: %s", catalog.label_counts())
+    logger.info("catalog loaded: %s", label_counts(catalog))
     return catalog
 
 
-def match_host(host: str, catalog: DomainCatalog) -> str | None:
+def match_host(host: str, catalog: dict[str, str]) -> str | None:
     """Longest catalog entry equal to `host` or a dot-boundary suffix of it;
     None when no entry matches."""
     labels = host.split(".")
     for i in range(len(labels)):
         candidate = ".".join(labels[i:])
-        if candidate in catalog.entries:
+        if candidate in catalog:
             return candidate
     return None
 
 
 def classify_mentions(
     mentions: Iterable[UrlMention],
-    catalog: DomainCatalog,
+    catalog: dict[str, str],
     tallies: dict[str, TypeTally] | None = None,
     *,
     ledger: MatchLedger | None = None,
@@ -147,7 +144,7 @@ def classify_mentions(
         if domain is None:
             led.unmatched += 1
             continue
-        label = catalog.entries[domain]
+        label = catalog[domain]
         if tallies is not None:
             tally = tallies.setdefault(label, TypeTally())
             tally.comments.add(mention.comment_id)
@@ -165,7 +162,7 @@ def classify_mentions(
 
 
 def validate_trust_scores(
-    catalog: DomainCatalog, scores: dict[str, float]
+    catalog: dict[str, str], scores: dict[str, float]
 ) -> dict[str, float | None]:
     """Arithmetic mean trustworthiness per label over scored catalog domains.
 
@@ -174,7 +171,7 @@ def validate_trust_scores(
     sums: dict[str, float] = {label: 0.0 for label in LABELS}
     counts: dict[str, int] = {label: 0 for label in LABELS}
     for domain, score in scores.items():
-        label = catalog.entries.get(domain.lower())
+        label = catalog.get(domain.lower())
         if label is None:
             continue
         sums[label] += score

@@ -9,7 +9,7 @@ intercept, which makes the residuals sum to zero.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,30 +21,20 @@ from .stats_core import ScalingFit, StepwiseResult, fit_scaling, step_aic
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class TypeCirculation:
-    fit: ScalingFit
-    residuals: dict[str, float]          # the circulation score per state
-    excluded_states: list[str]           # zero-count states, no log defined
-
-
 def circulation_residual(
     tallies: dict[str, dict[str, int]],
     user_counts: dict[str, int],
-) -> dict[str, TypeCirculation]:
-    """Fit the per-type log-log regression of counts on users; residuals are
-    the circulation scores. Zero-count cells are excluded from the fit and
-    flagged."""
+) -> dict[str, tuple[ScalingFit, dict[str, float]]]:
+    """Per news type, the log-log fit of counts on users and its residuals,
+    the circulation scores. States with users and no count are left out of
+    the fit (`ScalingFit.excluded_states`) and logged."""
     table = {}
     for label, per_state in sorted(tallies.items()):
-        excluded = sorted(s for s in user_counts
-                          if per_state.get(s, 0) < 1 and user_counts[s] >= 1)
         fit, residuals = fit_scaling(user_counts, per_state)
-        table[label] = TypeCirculation(fit=fit, residuals=residuals,
-                                       excluded_states=excluded)
-        if excluded:
+        table[label] = fit, residuals
+        if fit.excluded_states:
             logger.info("%s: %d zero-count states excluded from the log fit",
-                        label, len(excluded))
+                        label, len(fit.excluded_states))
     return table
 
 
@@ -52,24 +42,18 @@ def circulation_residual(
 class ModelSuiteEntry:
     label: str
     group: str
-    states: list[str]
     result: StepwiseResult
-
-
-@dataclass
-class ModelSuite:
-    entries: list[ModelSuiteEntry] = field(default_factory=list)
 
 
 def circulation_models(
     metric: dict[str, dict[str, float]],
     attributes: StateAttributeTable,
-) -> ModelSuite:
+) -> list[ModelSuiteEntry]:
     """Stepwise-selected OLS of the circulation residual per (news type,
     variable group), for every group. Attributes are z-scored over the
     complete-case states of each group."""
     labels = [lb for lb in LABELS if lb in metric]
-    suite = ModelSuite()
+    suite = []
     for group, variables in MODEL_GROUPS.items():
         std_table, _ = zscore(attributes, variables)
         for label in labels:
@@ -83,16 +67,16 @@ def circulation_models(
             y = np.array([per_state[s] for s in states], dtype=float)
             candidates = {v: std_table.column(v, states) for v in variables}
             result = step_aic(candidates, y)
-            suite.entries.append(ModelSuiteEntry(label=label, group=group,
-                                                 states=states, result=result))
+            suite.append(ModelSuiteEntry(label=label, group=group,
+                                         result=result))
     return suite
 
 
-def suite_rows(suite: ModelSuite) -> list[dict[str, object]]:
-    """Flatten a ModelSuite into regression-table rows (one per model):
+def suite_rows(suite: list[ModelSuiteEntry]) -> list[dict[str, object]]:
+    """Flatten a model suite into regression-table rows (one per model):
     coefficient (se) with stars per variable, fit statistics alongside."""
     rows = []
-    for entry in suite.entries:
+    for entry in suite:
         fit = entry.result.fit
         cells = {}
         for i, name in enumerate(fit.names):
@@ -106,7 +90,7 @@ def suite_rows(suite: ModelSuite) -> list[dict[str, object]]:
             "group": entry.group,
             "metric": "residual",
             "observations": fit.n,
-            "selected": ",".join(entry.result.selected),
+            "selected": ",".join(fit.names),
             "r2": round(fit.r2, 4),
             "adj_r2": round(fit.adj_r2, 4),
             "resid_se": round(fit.resid_se, 4),

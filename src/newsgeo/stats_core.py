@@ -260,6 +260,7 @@ class ScalingFit:
     regime: str
     intercept: float
     n: int
+    excluded_states: list[str]    # N >= 1 but Y < 1: no log, left out
 
 
 def classify_exponent(beta: float) -> str:
@@ -280,11 +281,14 @@ def fit_scaling(
     N: dict[str, float], Y: dict[str, float]
 ) -> tuple[ScalingFit, dict[str, float]]:
     """OLS of log Y on log N, with an intercept, over states with N >= 1 and
-    Y >= 1.
+    Y >= 1; a state of N missing from Y has Y = 0.
 
-    Returns the fit and the per-state residuals, which sum to zero.
+    Returns the fit and the per-state residuals, which sum to zero. The fit
+    names the states with N >= 1 that it leaves out for Y < 1, so these and
+    the residuals' states partition the states with N >= 1.
     """
-    states = sorted(s for s in N if s in Y and N[s] >= 1 and Y[s] >= 1)
+    counted = [s for s in sorted(N) if N[s] >= 1]
+    states = [s for s in counted if Y.get(s, 0) >= 1]
     if len(states) < 3:
         raise InsufficientDataError(
             f"only {len(states)} states usable for the log-log fit"
@@ -296,7 +300,8 @@ def fit_scaling(
     residuals = {s: float(r) for s, r in zip(states, fit.residuals)}
     return (
         ScalingFit(beta=beta, r2=fit.r2, regime=classify_exponent(beta),
-                   intercept=float(fit.coefficients[0]), n=len(states)),
+                   intercept=float(fit.coefficients[0]), n=len(states),
+                   excluded_states=[s for s in counted if Y.get(s, 0) < 1]),
         residuals,
     )
 
@@ -311,8 +316,7 @@ class StepRecord:
 
 @dataclass
 class StepwiseResult:
-    fit: OlsResult
-    selected: list[str]
+    fit: OlsResult                  # of the selected model; see fit.names
     trace: list[StepRecord] = field(default_factory=list)
 
 
@@ -368,4 +372,4 @@ def step_aic(
 
     fit = start_fit if len(trace) == 1 else \
         ols_fit(design_of(current), y, names=list(current))
-    return StepwiseResult(fit=fit, selected=list(current), trace=trace)
+    return StepwiseResult(fit=fit, trace=trace)

@@ -20,9 +20,9 @@ from newsgeo.contagion import (StateGraph, assortativity, infer_state_network,
                                pagerank)
 from newsgeo.diffusion import (TimelineEvent, UrlTimeline, cascade_times,
                                reach_distribution, walk)
-from newsgeo.geolocation import UserLocation
 from newsgeo.interaction import PairSet, centroid_distance, connectivity_profile
-from newsgeo.news_catalog import load_catalog, validate_trust_scores
+from newsgeo.news_catalog import (label_counts, load_catalog,
+                                  validate_trust_scores)
 from newsgeo.scaling_laws import circulation_residual
 from newsgeo.stats_core import classify_exponent, fit_scaling, ols_fit, step_aic
 from newsgeo.states import STATE_CODES
@@ -91,18 +91,18 @@ def test_criterion_02_residual_orthogonality(capsys):
                                        ("satire", 1.1), ("reputable", 1.2)]}
         int_users = {s: int(u) for s, u in users.items()}
         table = circulation_residual(tallies, int_users)
-        for tc in table.values():
-            states = sorted(tc.residuals)
-            eps = np.array([tc.residuals[s] for s in states])
+        for _, residuals in table.values():
+            states = sorted(residuals)
+            eps = np.array([residuals[s] for s in states])
             logs = np.array([math.log(int_users[s]) for s in states])
             assert abs(eps.sum()) < 1e-9
             assert abs(eps @ logs) < 1e-9
         scaled = circulation_residual(
             {lb: {s: 10 * c for s, c in t.items()}
              for lb, t in tallies.items()}, int_users)
-        for label, tc in table.items():
-            for s, r in tc.residuals.items():
-                assert abs(scaled[label].residuals[s] - r) < 1e-9
+        for label, (_, residuals) in table.items():
+            for s, r in residuals.items():
+                assert abs(scaled[label][1][s] - r) < 1e-9
 
 
 def test_criterion_03_ols_aic_oracle(capsys):
@@ -138,8 +138,8 @@ def test_criterion_04_stepwise_selection(capsys):
         y = sum(2.0 * v for v in true.values()) + 0.2 * rng.standard_normal(n)
         candidates = {**true, **noise}
         result = step_aic(candidates, y)
-        assert sorted(result.selected) == sorted(true)
-        assert tuple(sorted(result.selected)) == \
+        assert sorted(result.fit.names) == sorted(true)
+        assert tuple(sorted(result.fit.names)) == \
             exhaustive_best_subset_aic(candidates, y)
         for seed in range(40):
             fuzz = np.random.default_rng(seed)
@@ -179,12 +179,12 @@ def test_criterion_05_geolocation(capsys):
                         f"c{next(cid)}", author=author,
                         subreddit=f"{state.lower()}state"))
         locations, _ = assign_states(records, subreddit_states)
-        assert {a: loc.state for a, loc in locations.items()} == expected
-        assert all(locations[a].state is None for a in tie_users)
+        assert locations == expected
+        assert all(locations[a] is None for a in tie_users)
         for _ in range(20):
             order = [records[int(i)] for i in rng.permutation(len(records))]
             shuffled, _ = assign_states(order, subreddit_states)
-            assert {a: loc.state for a, loc in shuffled.items()} == expected
+            assert shuffled == expected
 
 
 def test_criterion_06_connectivity(capsys):
@@ -198,8 +198,6 @@ def test_criterion_06_connectivity(capsys):
         for i, s in enumerate(states):
             for j in range(20):
                 users[f"u_{s}_{j}"] = s
-        locations = {u: UserLocation(author=u, state=s)
-                     for u, s in users.items()}
         names = sorted(users)
         pairs = PairSet()
         chosen = set()
@@ -211,7 +209,7 @@ def test_criterion_06_connectivity(capsys):
                 pairs.add(a, b)
                 chosen.add((a, b))
         bin_km = DEFAULTS.bin_km
-        bins = connectivity_profile(pairs, locations, centroids, bin_km)
+        bins = connectivity_profile(pairs, users, centroids, bin_km)
         # brute-force all-pairs oracle for both numerator and denominator
         possible = {}
         interacting = {}
@@ -343,7 +341,7 @@ def test_criterion_09_classification(capsys, tmp_path):
         rep.write_text("".join(f"rep{i}.example\n" for i in range(20)))
         files.append((str(rep), "reputable"))
         catalog = load_catalog(files)
-        counts = catalog.label_counts()
+        counts = label_counts(catalog)
         assert counts["fake"] == 933
         assert counts["lowcred"] == 1801
         assert counts["satire"] == 110
@@ -361,7 +359,7 @@ def test_criterion_09_classification(capsys, tmp_path):
         assert means["reputable"] > means["lowcred"] > means["fake"]
         by_label = {}
         for d, s in scores.items():
-            by_label.setdefault(catalog.entries[d], []).append(s)
+            by_label.setdefault(catalog[d], []).append(s)
         for label, vals in by_label.items():
             assert means[label] == pytest.approx(sum(vals) / len(vals))
 

@@ -86,6 +86,7 @@ class TestConfig:
         ("residual_intercept", "no"),      # not a key: refused as unknown
         ("seed", True),
         ("synth", []),
+        ("cascade_ks", [3, 2, 3]),         # a repeated k writes its rows twice
     ])
     def test_bad_value_names_key(self, key, value):
         with pytest.raises(ConfigurationError, match=key):
@@ -148,8 +149,11 @@ def readme_config_tables():
 @pytest.mark.parametrize("header,cls", [("key", RunConfig),
                                         ("synth key", SynthConfig)])
 def test_readme_lists_every_config_key_with_its_default(header, cls):
-    # adding, removing or changing a knob shows in the docs
+    # adding, removing or changing a knob shows in the docs; the synth block
+    # takes no seed, since the top-level `seed` is the synth seed
     defaults = json.loads(json.dumps(dataclasses.asdict(cls())))
+    if cls is SynthConfig:
+        del defaults["seed"]
     assert readme_config_tables()[header] == defaults
 
 
@@ -177,6 +181,14 @@ class TestExitCodes:
         assert main(["synth", "--config", str(path),
                      "--out-dir", str(tmp_path / "out")]) == 2
         assert "ConfigurationError" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    def test_synth_block_seed_exits_2(self, tmp_path, caplog):
+        # the top-level seed, which --seed overrides, is the one synth seed
+        cfg = write_config(tmp_path, {"synth": {"n_states": 5, "seed": 4}})
+        assert main(["synth", "--config", cfg, "--seed", "1",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert "top-level key 'seed'" in caplog.text
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_exits_6(self, tmp_path):
@@ -1057,7 +1069,6 @@ def test_deleted_author_is_no_reached_author(tmp_path, catalog):
     # back as no author: u1 reaches one author, and u2 none, so it leaves
     # the authors denominator as an untagged URL leaves the states one
     from newsgeo import corpus_ingest, diffusion, news_catalog
-    from newsgeo.geolocation import UserLocation
     records = [
         make_record("c1", author="alice", created_utc=100,
                     body="https://fakery.com/u1"),
@@ -1082,7 +1093,7 @@ def test_deleted_author_is_no_reached_author(tmp_path, catalog):
     timelines = diffusion.build_url_timelines(
         cli._read_records(str(tmp_path / "news_comments.csv"),
                           news_catalog.NewsComment),
-        {"alice": UserLocation("alice", "AL")})
+        {"alice": "AL"})
     for unit in diffusion.UNITS:
         walked = diffusion.walk(timelines.values(), unit)
         assert walked.reaches == {"fake": [1]}, unit
@@ -1142,3 +1153,6 @@ class TestParameterPropagation:
         a = open(os.path.join(out_a, "synth", "archive.ndjson"), "rb").read()
         b = open(os.path.join(out_b, "synth", "archive.ndjson"), "rb").read()
         assert a != b
+        for out, seed in ((out_a, 1), (out_b, 2)):
+            with open(os.path.join(out, "manifests", "synth.json")) as fh:
+                assert json.load(fh)["parameters"]["seed"] == seed

@@ -15,7 +15,6 @@ from newsgeo.diffusion import (
     reach_distribution,
     walk,
 )
-from newsgeo.geolocation import UserLocation
 from newsgeo.news_catalog import NewsComment
 
 from conftest import DEFAULTS
@@ -37,13 +36,9 @@ def news(cid, author, url, ts, label="fake"):
                        url=url, label=label)
 
 
-def loc(author, state):
-    return UserLocation(author=author, state=state)
-
-
 class TestBuildTimelines:
     def test_same_author_twice(self):
-        locations = {"a": loc("a", "WA")}
+        locations = {"a": "WA"}
         tls = build_url_timelines(
             [news("c1", "a", "u", 10), news("c2", "a", "u", 20)], locations)
         tl = tls["u"]
@@ -51,7 +46,7 @@ class TestBuildTimelines:
         assert tl.distinct_units("authors") == 1
 
     def test_mixed_geotagged_state_count(self):
-        locations = {"a": loc("a", "WA")}       # b has no location at all
+        locations = {"a": "WA"}       # b has no location at all
         tls = build_url_timelines(
             [news("c1", "a", "u", 10), news("c2", "b", "u", 20)], locations)
         assert tls["u"].distinct_units("states") == 1

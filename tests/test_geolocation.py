@@ -6,12 +6,12 @@ from newsgeo.corpus_ingest import DELETED_AUTHOR, SubredditCount
 from newsgeo.errors import ConfigurationError, InsufficientDataError
 from newsgeo.geolocation import (
     TallyLedger,
-    adoption_and_scaling,
     load_subreddit_state_map,
     resolve_assignments,
     state_user_counts,
     tally_user_states,
 )
+from newsgeo.stats_core import fit_scaling
 
 from conftest import assign_states, ingest_tables, make_record
 
@@ -52,12 +52,12 @@ class TestAssignment:
     def test_strict_argmax(self):
         corpus = posts("a", "seattle", 3) + posts("a", "california", 1)
         locations, _ = assign_states(corpus, SUB_MAP)
-        assert locations["a"].state == "WA"
+        assert locations["a"] == "WA"
 
     def test_tie_is_unassigned(self):
         corpus = posts("a", "seattle", 2) + posts("a", "california", 2)
         locations, summary = assign_states(corpus, SUB_MAP)
-        assert locations["a"].state is None
+        assert locations["a"] is None
         assert summary.fraction_unassigned == 1.0
 
     def test_deleted_author_never_assigned(self):
@@ -68,7 +68,7 @@ class TestAssignment:
     def test_unmapped_subreddits_ignored(self):
         corpus = posts("a", "seattle", 1) + posts("a", "knitting", 50)
         locations, _ = assign_states(corpus, SUB_MAP)
-        assert locations["a"].state == "WA"
+        assert locations["a"] == "WA"
         assert tally_user_states(ingest_tables(corpus)[0], SUB_MAP) == \
             {"a": {"WA": 1}}
 
@@ -78,7 +78,7 @@ class TestAssignment:
                 SubredditCount("a", "texas", 4)]
         assert tally_user_states(rows, SUB_MAP) == {"a": {"WA": 5, "TX": 4}}
         assert resolve_assignments(tally_user_states(rows, SUB_MAP))[0] \
-            ["a"].state == "WA"
+            ["a"] == "WA"
 
     def test_ledger_counts_authors_with_no_mapped_comment(self):
         corpus = (posts("a", "seattle", 1) + posts("a", "knitting", 2)
@@ -112,16 +112,15 @@ class TestAssignment:
             shuffled = list(corpus)
             rng.shuffle(shuffled)
             again, _ = assign_states(shuffled, SUB_MAP)
-            assert {a: loc.state for a, loc in again.items()} == \
-                {a: loc.state for a, loc in base.items()}
+            assert again == base
 
     def test_argmax_monotonicity(self):
         # adding comments in the current argmax state never changes it
         corpus = posts("a", "seattle", 3) + posts("a", "california", 1)
         locations, _ = assign_states(corpus, SUB_MAP)
-        assert locations["a"].state == "WA"
+        assert locations["a"] == "WA"
         more, _ = assign_states(corpus + posts("a", "seattle", 10), SUB_MAP)
-        assert more["a"].state == "WA"
+        assert more["a"] == "WA"
 
     def test_planted_synthetic_assignments(self, rng):
         states = list(SUB_MAP.values())
@@ -140,7 +139,7 @@ class TestAssignment:
                 corpus += posts(author, subs[home], int(rng.integers(1, 5)))
                 expected[author] = home
         locations, _ = assign_states(corpus, SUB_MAP)
-        assert {a: loc.state for a, loc in locations.items()} == expected
+        assert locations == expected
 
 
 class TestAdoption:
@@ -152,7 +151,7 @@ class TestAdoption:
             for j in range(10 * (i + 1)):
                 tallies[f"{state.lower()}{j}"] = {state: 1}
         locations, _ = resolve_assignments(tallies)
-        fit, _ = adoption_and_scaling(locations, populations)
+        fit, _ = fit_scaling(populations, state_user_counts(locations))
         assert fit.beta == pytest.approx(1.0, abs=1e-10)
         assert fit.r2 == pytest.approx(1.0, abs=1e-10)
 
@@ -169,7 +168,7 @@ class TestAdoption:
             for j in range(users):
                 tallies[f"{state}u{j}"] = {state: 1}
         locations, _ = resolve_assignments(tallies)
-        fit, _ = adoption_and_scaling(locations, populations)
+        fit, _ = fit_scaling(populations, state_user_counts(locations))
         assert fit.beta == pytest.approx(beta, abs=0.05)
 
     def test_zero_user_state_excluded(self):
@@ -177,14 +176,14 @@ class TestAdoption:
         tallies.update({f"v{i}": {"CA": 1} for i in range(7)})
         tallies.update({f"w{i}": {"TX": 1} for i in range(9)})
         locations, _ = resolve_assignments(tallies)
-        _, excluded = adoption_and_scaling(
-            locations, {"WA": 100, "CA": 200, "TX": 300, "NY": 400})
-        assert excluded == ["NY"]
+        fit, _ = fit_scaling({"WA": 100, "CA": 200, "TX": 300, "NY": 400},
+                             state_user_counts(locations))
+        assert fit.excluded_states == ["NY"]
 
     def test_too_few_states(self):
         locations, _ = resolve_assignments({"u": {"WA": 1}})
         with pytest.raises(InsufficientDataError):
-            adoption_and_scaling(locations, {"WA": 100, "CA": 100})
+            fit_scaling({"WA": 100, "CA": 100}, state_user_counts(locations))
 
 
 def test_state_user_counts():

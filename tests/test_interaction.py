@@ -3,8 +3,8 @@ from itertools import combinations
 
 import pytest
 
+from newsgeo import interaction
 from newsgeo.corpus_ingest import DELETED_AUTHOR, stream_comments
-from newsgeo.geolocation import UserLocation
 from newsgeo.interaction import (
     PairSet,
     _bin_of,
@@ -15,10 +15,6 @@ from newsgeo.interaction import (
 from newsgeo.synth import SynthConfig, generate
 
 from conftest import DEFAULTS, assign_states, ingest_tables, make_record
-
-
-def loc(author, state):
-    return UserLocation(author=author, state=state)
 
 
 CENTROIDS = {
@@ -74,7 +70,7 @@ class TestCentroidDistance:
 
 class TestBuildPairs:
     def locations(self):
-        return {"a": loc("a", "WA"), "b": loc("b", "CA"), "c": loc("c", "WA")}
+        return {"a": "WA", "b": "CA", "c": "WA"}
 
     def test_single_reply_single_pair(self):
         corpus = [make_record("p1", author="b"), reply("c1", "a", "p1")]
@@ -125,7 +121,7 @@ class TestBuildPairs:
 
     def test_brute_force_over_reply_plan(self, rng):
         users = [f"u{i}" for i in range(200)]
-        locations = {u: loc(u, ["WA", "CA", "TX", "NY"][i % 4])
+        locations = {u: ["WA", "CA", "TX", "NY"][i % 4]
                      for i, u in enumerate(users)}
         corpus = []
         expected = {}
@@ -172,18 +168,19 @@ class TestBinOf:
         (149.9, 100.0), (150.0, 200.0), (250.0, 300.0), (350.0, 400.0),
         (450.0, 500.0)])
     def test_halves_round_up(self, d_km, expected):
-        got = _bin_of(d_km, same_state=False, bin_km=100.0)
+        got = _bin_of(d_km, bin_km=100.0)
         assert got == expected
         assert isinstance(got, float)
 
     def test_near_cross_state_pair_shares_bin_zero(self):
-        assert _bin_of(49.9, same_state=False, bin_km=100.0) == 0.0
-        assert _bin_of(0.0, same_state=True, bin_km=100.0) == 0.0
+        # a same-state pair is 0 km apart
+        assert _bin_of(49.9, bin_km=100.0) == 0.0
+        assert _bin_of(0.0, bin_km=100.0) == 0.0
 
 
 class TestConnectivityProfile:
     def test_three_users_full_clique(self):
-        locations = {u: loc(u, "WA") for u in ("a", "b", "c")}
+        locations = dict.fromkeys(("a", "b", "c"), "WA")
         pairs = PairSet()
         pairs.add("a", "b")
         pairs.add("a", "c")
@@ -198,8 +195,7 @@ class TestConnectivityProfile:
     def test_possible_pairs_sum_to_choose_two(self, rng):
         states = list(CENTROIDS)
         users = {f"u{i}": states[int(rng.integers(0, 4))] for i in range(80)}
-        locations = {u: loc(u, s) for u, s in users.items()}
-        bins = connectivity_profile(PairSet(), locations, CENTROIDS,
+        bins = connectivity_profile(PairSet(), users, CENTROIDS,
                                     DEFAULTS.bin_km)
         total = sum(b.possible_pairs for b in bins)
         n = len(users)
@@ -208,7 +204,6 @@ class TestConnectivityProfile:
     def test_brute_force_bin_counts(self, rng):
         states = list(CENTROIDS)
         users = {f"u{i}": states[int(rng.integers(0, 4))] for i in range(60)}
-        locations = {u: loc(u, s) for u, s in users.items()}
         pairs = PairSet()
         chosen = set()
         names = sorted(users)
@@ -220,7 +215,7 @@ class TestConnectivityProfile:
             pairs.add(a, b)
             chosen.add(tuple(sorted((a, b))))
         bin_km = DEFAULTS.bin_km
-        bins = connectivity_profile(pairs, locations, CENTROIDS, bin_km)
+        bins = connectivity_profile(pairs, users, CENTROIDS, bin_km)
         # oracle: enumerate every unordered user pair
         possible = {}
         interacting = {}
@@ -238,8 +233,27 @@ class TestConnectivityProfile:
             assert b_.possible_pairs == possible[b_.d_km]
             assert b_.interacting_pairs == interacting.get(b_.d_km, 0)
 
+    def test_each_state_pair_measured_once(self, monkeypatch, rng):
+        # the possible-pairs loop bins each state pair, and every user pair
+        # takes the bin of its states from there
+        calls = []
+
+        def counted(a, b, centroids):
+            calls.append((a, b))
+            return centroid_distance(a, b, centroids)
+
+        monkeypatch.setattr(interaction, "centroid_distance", counted)
+        users = {f"u{i}": list(CENTROIDS)[i % 4] for i in range(40)}
+        pairs = PairSet()
+        for a, b in combinations(sorted(users), 2):
+            if rng.random() < 0.3:
+                pairs.add(a, b)
+        bins = connectivity_profile(pairs, users, CENTROIDS, DEFAULTS.bin_km)
+        assert len(calls) == len({frozenset(c) for c in calls}) == 6
+        assert sum(b.interacting_pairs for b in bins) == len(pairs.counts)
+
     def test_interacting_never_exceeds_possible(self, rng):
-        locations = {f"u{i}": loc(f"u{i}", "WA") for i in range(10)}
+        locations = {f"u{i}": "WA" for i in range(10)}
         pairs = PairSet()
         for a, b in combinations(sorted(locations), 2):
             pairs.add(a, b)

@@ -3,8 +3,8 @@ import pytest
 from newsgeo.corpus_ingest import UrlMention, host_of
 from newsgeo.errors import ConfigurationError, FormatError
 from newsgeo.news_catalog import (
-    DomainCatalog,
     classify_mentions,
+    label_counts,
     load_catalog,
     match_host,
     validate_trust_scores,
@@ -30,21 +30,21 @@ class TestLoadCatalog:
             path.write_text("".join(f"{label}{i}.example\n" for i in range(size)))
             files.append((str(path), label))
         catalog = load_catalog(files)
-        counts = catalog.label_counts()
+        counts = label_counts(catalog)
         assert counts["fake"] == 933
         assert counts["lowcred"] == 1801
         assert counts["satire"] == 110
 
     def test_conflict_resolves_to_most_severe(self, catalog):
         # sharedsite.org is listed both fake and reputable
-        assert catalog.entries["sharedsite.org"] == "fake"
+        assert catalog["sharedsite.org"] == "fake"
 
     def test_severity_is_idempotent_under_reload(self, catalog, tmp_path):
         # re-load the fixture's own files in path order; labels come from
         # names
         files = [(str(p), p.stem) for p in sorted(tmp_path.glob("*.txt"))]
         reloaded = load_catalog(files)
-        assert reloaded.entries == catalog.entries
+        assert reloaded == catalog
 
     def test_empty_catalog_is_configuration_error(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -63,7 +63,7 @@ class TestLoadCatalog:
         path = tmp_path / "fake.txt"
         path.write_bytes(b"\xef\xbb\xbfinfowars.com\nnaturalnews.com\n")
         catalog = load_catalog([(str(path), "fake")])
-        assert sorted(catalog.entries) == ["infowars.com", "naturalnews.com"]
+        assert sorted(catalog) == ["infowars.com", "naturalnews.com"]
         assert match_host("infowars.com", catalog) == "infowars.com"
 
     def test_randomized_overlaps_match_set_algebra(self, tmp_path, rng):
@@ -82,7 +82,7 @@ class TestLoadCatalog:
         for label in ("reputable", "satire", "lowcred", "fake"):
             for d in picks[label]:
                 expected[d] = label
-        assert catalog.entries == expected
+        assert catalog == expected
 
 
 class TestNormalizeDomain:
@@ -94,14 +94,13 @@ class TestNormalizeDomain:
         assert match_host(host_of(url), catalog) == "nytimes.com"
 
     def test_dot_boundary_enforced(self, catalog):
-        fake = DomainCatalog(entries={"breitbart.com": "fake"})
+        fake = {"breitbart.com": "fake"}
         url = "https://notbreitbart.com/x"
         assert match_host(host_of(url), fake) is None
 
     def test_exhaustive_suffix_oracle(self, rng):
         entries = {f"base{i}.com": "fake" for i in range(50)}
         entries.update({f"deep.base{i}.com": "lowcred" for i in range(0, 50, 5)})
-        cat = DomainCatalog(entries=entries)
         for _ in range(500):
             i = int(rng.integers(0, 50))
             depth = int(rng.integers(0, 3))
@@ -117,7 +116,7 @@ class TestNormalizeDomain:
                 if cand in entries:
                     expected = cand
                     break
-            assert match_host(host_of(url), cat) == expected
+            assert match_host(host_of(url), entries) == expected
 
 
 class TestClassifyMentions:
@@ -183,22 +182,22 @@ class TestClassifyMentions:
 
 class TestTrustScores:
     def test_all_half_scores(self, catalog):
-        scores = {d: 0.5 for d in catalog.entries}
+        scores = {d: 0.5 for d in catalog}
         means = validate_trust_scores(catalog, scores)
         for label in ("fake", "lowcred", "satire", "reputable"):
             assert means[label] == pytest.approx(0.5)
 
     def test_random_fixture_matches_hand_means(self, catalog, rng):
-        scores = {d: float(rng.random()) for d in catalog.entries}
+        scores = {d: float(rng.random()) for d in catalog}
         means = validate_trust_scores(catalog, scores)
         by_label = {}
         for d, s in scores.items():
-            by_label.setdefault(catalog.entries[d], []).append(s)
+            by_label.setdefault(catalog[d], []).append(s)
         for label, vals in by_label.items():
             assert means[label] == pytest.approx(sum(vals) / len(vals))
 
     def test_missing_label_reported_not_fatal(self):
-        cat = DomainCatalog(entries={"a.com": "fake", "b.com": "reputable"})
+        cat = {"a.com": "fake", "b.com": "reputable"}
         means = validate_trust_scores(cat, {"a.com": 0.1})
         assert means["fake"] == pytest.approx(0.1)
         assert means["reputable"] is None

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from newsgeo.errors import InsufficientDataError
 from newsgeo.scaling_laws import (
@@ -51,6 +52,29 @@ class TestFitScaling:
         with pytest.raises(InsufficientDataError):
             fit_scaling({"A": 10.0, "B": 20.0}, {"A": 5.0, "B": 9.0})
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.dictionaries(
+        st.sampled_from(STATE_CODES[3:]),
+        st.tuples(st.integers(0, 1000), st.none() | st.integers(0, 50))))
+    def test_excluded_and_fitted_states_partition_sized_states(self, cells):
+        # three states always fit; every other state has a size N (0 means
+        # none) and a count Y, possibly missing; a state of Y alone is in
+        # neither set
+        N = {"AL": 10, "AK": 20, "AZ": 40}
+        Y = {"AL": 3, "AK": 5, "AZ": 11, "XX": 7}
+        for state, (n, y) in cells.items():
+            N[state] = n
+            if y is not None:
+                Y[state] = y
+        fit, residuals = fit_scaling(N, Y)
+        sized = {s for s, n in N.items() if n >= 1}
+        excluded = set(fit.excluded_states)
+        assert fit.excluded_states == sorted(excluded)
+        assert excluded | set(residuals) == sized
+        assert not excluded & set(residuals)
+        assert excluded == {s for s in sized if Y.get(s, 0) < 1}
+        assert fit.n == len(residuals)
+
 
 class TestClassifyExponent:
     @pytest.mark.parametrize("beta,regime", [
@@ -69,18 +93,18 @@ class TestCirculationResidual:
     def test_exact_line_zero_residuals(self, user_counts):
         tallies = {"fake": {s: int(0.5 * u) for s, u in user_counts.items()}}
         table = circulation_residual(tallies, user_counts)
-        tc = table["fake"]
+        _, residuals = table["fake"]
         # counts proportional to users: residuals only from integer rounding
-        assert all(abs(r) < 0.05 for r in tc.residuals.values())
+        assert all(abs(r) < 0.05 for r in residuals.values())
 
     def test_orthogonality(self, user_counts, rng):
         tallies = {label: planted_counts(b, 0.3, user_counts, 0.2, rng)
                    for label, b in [("fake", 0.9), ("reputable", 1.1)]}
         table = circulation_residual(tallies, user_counts)
-        for tc in table.values():
-            eps = np.array([tc.residuals[s] for s in sorted(tc.residuals)])
+        for _, residuals in table.values():
+            eps = np.array([residuals[s] for s in sorted(residuals)])
             logs = np.array([math.log(user_counts[s])
-                             for s in sorted(tc.residuals)])
+                             for s in sorted(residuals)])
             assert abs(eps.sum()) < 1e-9
             assert abs(eps @ (logs - logs.mean())) < 1e-9
 
@@ -110,17 +134,16 @@ class TestCirculationResidual:
         scaled = circulation_residual(
             {"fake": {s: 10 * c for s, c in tallies["fake"].items()}},
             user_counts)
-        for s in base["fake"].residuals:
-            assert abs(base["fake"].residuals[s]
-                       - scaled["fake"].residuals[s]) < 1e-9
+        for s, r in base["fake"][1].items():
+            assert abs(r - scaled["fake"][1][s]) < 1e-9
 
     def test_zero_count_states_excluded(self, user_counts):
         tallies = {"fake": {s: (0 if i < 3 else 50 + i)
                             for i, s in enumerate(sorted(user_counts))}}
         table = circulation_residual(tallies, user_counts)
-        tc = table["fake"]
-        assert len(tc.excluded_states) == 3
-        assert all(s not in tc.residuals for s in tc.excluded_states)
+        fit, residuals = table["fake"]
+        assert len(fit.excluded_states) == 3
+        assert all(s not in residuals for s in fit.excluded_states)
 
 
 def attr_table(rng, n=50):
@@ -142,7 +165,7 @@ def attr_table(rng, n=50):
 
 
 def suite_entry(suite, label, group):
-    (entry,) = [e for e in suite.entries
+    (entry,) = [e for e in suite
                 if e.label == label and e.group == group]
     return entry
 
@@ -156,7 +179,7 @@ class TestCirculationModels:
                            for s in states}}
         entry = suite_entry(circulation_models(metric, attrs),
                             "fake", "personality_culture")
-        assert "conscientiousness" in entry.result.selected
+        assert "conscientiousness" in entry.result.fit.names
         assert entry.result.fit.coefficient_of("conscientiousness") < 0
 
     def test_planted_linear_model_recovered(self, rng):
@@ -171,7 +194,7 @@ class TestCirculationModels:
                 + 0.05 * float(rng.standard_normal())
         entry = suite_entry(circulation_models({"fake": y}, attrs),
                             "fake", "all")
-        assert set(signal) <= set(entry.result.selected)
+        assert set(signal) <= set(entry.result.fit.names)
         for var, w in signal.items():
             coef = entry.result.fit.coefficient_of(var)
             se = entry.result.fit.stderr[

@@ -265,15 +265,15 @@ class TestStepAic:
         v2 = rng.standard_normal(n)
         y = 2.0 * v1 + 0.1 * rng.standard_normal(n)
         result = step_aic({"v1": v1, "v2": v2}, y)
-        assert result.selected == ["v1"]
-        assert result.selected == list(
+        assert result.fit.names == ["v1"]
+        assert result.fit.names == list(
             exhaustive_best_subset_aic({"v1": v1, "v2": v2}, y))
 
     def test_single_perfect_candidate(self, rng):
         x = rng.standard_normal(50)
         y = 3.0 * x
         result = step_aic({"x": x}, y)
-        assert result.selected == ["x"]
+        assert result.fit.names == ["x"]
         intercept_only = ols_fit(np.empty((50, 0)), y)
         assert result.fit.aic < intercept_only.aic
 
@@ -295,8 +295,8 @@ class TestStepAic:
         y = sum(2.0 * v for v in true.values()) + 0.2 * rng.standard_normal(n)
         candidates = {**true, **noise}
         result = step_aic(candidates, y)
-        assert sorted(result.selected) == sorted(true)
-        assert tuple(sorted(result.selected)) == \
+        assert sorted(result.fit.names) == sorted(true)
+        assert tuple(sorted(result.fit.names)) == \
             exhaustive_best_subset_aic(candidates, y)
 
     @settings(max_examples=25, deadline=None)
@@ -328,7 +328,7 @@ class TestStepAicMatchesReference:
     def assert_same_search(candidates, y):
         result = step_aic(candidates, y)
         fit, selected, trace = reference_step_aic(candidates, y)
-        assert result.selected == selected
+        assert result.fit.names == selected
         assert [(r.action, r.variable, r.aic.hex(), r.variables)
                 for r in result.trace] == \
             [(action, variable, aic.hex(), subset)

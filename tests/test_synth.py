@@ -190,15 +190,13 @@ class TestLedgerConsistency:
     def test_assignments_match_ledger_exactly(self, output):
         locations, _ = assign_states(records_of(output),
                                      output.subreddit_states)
-        expected = output.ledger["assignments"]
-        got = {a: loc.state for a, loc in locations.items()}
-        assert got == expected
+        assert locations == output.ledger["assignments"]
 
     def test_tie_users_all_unassigned(self, output):
         locations, _ = assign_states(records_of(output),
                                      output.subreddit_states)
         for author in output.ledger["tie_authors"]:
-            assert locations[author].state is None
+            assert locations[author] is None
 
     def test_state_user_counts(self, output):
         locations, _ = assign_states(records_of(output),
@@ -212,7 +210,7 @@ class TestLedgerConsistency:
         counts = {}
         mentions = iter_url_mentions(records_of(output))
         for nc in classify_mentions(mentions, catalog):
-            state = locations[nc.author].state
+            state = locations[nc.author]
             counts.setdefault(nc.label, {}).setdefault(state, 0)
             counts[nc.label][state] += 1
         for label, per_state in output.ledger["news_tallies"].items():
