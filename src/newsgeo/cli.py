@@ -21,6 +21,7 @@ import dataclasses
 import itertools
 import json
 import logging
+import math
 import operator
 import os
 import shutil
@@ -155,7 +156,7 @@ def stage_ingest(cfg, run):
     with open(run.input("synth/archive.ndjson", cfg.archive), "rb") as fh:
         records = corpus_ingest.note_comments(
             corpus_ingest.stream_comments(fh, ledger=ledger),
-            counts, authors, replies)
+            counts, authors, replies, ledger=ledger)
         n_mentions = run.write_records(
             "mentions.csv", corpus_ingest.UrlMention,
             corpus_ingest.iter_url_mentions(records, ledger=ledger))
@@ -168,6 +169,7 @@ def stage_ingest(cfg, run):
         (corpus_ingest.resolve_reply(reply, authors) for reply in replies))
     return {}, {"records": ledger.records, "malformed": ledger.malformed,
                 "deleted_author": ledger.deleted_author,
+                "duplicates": ledger.duplicates,
                 "mentions": n_mentions,
                 "urls_without_host": ledger.urls_without_host,
                 "author_subreddits": n_counts, "replies": n_replies}
@@ -198,27 +200,19 @@ def stage_classify(cfg, run):
 
 def stage_geolocate(cfg, run):
     from . import corpus_ingest, geolocation
-    from .stats_core import fit_scaling
     counts_path = run.input("author_subreddits.csv")
     map_path = run.input("synth/subreddit_states.csv", cfg.subreddit_map)
-    pop_path = run.input("synth/populations.csv", cfg.populations)
     subreddit_states = geolocation.load_subreddit_state_map(map_path)
     ledger = geolocation.TallyLedger()
     locations, summary = geolocation.resolve_assignments(
         geolocation.tally_user_states(
             _read_records(counts_path, corpus_ingest.SubredditCount),
             subreddit_states, ledger=ledger))
-    # the adoption law: users against population
-    adoption, _ = fit_scaling(_read_populations(pop_path),
-                              geolocation.state_user_counts(locations))
     n_authors = run.write_records(
         "user_locations.csv", geolocation.UserLocation,
         (geolocation.UserLocation(author, locations[author])
          for author in sorted(locations)))
-    run.write_json("geolocate_summary.json", {
-        **dataclasses.asdict(summary), "adoption_beta": adoption.beta,
-        "adoption_r2": adoption.r2,
-        "adoption_excluded_states": adoption.excluded_states})
+    run.write_json("geolocate_summary.json", dataclasses.asdict(summary))
     return {}, {"authors": n_authors, "assigned": summary.assigned,
                 "tied": summary.unassigned, "unmapped": ledger.unmapped}
 
@@ -249,13 +243,14 @@ def stage_attributes(cfg, run):
     # run for its checks: a column with zero variance over the complete-case
     # states, or fewer than two such states, exits 1
     std_table, dropped = state_attributes.zscore(table, variables)
-    matrix = state_attributes.cross_correlation(table, variables, cfg.alpha)
+    r, p = state_attributes.cross_correlation(table, variables)
+    # a pair with too few complete states has NaN r and p: it is
+    # unavailable, and not insignificant
     n_pairs = run.write_csv(
         "correlations.csv",
         ["var_a", "var_b", "r", "p", "insignificant", "available"],
-        [[variables[i], variables[j], f"{matrix.r[i, j]:.10g}",
-          f"{matrix.p[i, j]:.10g}", int(matrix.insignificant[i, j]),
-          int(matrix.available[i, j])]
+        [[variables[i], variables[j], f"{r[i, j]:.10g}", f"{p[i, j]:.10g}",
+          int(p[i, j] >= cfg.alpha), int(not math.isnan(r[i, j]))]
          for i, j in itertools.combinations(range(len(variables)), 2)])
     return ({"alpha": cfg.alpha, "dropped_states": dropped},
             {"states": len(std_table.values), "pairs": n_pairs})
@@ -265,6 +260,9 @@ def _state_type_counts(news_path, locations):
     from . import news_catalog
     tallies = {}
     for nc in _read_records(news_path, news_catalog.NewsComment):
+        # a label is a key of scaling_fits.json, beside "adoption"
+        if nc.label not in config_mod.LABELS:
+            raise FormatError(f"{news_path}: {nc.label!r} is not a news type")
         state = locations.get(nc.author)
         if state is None:
             continue
@@ -275,9 +273,17 @@ def _state_type_counts(news_path, locations):
 
 def stage_scale(cfg, run):
     from . import geolocation, scaling_laws
+    from .stats_core import fit_scaling
     news_path = run.input("news_comments.csv")
     locations = _read_locations(run.input("user_locations.csv"))
+    populations = _read_populations(
+        run.input("synth/populations.csv", cfg.populations))
     users = geolocation.state_user_counts(locations)
+    if unknown := sorted(users.keys() - populations.keys()):
+        raise ConfigurationError(f"no population for state {unknown[0]!r} "
+                                 "in population file")
+    # the adoption law: users against population
+    adoption, _ = fit_scaling(populations, users)
     tallies = _state_type_counts(news_path, locations)
     n_cells = run.write_csv(
         "state_type_counts.csv", ["state", "news_type", "count", "users"],
@@ -289,9 +295,10 @@ def stage_scale(cfg, run):
                   [[label, state, f"{residuals[state]:.12g}"]
                    for label, (_, residuals) in table.items()
                    for state in sorted(residuals)])
-    run.write_json("scaling_fits.json",
-                   {label: dataclasses.asdict(fit)
-                    for label, (fit, _) in table.items()})
+    run.write_json("scaling_fits.json", {
+        "adoption": dataclasses.asdict(adoption),
+        **{label: dataclasses.asdict(fit)
+           for label, (fit, _) in table.items()}})
     return {}, {"cells": n_cells}
 
 

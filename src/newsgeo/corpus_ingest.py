@@ -76,11 +76,13 @@ class Reply:
 @dataclass
 class StreamLedger:
     """Counters of one pass over an archive: comments parsed and lines
-    skipped by `stream_comments`, URLs skipped by `iter_url_mentions`."""
+    skipped by `stream_comments`, repeated comments skipped by
+    `note_comments`, URLs skipped by `iter_url_mentions`."""
 
     records: int = 0
     malformed: int = 0
     deleted_author: int = 0
+    duplicates: int = 0
     urls_without_host: int = 0
 
 
@@ -186,21 +188,31 @@ def stream_comments(
 def note_comments(
     records: Iterable[Comment], counts: dict[tuple[str, str], int],
     authors: dict[str, str], replies: list[Reply],
+    *,
+    ledger: StreamLedger | None = None,
 ) -> Iterator[Comment]:
     """Yield `records`, noting each comment by a non-deleted author: its
     (author, subreddit) count in `counts`, its id -> author in `authors`,
-    and, if it is a reply, a Reply on `replies`. A duplicate id with
-    conflicting authors raises DataIntegrityError."""
+    and, if it is a reply, a Reply on `replies`. A repeat of a noted
+    comment (its id already given to its author) is skipped and counted on
+    `ledger`; an id already given to another author raises
+    DataIntegrityError."""
+    led = ledger if ledger is not None else StreamLedger()
     for rec in records:
         author = rec.author
         if author != DELETED_AUTHOR:
+            comment_id = rec.comment_id
+            known = authors.get(comment_id)
+            if known is not None:
+                if known != author:
+                    raise DataIntegrityError(
+                        f"comment id {comment_id!r} maps to both "
+                        f"{known!r} and {author!r}")
+                led.duplicates += 1
+                continue
+            authors[comment_id] = author
             key = author, rec.subreddit
             counts[key] = counts.get(key, 0) + 1
-            comment_id = rec.comment_id
-            if authors.setdefault(comment_id, author) != author:
-                raise DataIntegrityError(
-                    f"comment id {comment_id!r} maps to both "
-                    f"{authors[comment_id]!r} and {author!r}")
             parent = rec.parent_id
             if parent is not None:
                 replies.append(Reply(*key, parent))

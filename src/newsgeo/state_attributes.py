@@ -136,28 +136,19 @@ def zscore(
     return StateAttributeTable(columns=list(table.columns), values=values), dropped
 
 
-@dataclass
-class CorrelationMatrix:
-    r: np.ndarray
-    p: np.ndarray
-    insignificant: np.ndarray    # bool, p >= alpha
-    available: np.ndarray        # bool, enough complete pairs
-
-
 def cross_correlation(
-    table: StateAttributeTable, variables: list[str], alpha: float
-) -> CorrelationMatrix:
-    """Pairwise-complete Pearson r and two-sided p for every variable pair."""
+    table: StateAttributeTable, variables: list[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise-complete Pearson r and two-sided p for every variable pair,
+    as two symmetric matrices; both are NaN for a pair with fewer than
+    three complete states."""
     m = len(variables)
     r = np.eye(m)
     p = np.zeros((m, m))
-    insig = np.zeros((m, m), dtype=bool)
-    avail = np.ones((m, m), dtype=bool)
     for i in range(m):
         for j in range(i + 1, m):
             states = table.complete_states([variables[i], variables[j]])
             if len(states) < 3:
-                avail[i, j] = avail[j, i] = False
                 r[i, j] = r[j, i] = np.nan
                 p[i, j] = p[j, i] = np.nan
                 continue
@@ -165,6 +156,4 @@ def cross_correlation(
                                table.column(variables[j], states))
             r[i, j] = r[j, i] = rij
             p[i, j] = p[j, i] = pij
-            if pij >= alpha:
-                insig[i, j] = insig[j, i] = True
-    return CorrelationMatrix(r=r, p=p, insignificant=insig, available=avail)
+    return r, p

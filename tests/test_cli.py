@@ -284,7 +284,7 @@ class TestPipeline:
         report = os.path.join(outdir, "report")
         summary = json.loads(open(os.path.join(report, "summary.json")).read())
         assert set(summary["scaling_fits"]) == \
-            {"fake", "lowcred", "satire", "reputable"}
+            {"adoption", "fake", "lowcred", "satire", "reputable"}
         for family, names in NORTH_STAR.items():
             for name in names:
                 with open(os.path.join(report, name), encoding="utf-8") as fh:
@@ -340,12 +340,9 @@ class TestPipeline:
             for row in csv.DictReader(fh):
                 if row["state"]:
                     located[row["state"]] = located.get(row["state"], 0) + 1
-        summary = json.loads(open(os.path.join(
-            outdir, "geolocate_summary.json")).read())
         fit, _ = fit_scaling(populations, located)
-        assert (summary["adoption_beta"], summary["adoption_r2"]) == \
-            (fit.beta, fit.r2)
-        assert summary["adoption_excluded_states"] == \
+        assert fits["adoption"] == dataclasses.asdict(fit)
+        assert fits["adoption"]["excluded_states"] == \
             sorted(set(populations) - set(located))
 
     def test_geolocation_counts_match_ledger(self, outdir):
@@ -423,7 +420,7 @@ NORTH_STAR = {
 CONSUMERS = {
     "synth/archive.ndjson": (("ingest",), "synth"),
     "synth/subreddit_states.csv": (("geolocate", "connectivity"), "synth"),
-    "synth/populations.csv": (("geolocate",), "synth"),
+    "synth/populations.csv": (("scale",), "synth"),
     "synth/centroids.csv": (("connectivity",), "synth"),
     "synth/attributes.csv": (("attributes", "regress", "contagion"), "synth"),
     "synth/catalog_*.txt": (("classify",), "synth"),
@@ -455,8 +452,9 @@ MANIFEST_INPUTS = {
     "classify": ["mentions.csv", "synth/catalog_fake.txt",
                  "synth/catalog_lowcred.txt", "synth/catalog_reputable.txt",
                  "synth/catalog_satire.txt"],
-    "geolocate": ["author_subreddits.csv", "synth/populations.csv",
-                  "synth/subreddit_states.csv"],
+    "geolocate": ["author_subreddits.csv", "synth/subreddit_states.csv"],
+    "scale": ["news_comments.csv", "synth/populations.csv",
+              "user_locations.csv"],
     "connectivity": ["replies.csv", "synth/centroids.csv",
                      "synth/subreddit_states.csv", "user_locations.csv"],
     "contagion": ["first_exposures.csv", "synth/attributes.csv"],
@@ -527,7 +525,7 @@ class TestStageInputs:
                                               key):
         stage = {"archive": "ingest", "catalog_fake": "classify",
                  "subreddit_map": "geolocate",
-                 "populations": "geolocate"}[key]
+                 "populations": "scale"}[key]
         out = str(tmp_path / "out")
         shutil.copytree(outdir, out)
         missing = str(tmp_path / "no.txt")
@@ -593,8 +591,8 @@ class TestStageInputs:
         replies = list(cli._read_records(
             os.path.join(outdir, "replies.csv"), Reply))
         assert ingest["deleted_author"] > 0
-        assert sum(c.comments for c in counts) == \
-            ingest["records"] - ingest["deleted_author"]
+        assert sum(c.comments for c in counts) == ingest["records"] - \
+            ingest["deleted_author"] - ingest["duplicates"]
         assert len(counts) == ingest["author_subreddits"]
         assert len(replies) == ingest["replies"] == \
             connectivity["pair_events"] + connectivity["unresolved_parents"] \
@@ -798,6 +796,27 @@ def test_pagerank_table_leaves_unscored_cells_empty(tmp_path, reputable,
                                                 abs=1e-11)
 
 
+def test_correlation_of_too_few_states_is_unavailable(tmp_path):
+    # openness and gdp share two states: their r and p are undefined, so
+    # the pair is unavailable and not marked insignificant
+    out = tmp_path / "out"
+    (out / "synth").mkdir(parents=True)
+    (out / "synth" / "attributes.csv").write_text(
+        "state,openness,gdp,population\nAL,1,2,10\nAK,2,1,20\n"
+        "AZ,3,,30\nAR,5,,25\n")
+    assert main(["attributes", "--out-dir", str(out)]) == 0
+    with open(out / "correlations.csv", newline="") as fh:
+        rows = {(row["var_a"], row["var_b"]): row
+                for row in csv.DictReader(fh)}
+    for pair in (("openness", "gdp"), ("gdp", "population")):
+        assert rows[pair] == dict(var_a=pair[0], var_b=pair[1], r="nan",
+                                  p="nan", insignificant="0", available="0")
+    defined = rows["openness", "population"]
+    assert defined["available"] == "1"
+    assert defined["insignificant"] == \
+        str(int(float(defined["p"]) >= DEFAULTS.alpha))
+
+
 def test_mid_file_header_row_is_data(outdir, tmp_path, caplog):
     out = str(tmp_path / "out")
     shutil.copytree(outdir, out)
@@ -809,8 +828,8 @@ def test_mid_file_header_row_is_data(outdir, tmp_path, caplog):
     with open(path, "wb") as fh:
         fh.writelines(lines)
     cfg = write_config(tmp_path, PIPELINE_CONFIG)
-    assert main(["geolocate", "--config", cfg, "--out-dir", out]) == 2
-    assert f"geolocate: ConfigurationError: {path}: line 4: 'state' is " \
+    assert main(["scale", "--config", cfg, "--out-dir", out]) == 2
+    assert f"scale: ConfigurationError: {path}: line 4: 'state' is " \
         "not one of the 50 states" in caplog.text
 
 
@@ -864,6 +883,62 @@ def test_missing_centroid_exits_2(outdir, tmp_path, caplog):
     assert f"ConfigurationError: no centroid for state {state!r}" in caplog.text
 
 
+def test_missing_population_exits_2(outdir, tmp_path, caplog):
+    out = str(tmp_path / "out")
+    shutil.copytree(outdir, out)
+    with open(os.path.join(out, "user_locations.csv"), newline="") as fh:
+        state = max(row["state"] for row in csv.DictReader(fh) if row["state"])
+    path = os.path.join(out, "synth", "populations.csv")
+    with open(path, encoding="utf-8") as fh:
+        lines = [line for line in fh if not line.startswith(f"{state},")]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    assert main(["scale", "--config", cfg, "--out-dir", out]) == 2
+    assert f"scale: ConfigurationError: no population for state {state!r}" \
+        in caplog.text
+
+
+def test_two_states_are_located_but_not_fitted(tmp_path, caplog):
+    # a log-log fit needs three states; assigning users, and the stages
+    # that read only the assignments, do not
+    synth = dict(PIPELINE_CONFIG["synth"], n_states=2,
+                 cascade_states_range=[2, 2])
+    cfg = write_config(tmp_path, dict(PIPELINE_CONFIG, synth=synth))
+    out = str(tmp_path / "out")
+    for stage in ("synth", "ingest", "classify", "geolocate", "diffusion",
+                  "connectivity"):
+        assert main([stage, "--config", cfg, "--out-dir", out]) == 0, stage
+    assert os.path.exists(os.path.join(out, "user_locations.csv"))
+    caplog.clear()
+    assert main(["scale", "--config", cfg, "--out-dir", out]) == 1
+    assert "scale: InsufficientDataError" in caplog.text
+
+
+def test_repeated_comment_line_is_counted_once(outdir, tmp_path):
+    out = str(tmp_path / "out")
+    shutil.copytree(outdir, out)
+    before = manifest_rows(out, "ingest")
+    archive = os.path.join(out, "synth", "archive.ndjson")
+    with open(archive, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines)
+             for rec in stream_comments([line])
+             if extract_urls(rec.body) and rec.author != DELETED_AUTHOR)
+    lines.insert(i, lines[i])
+    with open(archive, "wb") as fh:
+        fh.writelines(lines)
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    assert main(["all", "--config", cfg, "--out-dir", out]) == 0
+
+    def analysed(root):
+        return {rel: data for rel, data in artifact_bytes(root).items()
+                if rel.split(os.sep)[0] != "synth"}
+    assert analysed(out) == analysed(outdir)
+    assert manifest_rows(out, "ingest") == \
+        dict(before, records=before["records"] + 1, duplicates=1)
+
+
 # artifact -> a column of integers in it
 INT_COLUMN = {"author_subreddits.csv": "comments",
               "mentions.csv": "created_utc",
@@ -909,13 +984,32 @@ def test_bad_codec_row_exits_5(outdir, tmp_path, artifact, change):
             in proc.stderr
 
 
+@pytest.mark.parametrize("label", ["adoption", "Fake"])
+def test_news_comment_of_no_news_type_exits_5(outdir, tmp_path, caplog,
+                                              label):
+    # a label is a key of scaling_fits.json, so "adoption" would overwrite
+    # the adoption law there
+    out = str(tmp_path / "out")
+    shutil.copytree(outdir, out)
+    path = os.path.join(out, "news_comments.csv")
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    rows[-1][header.index("label")] = label
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    assert main(["scale", "--config", cfg, "--out-dir", out]) == 5
+    assert f"scale: FormatError: {path}: {label!r} is not a news type" \
+        in caplog.text
+
+
 # state table, appended row -> the stage that reads it, exit code, error
 HOSTILE_TABLE_ROWS = [
-    ("synth/populations.csv", b"AL,lots", "geolocate", 5, "FormatError"),
-    ("synth/populations.csv", b"AL", "geolocate", 5, "FormatError"),
-    ("synth/populations.csv", b"DC,700000", "geolocate", 2,
+    ("synth/populations.csv", b"AL,lots", "scale", 5, "FormatError"),
+    ("synth/populations.csv", b"AL", "scale", 5, "FormatError"),
+    ("synth/populations.csv", b"DC,700000", "scale", 2,
      "ConfigurationError"),
-    ("synth/populations.csv", b"WY,0", "geolocate", 2, "ConfigurationError"),
+    ("synth/populations.csv", b"WY,0", "scale", 2, "ConfigurationError"),
     ("synth/centroids.csv", b"AL", "connectivity", 5, "FormatError"),
     ("synth/centroids.csv", b"AL,north,5", "connectivity", 5, "FormatError"),
     ("synth/centroids.csv", b"WY,nan,-95", "connectivity", 5, "FormatError"),
@@ -934,7 +1028,7 @@ HOSTILE_TABLE_ROWS = [
     ("synth/subreddit_states.csv", b"dcstate,DC", "geolocate", 2,
      "ConfigurationError"),
     ("synth/attributes.csv", b"WY,1.0", "attributes", 5, "FormatError"),
-    ("synth/populations.csv", b"AL,1", "geolocate", 4, "DataIntegrityError"),
+    ("synth/populations.csv", b"AL,1", "scale", 4, "DataIntegrityError"),
     ("synth/centroids.csv", b"AL,32.8,-86.8", "connectivity", 4,
      "DataIntegrityError"),
 ]
@@ -963,7 +1057,7 @@ def test_bad_table_row_exits_with_its_code(outdir, tmp_path, table, row,
 
 
 @pytest.mark.parametrize("table,stage", [
-    ("synth/populations.csv", "geolocate"),
+    ("synth/populations.csv", "scale"),
     ("synth/attributes.csv", "attributes"),
     ("mentions.csv", "classify"),
 ])

@@ -369,6 +369,24 @@ class TestNoteComments:
         assert [(r.author, r.subreddit, r.comments) for r in counts] == \
             [("a", "S", 1), ("a", "s", 2), ("b", "s", 1)]
 
+    def test_repeated_comment_is_skipped_and_counted(self):
+        # only kept comments are indexed, so a repeated [deleted] comment
+        # passes twice
+        records = [make_record("c1", author="a", parent_id="t1_c0"),
+                   make_record("c2", author="[deleted]"),
+                   make_record("c1", author="a", parent_id="t1_c0"),
+                   make_record("c2", author="[deleted]")]
+        counts, authors, replies = {}, {}, []
+        ledger = StreamLedger()
+        passed = list(note_comments(records, counts, authors, replies,
+                                    ledger=ledger))
+        assert [id(rec) for rec in passed] == \
+            [id(records[0]), id(records[1]), id(records[3])]
+        assert counts == {("a", "general"): 1}
+        assert authors == {"c1": "a"}
+        assert replies == [Reply("a", "general", "t1_c0")]
+        assert ledger.duplicates == 1
+
     def test_parents_resolve_in_archive_order(self):
         # the first reply's parent comes later in the archive
         records = [make_record("r1", author="a", parent_id="t1_p1"),

@@ -143,6 +143,8 @@ def test_hostile_archive_through_all(synth_dir, mutations):
             os.path.join(out, "author_subreddits.csv"), SubredditCount))
         replies = list(cli._read_records(
             os.path.join(out, "replies.csv"), Reply))
+        assert sum(row.comments for row in counts) == ingest["records"] - \
+            ingest["deleted_author"] - ingest["duplicates"]
         for row in counts:
             assert {row.author, row.subreddit} <= held
         for reply in replies:

@@ -37,8 +37,7 @@ IMPORT_BUDGET = {
     "synth": ({"states", "synth"}, True),
     "ingest": ({"corpus_ingest", "states"}, False),
     "classify": ({"corpus_ingest", "news_catalog", "states"}, False),
-    "geolocate": ({"corpus_ingest", "geolocation", "states", "stats_core"},
-                  True),
+    "geolocate": ({"corpus_ingest", "geolocation", "states"}, False),
     "attributes": ({"state_attributes", "states", "stats_core"}, True),
     "scale": (_SCALING | {"corpus_ingest", "geolocation", "news_catalog"},
               True),
@@ -97,6 +96,24 @@ def test_stage_imports_only_what_it_runs(pipeline, stage):
     assert set(loaded["newsgeo"]) == _BASE | modules
     assert loaded["numpy"] is numpy
     assert loaded["scipy"] == []
+
+
+def test_readme_numpy_table_matches_the_budget():
+    # the README's `| stages | numpy |` table: each row lists stages, then
+    # whether they load numpy
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        lines = fh.read().split("| stages | numpy |\n", 1)[1].splitlines()
+    listed = []
+    for line in lines[1:]:
+        if not line.startswith("|"):
+            break
+        stages, numpy = (cell.strip() for cell in line.strip("|").split("|"))
+        assert numpy in ("yes", "no"), line
+        listed += [(stage.strip(" `"), numpy == "yes")
+                   for stage in stages.split(",")]
+    assert sorted(listed) == sorted((stage, numpy) for stage, (_, numpy)
+                                    in IMPORT_BUDGET.items())
+    assert len(listed) == len(STAGES) == 11
 
 
 def test_package_serves_every_traced_layer():

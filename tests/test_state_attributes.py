@@ -19,8 +19,6 @@ from newsgeo.state_attributes import (
 )
 from newsgeo.states import STATE_CODES
 
-from conftest import DEFAULTS
-
 
 def write_csv(path, header, rows):
     path.write_text(",".join(header) + "\n" +
@@ -173,17 +171,17 @@ class TestZscore:
 class TestCrossCorrelation:
     def test_self_correlation(self, tmp_path, rng):
         table = load_attributes(full_fixture(tmp_path, rng))
-        matrix = cross_correlation(table, ["openness", "gdp"],
-                                   DEFAULTS.alpha)
-        assert matrix.r[0, 0] == 1.0
-        assert matrix.r[1, 1] == 1.0
+        r, _ = cross_correlation(table, ["openness", "gdp"])
+        assert r[0, 0] == 1.0
+        assert r[1, 1] == 1.0
 
     def test_symmetry_and_bounds(self, tmp_path, rng):
         table = load_attributes(full_fixture(tmp_path, rng))
         variables = ["openness", "gdp", "minority", "political"]
-        matrix = cross_correlation(table, variables, DEFAULTS.alpha)
-        assert np.allclose(matrix.r, matrix.r.T)
-        assert np.all(np.abs(matrix.r[matrix.available]) <= 1.0 + 1e-12)
+        r, p = cross_correlation(table, variables)
+        assert np.allclose(r, r.T)
+        assert np.allclose(p, p.T)
+        assert np.all(np.abs(r[~np.isnan(r)]) <= 1.0 + 1e-12)
 
     def test_formula_oracle(self, rng):
         x = rng.standard_normal(48)
@@ -193,25 +191,22 @@ class TestCrossCorrelation:
             columns=["openness", "gdp"],
             values={s: {"openness": float(x[i]), "gdp": float(y[i])}
                     for i, s in enumerate(states)})
-        matrix = cross_correlation(table, ["openness", "gdp"],
-                                   DEFAULTS.alpha)
+        r, _ = cross_correlation(table, ["openness", "gdp"])
         # direct product-moment formula
         xc, yc = x - x.mean(), y - y.mean()
         r_expected = float(xc @ yc / math.sqrt((xc @ xc) * (yc @ yc)))
-        assert matrix.r[0, 1] == pytest.approx(r_expected, abs=1e-10)
+        assert r[0, 1] == pytest.approx(r_expected, abs=1e-10)
 
     def test_affine_rescaling_invariance(self, tmp_path, rng):
         table = load_attributes(full_fixture(tmp_path, rng))
-        base = cross_correlation(table, ["openness", "gdp"],
-                                 DEFAULTS.alpha)
+        base, _ = cross_correlation(table, ["openness", "gdp"])
         rescaled = StateAttributeTable(
             columns=table.columns,
             values={s: {**row, "gdp": None if row["gdp"] is None
                         else 3.0 * row["gdp"] + 100.0}
                     for s, row in table.values.items()})
-        again = cross_correlation(rescaled, ["openness", "gdp"],
-                                  DEFAULTS.alpha)
-        assert abs(base.r[0, 1] - again.r[0, 1]) < 1e-12
+        again, _ = cross_correlation(rescaled, ["openness", "gdp"])
+        assert abs(base[0, 1] - again[0, 1]) < 1e-12
 
     def test_insufficient_pair_marked_unavailable(self):
         table = StateAttributeTable(
@@ -219,10 +214,8 @@ class TestCrossCorrelation:
             values={"OH": {"openness": 1.0, "gdp": None},
                     "CA": {"openness": 2.0, "gdp": 1.0},
                     "TX": {"openness": 3.0, "gdp": 2.0}})
-        matrix = cross_correlation(table, ["openness", "gdp"],
-                                   DEFAULTS.alpha)
-        assert not matrix.available[0, 1]
-        assert math.isnan(matrix.r[0, 1])
+        r, p = cross_correlation(table, ["openness", "gdp"])
+        assert math.isnan(r[0, 1]) and math.isnan(p[0, 1])
 
 
 def test_model_groups_cover_table_columns():
