@@ -30,7 +30,7 @@ import time
 
 from . import config as config_mod
 from .errors import (ConfigurationError, DataIntegrityError, DependencyError,
-                     FormatError, NewsgeoError)
+                     FormatError, NewsgeoError, UndefinedCorrelationError)
 
 # a fixed name, so `python -m newsgeo.cli` logs as the console script does
 logger = logging.getLogger("newsgeo.cli")
@@ -54,6 +54,10 @@ REPORT_SOURCES = {
     "contagion_summary.json": "contagion.json",
     "pagerank.csv": "pagerank.csv",
 }
+
+# the state attributes whose assortativity each contagion network reports
+ASSORTATIVITY_VARIABLES = ("cultural_tightness", "republican", "population",
+                           "political")
 
 
 class Run:
@@ -103,15 +107,20 @@ class Run:
 def _read_records(path, cls):
     """Yield the `cls` records of a CSV written by `Run.write_records`: int
     fields parsed, empty `str | None` fields None, the rest strings. A
-    wrong header, a row with the wrong number of fields or an int field
-    that does not parse raises FormatError, as does what `open_table`
+    wrong header, a row with the wrong number of fields, an int field that
+    does not parse, a `label` that is not a news type or a `state` that is
+    not one of the 50 raises FormatError, as does what `open_table`
     rejects."""
-    from .states import open_table
+    from .states import STATE_SET, open_table
     columns = dataclasses.fields(cls)
     width = len(columns)
     ints = [i for i, f in enumerate(columns) if f.type in (int, "int")]
     nullable = [i for i, f in enumerate(columns)
                 if f.type in (str | None, "str | None")]
+    domains = {"label": (frozenset(config_mod.LABELS), "a news type"),
+               "state": (STATE_SET, "one of the 50 states")}
+    checked = [(i, *domains[f.name]) for i, f in enumerate(columns)
+               if f.name in domains]
     with open_table(path) as reader:
         header = next(reader, None)
         if header != [f.name for f in columns]:
@@ -130,6 +139,10 @@ def _read_records(path, cls):
                     f"{row[i]!r} is not an integer") from None
             for i in nullable:
                 row[i] = row[i] or None
+            for i, allowed, what in checked:
+                if row[i] is not None and row[i] not in allowed:
+                    raise FormatError(f"{path}: line {reader.line_num}: "
+                                      f"{row[i]!r} is not {what}")
             yield cls(*row)
 
 
@@ -260,9 +273,6 @@ def _state_type_counts(news_path, locations):
     from . import news_catalog
     tallies = {}
     for nc in _read_records(news_path, news_catalog.NewsComment):
-        # a label is a key of scaling_fits.json, beside "adoption"
-        if nc.label not in config_mod.LABELS:
-            raise FormatError(f"{news_path}: {nc.label!r} is not a news type")
         state = locations.get(nc.author)
         if state is None:
             continue
@@ -408,30 +418,29 @@ def stage_contagion(cfg, run):
     for label in config_mod.LABELS:
         graph = contagion.infer_state_network(exposures, label,
                                               cfg.min_states, cfg.rule)
-        entry = {"urls": graph.metadata["urls"],
-                 "edges": len(graph.edges),
-                 "total_weight": graph.total_weight(),
-                 "rule": cfg.rule}
+        entry = summary[label] = {"urls": graph.metadata["urls"],
+                                  "edges": len(graph.edges),
+                                  "total_weight": graph.total_weight(),
+                                  "rule": cfg.rule}
         if graph.edges:
             scores[label] = contagion.pagerank(graph, cfg.damping)
-            if len(graph.edges) >= 2:
-                entry["assortativity"] = {}
-                for var in ("cultural_tightness", "republican", "population",
-                            "political"):
-                    values = {s: attrs.values[s][var] for s in graph.nodes
-                              if s in attrs.values and
-                              attrs.values[s].get(var) is not None}
-                    if set(values) >= set(graph.nodes):
-                        try:
-                            entry["assortativity"][var] = \
-                                contagion.assortativity(graph, values)
-                        except NewsgeoError:
-                            entry["assortativity"][var] = None
-        summary[label] = entry
-    if "lowcred" in scores and "reputable" in scores and \
-       set(scores["lowcred"]) == set(scores["reputable"]):
-        scores["reputable_minus_lowcred"] = contagion.pagerank_differential(
-            scores["reputable"], scores["lowcred"])
+        if len(graph.edges) >= 2:
+            # a variable that a node of the graph lacks is left out, and
+            # one constant over the edges reads null
+            entry["assortativity"] = coefficients = {}
+            for var in ASSORTATIVITY_VARIABLES:
+                values = {s: attrs.values[s][var] for s in graph.nodes
+                          if attrs.values.get(s, {}).get(var) is not None}
+                if len(values) < len(graph.nodes):
+                    continue
+                try:
+                    coefficients[var] = contagion.assortativity(graph, values)
+                except UndefinedCorrelationError:
+                    coefficients[var] = None
+    lowcred, reputable = scores.get("lowcred"), scores.get("reputable")
+    if lowcred and reputable and lowcred.keys() == reputable.keys():
+        scores["reputable_minus_lowcred"] = {s: reputable[s] - lowcred[s]
+                                             for s in lowcred}
     header = [*config_mod.LABELS, "reputable_minus_lowcred"]
     # a cell is empty where the state is not in that label's graph, or where
     # the differential is undefined

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .errors import AlignmentError, UndefinedCorrelationError
+from .errors import UndefinedCorrelationError
 
 if TYPE_CHECKING:
     from .diffusion import FirstExposure
@@ -100,24 +100,12 @@ def pagerank(graph: StateGraph, damping: float) -> dict[str, float]:
     return dict(zip(nodes, y.tolist()))
 
 
-def pagerank_differential(
-    scores_a: dict[str, float], scores_b: dict[str, float]
-) -> dict[str, float]:
-    """Elementwise score_a - score_b over a shared node set."""
-    if set(scores_a) != set(scores_b):
-        raise AlignmentError("score maps cover different node sets")
-    return {s: scores_a[s] - scores_b[s] for s in sorted(scores_a)}
-
-
 def assortativity(graph: StateGraph, attribute: dict[str, float]) -> float:
     """Weighted scalar assortativity: Pearson correlation of the attribute
-    across edge endpoints, each directed edge weighted by its weight."""
-    if len(graph.edges) < 2:
-        raise ValueError("assortativity needs at least 2 edges")
+    across edge endpoints, each directed edge weighted by its weight. The
+    graph has two or more edges, and `attribute` holds every node."""
     xs, ys, ws = [], [], []
     for (src, dst), w in sorted(graph.edges.items()):
-        if src not in attribute or dst not in attribute:
-            raise AlignmentError(f"attribute missing for edge {src}->{dst}")
         xs.append(attribute[src])
         ys.append(attribute[dst])
         ws.append(w)

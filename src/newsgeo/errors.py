@@ -38,9 +38,5 @@ class UndefinedCorrelationError(NewsgeoError):
     """Correlation undefined (constant input)."""
 
 
-class AlignmentError(NewsgeoError):
-    """Two keyed collections that must share a key set do not."""
-
-
 class DependencyError(NewsgeoError):
     """A pipeline stage is missing an upstream artifact."""

@@ -85,8 +85,6 @@ def load_catalog(label_files: list[tuple[str, str]]) -> dict[str, str]:
     """
     catalog: dict[str, str] = {}
     for path, label in label_files:
-        if label not in _SEVERITY:
-            raise ConfigurationError(f"unknown news label {label!r}")
         try:
             # drop a leading byte-order mark, as spreadsheet programs write
             with open(path, encoding="utf-8-sig") as fh:

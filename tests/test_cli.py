@@ -128,6 +128,51 @@ def test_only_the_config_defaults_an_analysis_parameter():
     assert not defaulted, f"defaults outside RunConfig: {defaulted}"
 
 
+def package_trees():
+    """The syntax tree of every module of the package."""
+    return [ast.parse(inspect.getsource(getattr(newsgeo, info.name)))
+            for info in pkgutil.iter_modules(newsgeo.__path__)]
+
+
+def test_every_error_class_is_raised():
+    # a class nothing raises documents an exit that cannot happen; the base
+    # class is what `main` catches
+    raised = set()
+    for tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    classes = {name for name, klass in inspect.getmembers(errors,
+                                                          inspect.isclass)
+               if issubclass(klass, NewsgeoError) and klass is not NewsgeoError}
+    assert not classes - raised, \
+        f"error classes never raised: {sorted(classes - raised)}"
+
+
+# public functions the package never calls: acceptance criterion 9 tests
+# the trust-score check, which `classify` does not run yet
+UNCALLED_BY_DESIGN = {"validate_trust_scores"}
+
+
+def test_every_public_function_is_referenced():
+    # a function only its own body names is dead code: call it or delete it
+    public, referenced = set(), set()
+    for tree in package_trees():
+        for top in tree.body:
+            own = top.name if isinstance(top, ast.FunctionDef) else None
+            if own and not own.startswith("_"):
+                public.add(own)
+            names = {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(top)
+                     if isinstance(node, (ast.Name, ast.Attribute))}
+            referenced |= names - {own}
+    unreferenced = public - referenced - UNCALLED_BY_DESIGN
+    assert not unreferenced, \
+        f"public functions nothing references: {sorted(unreferenced)}"
+
+
 def readme_config_tables():
     """{first header cell: {key: default}} for each table under the
     README's "Config keys" heading, the defaults read as JSON."""
@@ -207,7 +252,6 @@ DOCUMENTED_EXIT_CODES = {
     "SingularDesignError": 1,
     "DegenerateVariableError": 1,
     "UndefinedCorrelationError": 1,
-    "AlignmentError": 1,
 }
 
 
@@ -752,6 +796,21 @@ def test_contagion_reads_only_the_first_exposures(outdir, tmp_path):
         diffusion_rows["first_exposures"]
 
 
+def run_contagion(tmp_path, exposures, attributes):
+    """Run `contagion` with min_states 2 on these first exposures and this
+    attributes.csv text; returns the output directory."""
+    out = tmp_path / "out"
+    (out / "synth").mkdir(parents=True)
+    with open(out / "first_exposures.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(
+            [["url", "label", "states"]] +
+            [[e.url, e.label, e.states] for e in exposures])
+    (out / "synth" / "attributes.csv").write_text(attributes)
+    cfg = write_config(tmp_path, {"min_states": 2})
+    assert main(["contagion", "--config", cfg, "--out-dir", str(out)]) == 0
+    return out
+
+
 @pytest.mark.parametrize("reputable,differential", [("TX CA", True),
                                                      ("TX NY", False)])
 def test_pagerank_table_leaves_unscored_cells_empty(tmp_path, reputable,
@@ -763,16 +822,8 @@ def test_pagerank_table_leaves_unscored_cells_empty(tmp_path, reputable,
     exposures = [FirstExposure("u1", "fake", "CA TX NY"),
                  FirstExposure("u2", "lowcred", "CA TX"),
                  FirstExposure("u3", "reputable", reputable)]
-    out = tmp_path / "out"
-    (out / "synth").mkdir(parents=True)
-    with open(out / "first_exposures.csv", "w", newline="") as fh:
-        csv.writer(fh).writerows(
-            [["url", "label", "states"]] +
-            [[e.url, e.label, e.states] for e in exposures])
-    (out / "synth" / "attributes.csv").write_text(
-        "state,republican\nCA,0.3\nNY,0.4\nTX,0.5\n")
-    cfg = write_config(tmp_path, {"min_states": 2})
-    assert main(["contagion", "--config", cfg, "--out-dir", str(out)]) == 0
+    out = run_contagion(tmp_path, exposures,
+                        "state,republican\nCA,0.3\nNY,0.4\nTX,0.5\n")
     with open(out / "pagerank.csv", newline="") as fh:
         header, *rows = csv.reader(fh)
     assert header == ["state", "fake", "lowcred", "satire", "reputable",
@@ -794,6 +845,33 @@ def test_pagerank_table_leaves_unscored_cells_empty(tmp_path, reputable,
         if diff:
             assert float(diff) == pytest.approx(float(rep) - float(lowcred),
                                                 abs=1e-11)
+    # both score columns sum to 1 over the same states
+    assert sum(float(row[-1]) for row in rows if row[-1]) == \
+        pytest.approx(0.0, abs=1e-11)
+
+
+def test_contagion_summary_reports_assortativity_where_defined(tmp_path):
+    from newsgeo.diffusion import FirstExposure
+    # under the default chain rule, fake has the two edges CA->TX and
+    # TX->NY, satire one edge
+    exposures = [FirstExposure("u1", "fake", "CA TX NY"),
+                 FirstExposure("u2", "satire", "CA TX")]
+    # TX lacks political; population is the same in every state
+    out = run_contagion(
+        tmp_path, exposures,
+        "state,republican,political,population\n"
+        "CA,0.3,0.1,5\nNY,0.4,0.2,5\nTX,0.5,,5\n")
+    with open(out / "contagion_summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["fake"]["edges"] == 2
+    assortativity = summary["fake"]["assortativity"]
+    assert sorted(assortativity) == ["population", "republican"]
+    assert assortativity["population"] is None
+    # republican rises from 0.3 to 0.5 on the first edge and falls from 0.5
+    # to 0.4 on the second: two points on a falling line
+    assert assortativity["republican"] == pytest.approx(-1.0)
+    assert summary["satire"]["edges"] == 1
+    assert "assortativity" not in summary["satire"]
 
 
 def test_correlation_of_too_few_states_is_unavailable(tmp_path):
@@ -984,23 +1062,50 @@ def test_bad_codec_row_exits_5(outdir, tmp_path, artifact, change):
             in proc.stderr
 
 
+def rewrite_cell(path, column, row_of, value):
+    """Set `column` of the data row `row_of(rows)` picks to `value`;
+    returns the line that row is on."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    row = row_of(rows)
+    row[header.index(column)] = value
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    return rows.index(row) + 2
+
+
+@pytest.mark.parametrize("artifact,stage", [
+    ("news_comments.csv", "scale"), ("news_comments.csv", "diffusion"),
+    ("first_exposures.csv", "contagion")])
 @pytest.mark.parametrize("label", ["adoption", "Fake"])
 def test_news_comment_of_no_news_type_exits_5(outdir, tmp_path, caplog,
-                                              label):
+                                              label, artifact, stage):
     # a label is a key of scaling_fits.json, so "adoption" would overwrite
     # the adoption law there
     out = str(tmp_path / "out")
     shutil.copytree(outdir, out)
-    path = os.path.join(out, "news_comments.csv")
-    with open(path, newline="", encoding="utf-8") as fh:
-        header, *rows = csv.reader(fh)
-    rows[-1][header.index("label")] = label
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows([header, *rows])
+    path = os.path.join(out, artifact)
+    line = rewrite_cell(path, "label", lambda rows: rows[-1], label)
     cfg = write_config(tmp_path, PIPELINE_CONFIG)
-    assert main(["scale", "--config", cfg, "--out-dir", out]) == 5
-    assert f"scale: FormatError: {path}: {label!r} is not a news type" \
-        in caplog.text
+    assert main([stage, "--config", cfg, "--out-dir", out]) == 5
+    assert f"{stage}: FormatError: {path}: line {line}: {label!r} is not " \
+        "a news type" in caplog.text
+
+
+@pytest.mark.parametrize("stage", ["scale", "diffusion", "connectivity"])
+def test_located_user_of_no_state_exits_5(outdir, tmp_path, stage):
+    out = str(tmp_path / "out")
+    shutil.copytree(outdir, out)
+    path = os.path.join(out, "user_locations.csv")
+    # a located user, not a tie
+    line = rewrite_cell(path, "state",
+                        lambda rows: next(row for row in rows if row[1]), "XX")
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    proc = run_cli_process(stage, "--config", cfg, "--out-dir", out)
+    assert proc.returncode == 5, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"{stage}: FormatError: {path}: line {line}: 'XX' is not one of " \
+        "the 50 states" in proc.stderr
 
 
 # state table, appended row -> the stage that reads it, exit code, error

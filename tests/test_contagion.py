@@ -6,11 +6,10 @@ from newsgeo.contagion import (
     assortativity,
     infer_state_network,
     pagerank,
-    pagerank_differential,
 )
 from newsgeo.diffusion import (TimelineEvent, UrlTimeline, first_exposures,
                                walk)
-from newsgeo.errors import AlignmentError, UndefinedCorrelationError
+from newsgeo.errors import UndefinedCorrelationError
 
 from conftest import DEFAULTS
 
@@ -170,31 +169,6 @@ class TestPagerank:
         graph = random_graph(rng)
         scores = pagerank(graph, DEFAULTS.damping)
         assert sum(scores.values()) == pytest.approx(1.0, abs=1e-12)
-
-
-class TestDifferential:
-    def test_identical_maps_zero(self):
-        s = {"A": 0.5, "B": 0.5}
-        assert pagerank_differential(s, dict(s)) == {"A": 0.0, "B": 0.0}
-
-    def test_differentials_sum_to_zero(self, rng):
-        graph = random_graph(rng)
-        a = pagerank(graph, DEFAULTS.damping)
-        b = pagerank(graph, damping=0.7)
-        diff = pagerank_differential(a, b)
-        assert sum(diff.values()) == pytest.approx(0.0, abs=1e-12)
-
-    def test_node_set_mismatch(self):
-        with pytest.raises(AlignmentError):
-            pagerank_differential({"A": 1.0}, {"B": 1.0})
-
-    def test_random_pair_hand_computed(self, rng):
-        nodes = [f"S{i}" for i in range(6)]
-        a = {s: float(rng.random()) for s in nodes}
-        b = {s: float(rng.random()) for s in nodes}
-        diff = pagerank_differential(a, b)
-        for s in nodes:
-            assert diff[s] == a[s] - b[s]
 
 
 class TestAssortativity:
