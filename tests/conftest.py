@@ -1,9 +1,11 @@
+import csv
 import json
 import os
 
 import numpy as np
 import pytest
 
+from newsgeo.cli import main
 from newsgeo.config import RunConfig
 from newsgeo.corpus_ingest import (Comment, SubredditCount, note_comments,
                                    resolve_reply)
@@ -60,6 +62,23 @@ def artifact_bytes(outdir):
             with open(path, "rb") as fh:
                 found[os.path.relpath(path, outdir)] = fh.read()
     return found
+
+
+def run_contagion(tmp_path, exposures, attributes):
+    """Run `contagion` with min_states 2 on these first exposures and this
+    attributes.csv text; returns the output directory."""
+    out = tmp_path / "out"
+    (out / "synth").mkdir(parents=True)
+    with open(out / "first_exposures.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(
+            [["url", "label", "states"]] +
+            [[e.url, e.label, e.states] for e in exposures])
+    (out / "synth" / "attributes.csv").write_text(attributes)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"min_states": 2}))
+    assert main(["contagion", "--config", str(cfg),
+                 "--out-dir", str(out)]) == 0
+    return out
 
 
 @pytest.fixture

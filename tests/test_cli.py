@@ -27,7 +27,7 @@ from newsgeo.corpus_ingest import (DELETED_AUTHOR, Reply, StreamLedger,
 from newsgeo.errors import ConfigurationError, NewsgeoError
 from newsgeo.synth import SynthConfig
 
-from conftest import DEFAULTS, artifact_bytes, make_record
+from conftest import DEFAULTS, artifact_bytes, make_record, run_contagion
 
 
 PIPELINE_CONFIG = {
@@ -796,21 +796,6 @@ def test_contagion_reads_only_the_first_exposures(outdir, tmp_path):
         diffusion_rows["first_exposures"]
 
 
-def run_contagion(tmp_path, exposures, attributes):
-    """Run `contagion` with min_states 2 on these first exposures and this
-    attributes.csv text; returns the output directory."""
-    out = tmp_path / "out"
-    (out / "synth").mkdir(parents=True)
-    with open(out / "first_exposures.csv", "w", newline="") as fh:
-        csv.writer(fh).writerows(
-            [["url", "label", "states"]] +
-            [[e.url, e.label, e.states] for e in exposures])
-    (out / "synth" / "attributes.csv").write_text(attributes)
-    cfg = write_config(tmp_path, {"min_states": 2})
-    assert main(["contagion", "--config", cfg, "--out-dir", str(out)]) == 0
-    return out
-
-
 @pytest.mark.parametrize("reputable,differential", [("TX CA", True),
                                                      ("TX NY", False)])
 def test_pagerank_table_leaves_unscored_cells_empty(tmp_path, reputable,
@@ -1074,10 +1059,13 @@ def rewrite_cell(path, column, row_of, value):
     return rows.index(row) + 2
 
 
-@pytest.mark.parametrize("artifact,stage", [
-    ("news_comments.csv", "scale"), ("news_comments.csv", "diffusion"),
-    ("first_exposures.csv", "contagion")])
-@pytest.mark.parametrize("label", ["adoption", "Fake"])
+@pytest.mark.parametrize("label,artifact,stage", [
+    pytest.param(label, artifact, stage,
+                 id=label if stage == "scale" else f"{stage}-{label}")
+    for artifact, stage in [("news_comments.csv", "scale"),
+                            ("news_comments.csv", "diffusion"),
+                            ("first_exposures.csv", "contagion")]
+    for label in ("adoption", "Fake")])
 def test_news_comment_of_no_news_type_exits_5(outdir, tmp_path, caplog,
                                               label, artifact, stage):
     # a label is a key of scaling_fits.json, so "adoption" would overwrite

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,11 @@ from newsgeo.contagion import (
     infer_state_network,
     pagerank,
 )
-from newsgeo.diffusion import (TimelineEvent, UrlTimeline, first_exposures,
-                               walk)
+from newsgeo.diffusion import (FirstExposure, TimelineEvent, UrlTimeline,
+                               first_exposures, walk)
 from newsgeo.errors import UndefinedCorrelationError
 
-from conftest import DEFAULTS
+from conftest import DEFAULTS, run_contagion
 
 
 def exposure(url, label, state_order, start=0, gap=100):
@@ -169,6 +171,60 @@ class TestPagerank:
         graph = random_graph(rng)
         scores = pagerank(graph, DEFAULTS.damping)
         assert sum(scores.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestDifferential:
+    """The reputable_minus_lowcred column `contagion` writes to
+    pagerank.csv."""
+
+    STATES = ["AL", "AK", "AZ", "AR", "CA", "CO"]
+
+    def differential(self, tmp_path, exposures):
+        out = run_contagion(tmp_path, exposures, "state,republican\n")
+        with open(out / "pagerank.csv", newline="") as fh:
+            return {row["state"]: row["reputable_minus_lowcred"]
+                    for row in csv.DictReader(fh)}
+
+    def random_exposures(self, rng, label, n=8):
+        """n first exposures of `label`; the first walks every state, so
+        each label's graph covers all of STATES."""
+        orders = [list(self.STATES)] + [
+            list(rng.permutation(self.STATES)[:rng.integers(2, 7)])
+            for _ in range(n - 1)]
+        return [FirstExposure(f"{label}{i}", label, " ".join(order))
+                for i, order in enumerate(orders)]
+
+    def test_identical_maps_zero(self, tmp_path):
+        exposures = [FirstExposure(f"{label}{i}", label, states)
+                     for label in ("lowcred", "reputable")
+                     for i, states in enumerate(["AL AK AZ", "AZ AL"])]
+        assert self.differential(tmp_path, exposures) == \
+            {"AK": "0", "AL": "0", "AZ": "0"}
+
+    def test_differentials_sum_to_zero(self, tmp_path, rng):
+        exposures = (self.random_exposures(rng, "lowcred") +
+                     self.random_exposures(rng, "reputable"))
+        diff = self.differential(tmp_path, exposures)
+        assert sorted(diff) == sorted(self.STATES)
+        assert sum(float(d) for d in diff.values()) == \
+            pytest.approx(0.0, abs=1e-11)
+
+    def test_node_set_mismatch(self, tmp_path):
+        exposures = [FirstExposure("u1", "lowcred", "AL AK"),
+                     FirstExposure("u2", "reputable", "AK AZ")]
+        assert self.differential(tmp_path, exposures) == \
+            {"AK": "", "AL": "", "AZ": ""}
+
+    def test_random_pair_hand_computed(self, tmp_path, rng):
+        exposures = (self.random_exposures(rng, "lowcred") +
+                     self.random_exposures(rng, "reputable"))
+        lowcred, reputable = (
+            pagerank(infer_state_network(exposures, label, 2, DEFAULTS.rule),
+                     DEFAULTS.damping)
+            for label in ("lowcred", "reputable"))
+        diff = self.differential(tmp_path, exposures)
+        for s in self.STATES:
+            assert diff[s] == f"{reputable[s] - lowcred[s]:.12g}"
 
 
 class TestAssortativity:
