@@ -93,11 +93,15 @@ class Run:
         return write_table(self.out(name), header, rows)
 
     def write_records(self, name, cls, records):
-        """Write dataclass records, one column per field of `cls` in field
-        order (read back by `_read_records`); returns the count."""
-        header = [f.name for f in dataclasses.fields(cls)]
-        return self.write_csv(name, header,
-                              map(operator.attrgetter(*header), records))
+        """Write dataclass records for `_read_records`, one column per field
+        of `cls` in field order, a float as `.12g` text; returns the count."""
+        fields = dataclasses.fields(cls)
+        header = [f.name for f in fields]
+        rows = map(operator.attrgetter(*header), records)
+        if floats := {i for i, f in enumerate(fields) if f.type == "float"}:
+            rows = ([f"{v:.12g}" if i in floats else v
+                     for i, v in enumerate(row)] for row in rows)
+        return self.write_csv(name, header, rows)
 
     def write_json(self, name, doc):
         with open(self.out(name), "w", encoding="utf-8") as fh:
@@ -105,22 +109,16 @@ class Run:
 
 
 def _read_records(path, cls):
-    """Yield the `cls` records of a CSV written by `Run.write_records`: int
-    fields parsed, empty `str | None` fields None, the rest strings. A
-    wrong header, a row with the wrong number of fields, an int field that
-    does not parse, a `label` that is not a news type or a `state` that is
-    not one of the 50 raises FormatError, as does what `open_table`
+    """Yield the `cls` records of a CSV written by `Run.write_records`, each
+    cell read by the `states.CELL_RULES` entry of its field's annotation. A
+    wrong header, a row with the wrong number of fields or a cell outside
+    its field's domain raises FormatError, as does what `open_table`
     rejects."""
-    from .states import STATE_SET, open_table
+    from .states import CELL_RULES, open_table
     columns = dataclasses.fields(cls)
     width = len(columns)
-    ints = [i for i, f in enumerate(columns) if f.type in (int, "int")]
-    nullable = [i for i, f in enumerate(columns)
-                if f.type in (str | None, "str | None")]
-    domains = {"label": (frozenset(config_mod.LABELS), "a news type"),
-               "state": (STATE_SET, "one of the 50 states")}
-    checked = [(i, *domains[f.name]) for i, f in enumerate(columns)
-               if f.name in domains]
+    rules = [(i, *CELL_RULES[f.type]) for i, f in enumerate(columns)
+             if f.type != "str"]
     with open_table(path) as reader:
         header = next(reader, None)
         if header != [f.name for f in columns]:
@@ -130,19 +128,12 @@ def _read_records(path, cls):
             if len(row) != width:
                 raise FormatError(f"{path}: line {reader.line_num} has "
                                   f"{len(row)} fields, expected {width}")
-            try:
-                for i in ints:
-                    row[i] = int(row[i])
-            except ValueError:
-                raise FormatError(
-                    f"{path}: line {reader.line_num}: "
-                    f"{row[i]!r} is not an integer") from None
-            for i in nullable:
-                row[i] = row[i] or None
-            for i, allowed, what in checked:
-                if row[i] is not None and row[i] not in allowed:
+            for i, read, domain in rules:
+                try:
+                    row[i] = read(row[i])
+                except (KeyError, ValueError):
                     raise FormatError(f"{path}: line {reader.line_num}: "
-                                      f"{row[i]!r} is not {what}")
+                                      f"{row[i]!r} is not {domain}") from None
             yield cls(*row)
 
 
@@ -301,10 +292,10 @@ def stage_scale(cfg, run):
          for label in sorted(tallies) for state in sorted(tallies[label])])
 
     table = scaling_laws.circulation_residual(tallies, users)
-    run.write_csv("residuals.csv", ["news_type", "state", "residual"],
-                  [[label, state, f"{residuals[state]:.12g}"]
-                   for label, (_, residuals) in table.items()
-                   for state in sorted(residuals)])
+    run.write_records("residuals.csv", scaling_laws.Residual,
+                      (scaling_laws.Residual(label, state, residuals[state])
+                       for label, (_, residuals) in table.items()
+                       for state in sorted(residuals)))
     run.write_json("scaling_fits.json", {
         "adoption": dataclasses.asdict(adoption),
         **{label: dataclasses.asdict(fit)
@@ -312,21 +303,15 @@ def stage_scale(cfg, run):
     return {}, {"cells": n_cells}
 
 
-def _read_residuals(path):
-    from .states import number, read_table
-    metric = {}
-    for (label, state, residual), where in read_table(
-            path, ("news_type", "state", "residual")):
-        metric.setdefault(label, {})[state] = number(float, residual, where)
-    return metric
-
-
 def stage_regress(cfg, run):
     from . import scaling_laws, state_attributes
     resid_path = run.input("residuals.csv")
     attrs = state_attributes.load_attributes(
         run.input("synth/attributes.csv", cfg.attributes))
-    suite = scaling_laws.circulation_models(_read_residuals(resid_path), attrs)
+    metric = {}  # news type -> state -> circulation residual
+    for r in _read_records(resid_path, scaling_laws.Residual):
+        metric.setdefault(r.news_type, {})[r.state] = r.residual
+    suite = scaling_laws.circulation_models(metric, attrs)
     rows = scaling_laws.suite_rows(suite)
     header = sorted({k for r in rows for k in r},
                     key=lambda k: (k not in ("news_type", "group", "metric"), k))

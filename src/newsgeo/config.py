@@ -12,6 +12,7 @@ from .errors import ConfigurationError
 # the news types, most severe first: a domain listed under several labels
 # takes the first
 LABELS = ("fake", "lowcred", "satire", "reputable")
+Label = str     # one of LABELS, as a record field annotation
 
 
 @dataclass

@@ -9,7 +9,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
+    from .config import Label
     from .news_catalog import NewsComment
+    from .states import StateOrder
 
 SECONDS_PER_DAY = 86_400.0
 
@@ -37,8 +39,8 @@ class FirstExposure:
     """A URL's states in the order they were first exposed, space-joined;
     a row of `first_exposures.csv`."""
     url: str
-    label: str
-    states: str
+    label: Label
+    states: StateOrder
 
 
 @dataclass

@@ -12,7 +12,7 @@ from typing import Iterable
 
 from .corpus_ingest import SubredditCount
 from .errors import ConfigurationError
-from .states import read_table, state_code
+from .states import State, read_table, state_code
 
 
 @dataclass
@@ -20,7 +20,7 @@ class UserLocation:
     """A row of `user_locations.csv`."""
 
     author: str
-    state: str | None                       # None means unassigned (tie)
+    state: State | None                     # None means unassigned (tie)
 
 
 @dataclass

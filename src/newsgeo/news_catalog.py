@@ -11,7 +11,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .config import LABELS
+from .config import LABELS, Label
 from .corpus_ingest import UrlMention
 from .errors import ConfigurationError, FormatError
 
@@ -26,7 +26,7 @@ class NewsComment:
     author: str | None
     created_utc: int
     url: str
-    label: str
+    label: Label
 
 
 @dataclass

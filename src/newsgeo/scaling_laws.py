@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import LABELS
+from .config import LABELS, Label
 from .errors import InsufficientDataError
 from .state_attributes import MODEL_GROUPS, StateAttributeTable, zscore
+from .states import State
 from .stats_core import ScalingFit, StepwiseResult, fit_scaling, step_aic
 
 logger = logging.getLogger(__name__)
@@ -36,6 +37,14 @@ def circulation_residual(
             logger.info("%s: %d zero-count states excluded from the log fit",
                         label, len(fit.excluded_states))
     return table
+
+
+@dataclass(slots=True)
+class Residual:
+    """A row of `residuals.csv`: a state's circulation score."""
+    news_type: Label
+    state: State
+    residual: float
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """The 50 U.S. state codes, and the one CSV codec: every table a stage
-reads or writes is opened by `open_table` or written by `write_table`.
+reads or writes is opened by `open_table` or written by `write_table`, and
+`CELL_RULES` reads each cell of a stage table by its record field's type.
 DC and territories are excluded end to end."""
 
 import contextlib
@@ -7,6 +8,7 @@ import csv
 import math
 import re
 
+from .config import LABELS
 from .errors import ConfigurationError, DataIntegrityError, FormatError
 
 STATE_CODES = (
@@ -18,6 +20,10 @@ STATE_CODES = (
 )
 
 STATE_SET = frozenset(STATE_CODES)
+
+# record field annotations, each naming the domain `CELL_RULES` checks
+State = str         # one of STATE_CODES
+StateOrder = str    # distinct State codes joined by single spaces
 
 # a byte that is not UTF-8, decoded with "surrogateescape"
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
@@ -49,6 +55,35 @@ def _first_bad_line(path):
         for n, line in enumerate(fh, 1):
             if _NOT_UTF8.search(line):
                 return n
+
+
+def _finite(cell):
+    if math.isfinite(value := float(cell)):
+        return value
+    raise ValueError(cell)
+
+
+def _state_order(cell):
+    codes = cell.split(" ")
+    if len(set(codes)) == len(codes) and STATE_SET.issuperset(codes):
+        return cell
+    raise ValueError(cell)
+
+
+_STATES = {state: state for state in STATE_CODES}
+# a record field's annotation -> the reader of its cells, which raises
+# KeyError or ValueError on a cell outside the domain, and the domain's
+# name; a `str` field is read as it is
+CELL_RULES = {
+    "int": (int, "an integer"),
+    "float": (_finite, "a finite number"),
+    "str | None": (lambda cell: cell or None, None),
+    "State": (_STATES.__getitem__, "one of the 50 states"),
+    "State | None": ({"": None, **_STATES}.__getitem__,
+                     "one of the 50 states"),
+    "Label": ({label: label for label in LABELS}.__getitem__, "a news type"),
+    "StateOrder": (_state_order, "an order of distinct states"),
+}
 
 
 def write_table(path, header, rows):
@@ -104,12 +139,10 @@ def state_code(cell, where):
 
 
 def number(kind, cell, where):
-    """`kind(cell)`; FormatError if the cell does not parse, or parses to a
-    float that is not finite (`nan`, `inf`)."""
+    """The int or float `kind` of `cell`, read by its `CELL_RULES` entry;
+    FormatError if the rule refuses the cell (`nan` and `inf` included)."""
+    read, domain = CELL_RULES[kind.__name__]
     try:
-        value = kind(cell)
+        return read(cell)
     except ValueError:
-        raise FormatError(f"{where}: not {kind.__name__}: {cell!r}") from None
-    if kind is float and not math.isfinite(value):
-        raise FormatError(f"{where}: not a finite number: {cell!r}")
-    return value
+        raise FormatError(f"{where}: {cell!r} is not {domain}") from None

@@ -18,13 +18,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import newsgeo
-from newsgeo import cli, errors
+from newsgeo import cli, errors, states
 from newsgeo.cli import STAGES, main
-from newsgeo.config import RunConfig, config_from_dict, config_load
+from newsgeo.config import LABELS, RunConfig, config_from_dict, config_load
 from newsgeo.corpus_ingest import (DELETED_AUTHOR, Reply, StreamLedger,
                                    SubredditCount, extract_urls,
                                    stream_comments)
+from newsgeo.diffusion import FirstExposure
 from newsgeo.errors import ConfigurationError, NewsgeoError
+from newsgeo.scaling_laws import Residual
+from newsgeo.states import STATE_CODES
 from newsgeo.synth import SynthConfig
 
 from conftest import DEFAULTS, artifact_bytes, make_record, run_contagion
@@ -801,7 +804,6 @@ def test_contagion_reads_only_the_first_exposures(outdir, tmp_path):
 def test_pagerank_table_leaves_unscored_cells_empty(tmp_path, reputable,
                                                     differential):
     from newsgeo.contagion import infer_state_network, pagerank
-    from newsgeo.diffusion import FirstExposure
     # satire has no graph; the differential needs lowcred and reputable
     # graphs over the same states
     exposures = [FirstExposure("u1", "fake", "CA TX NY"),
@@ -836,7 +838,6 @@ def test_pagerank_table_leaves_unscored_cells_empty(tmp_path, reputable,
 
 
 def test_contagion_summary_reports_assortativity_where_defined(tmp_path):
-    from newsgeo.diffusion import FirstExposure
     # under the default chain rule, fake has the two edges CA->TX and
     # TX->NY, satire one edge
     exposures = [FirstExposure("u1", "fake", "CA TX NY"),
@@ -1012,7 +1013,7 @@ INT_COLUMN = {"author_subreddits.csv": "comments",
     (artifact, change)
     for artifact in ("author_subreddits.csv", "replies.csv", "mentions.csv",
                      "news_comments.csv", "user_locations.csv",
-                     "first_exposures.csv")
+                     "first_exposures.csv", "residuals.csv")
     for change in ("short", "long", "not-int", "not-utf8")
     if change != "not-int" or artifact in INT_COLUMN])
 def test_bad_codec_row_exits_5(outdir, tmp_path, artifact, change):
@@ -1047,53 +1048,86 @@ def test_bad_codec_row_exits_5(outdir, tmp_path, artifact, change):
             in proc.stderr
 
 
-def rewrite_cell(path, column, row_of, value):
-    """Set `column` of the data row `row_of(rows)` picks to `value`;
-    returns the line that row is on."""
+def rewrite_cell(path, column, row_of, edit):
+    """Set `column` of the data row `row_of(rows)` picks to `edit(cell)`;
+    returns the line that row is on and the new cell."""
     with open(path, newline="", encoding="utf-8") as fh:
         header, *rows = csv.reader(fh)
     row = row_of(rows)
-    row[header.index(column)] = value
+    i = header.index(column)
+    row[i] = edit(row[i])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([header, *rows])
-    return rows.index(row) + 2
+    return rows.index(row) + 2, row[i]
 
 
-@pytest.mark.parametrize("label,artifact,stage", [
-    pytest.param(label, artifact, stage,
+@pytest.mark.parametrize("label,artifact,column,stage", [
+    pytest.param(label, artifact, column, stage,
                  id=label if stage == "scale" else f"{stage}-{label}")
-    for artifact, stage in [("news_comments.csv", "scale"),
-                            ("news_comments.csv", "diffusion"),
-                            ("first_exposures.csv", "contagion")]
+    for artifact, column, stage in [
+        ("news_comments.csv", "label", "scale"),
+        ("news_comments.csv", "label", "diffusion"),
+        ("first_exposures.csv", "label", "contagion"),
+        ("residuals.csv", "news_type", "regress")]
     for label in ("adoption", "Fake")])
 def test_news_comment_of_no_news_type_exits_5(outdir, tmp_path, caplog,
-                                              label, artifact, stage):
+                                              label, artifact, column, stage):
     # a label is a key of scaling_fits.json, so "adoption" would overwrite
     # the adoption law there
     out = str(tmp_path / "out")
     shutil.copytree(outdir, out)
     path = os.path.join(out, artifact)
-    line = rewrite_cell(path, "label", lambda rows: rows[-1], label)
+    line, _ = rewrite_cell(path, column, lambda rows: rows[-1],
+                           lambda _: label)
     cfg = write_config(tmp_path, PIPELINE_CONFIG)
     assert main([stage, "--config", cfg, "--out-dir", out]) == 5
     assert f"{stage}: FormatError: {path}: line {line}: {label!r} is not " \
         "a news type" in caplog.text
 
 
-@pytest.mark.parametrize("stage", ["scale", "diffusion", "connectivity"])
-def test_located_user_of_no_state_exits_5(outdir, tmp_path, stage):
+def _first_state_to_xx(cell):
+    return " ".join(["XX", *cell.split(" ")[1:]])
+
+
+def _first_state_repeated(cell):
+    return f"{cell} {cell.split(' ')[0]}"
+
+
+# a stage table cell that holds a state or a state order: (artifact, column,
+# stage that reads it, edit of the cell, the domain the codec names)
+BAD_STATE_CELLS = {
+    "scale": ("user_locations.csv", "state", "scale", lambda _: "XX",
+              "one of the 50 states"),
+    "diffusion": ("user_locations.csv", "state", "diffusion",
+                  lambda _: "XX", "one of the 50 states"),
+    "connectivity": ("user_locations.csv", "state", "connectivity",
+                     lambda _: "XX", "one of the 50 states"),
+    "regress": ("residuals.csv", "state", "regress", lambda _: "XX",
+                "one of the 50 states"),
+    "contagion": ("first_exposures.csv", "states", "contagion",
+                  _first_state_to_xx, "an order of distinct states"),
+    "contagion-repeat": ("first_exposures.csv", "states", "contagion",
+                         _first_state_repeated, "an order of distinct states"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_STATE_CELLS)
+def test_located_user_of_no_state_exits_5(outdir, tmp_path, case):
+    # a state cell of any stage table, not only a located user's
+    artifact, column, stage, edit, domain = BAD_STATE_CELLS[case]
     out = str(tmp_path / "out")
     shutil.copytree(outdir, out)
-    path = os.path.join(out, "user_locations.csv")
-    # a located user, not a tie
-    line = rewrite_cell(path, "state",
-                        lambda rows: next(row for row in rows if row[1]), "XX")
+    path = os.path.join(out, artifact)
+    # a row with no empty cell: in user_locations.csv, a located user
+    line, cell = rewrite_cell(path, column,
+                              lambda rows: next(row for row in rows
+                                                if all(row)), edit)
     cfg = write_config(tmp_path, PIPELINE_CONFIG)
     proc = run_cli_process(stage, "--config", cfg, "--out-dir", out)
     assert proc.returncode == 5, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert f"{stage}: FormatError: {path}: line {line}: 'XX' is not one of " \
-        "the 50 states" in proc.stderr
+    assert f"{stage}: FormatError: {path}: line {line}: {cell!r} is not " \
+        f"{domain}" in proc.stderr
 
 
 # state table, appended row -> the stage that reads it, exit code, error
@@ -1114,6 +1148,10 @@ HOSTILE_TABLE_ROWS = [
     ("synth/attributes.csv", b"WY,nan" + b",0" * 13, "attributes", 5,
      "FormatError"),
     ("residuals.csv", b"fake,AL,notanumber", "regress", 5, "FormatError"),
+    # residuals.csv is a stage table, read as strictly as the others
+    ("residuals.csv", b"", "regress", 5, "FormatError"),
+    ("residuals.csv", b"# a note", "regress", 5, "FormatError"),
+    ("residuals.csv", b"fake, AL,0.5", "regress", 5, "FormatError"),
     ("synth/subreddit_states.csv", b"caf\xe9,AL", "geolocate", 5,
      "FormatError"),
     ("synth/subreddit_states.csv", b"texasstate,TX,extra", "geolocate", 5,
@@ -1237,17 +1275,103 @@ _cell = st.text(st.sampled_from(',"\r\n x\u00e9\u4e2d')) | \
     st.text(st.characters(blacklist_categories=("Cs",)))
 
 
+_state = st.sampled_from(STATE_CODES)
+_label = st.sampled_from(LABELS)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.builds(Reply, author=_cell, subreddit=_cell,
                           parent_id=st.just("t1_x") | _cell,
-                          parent_author=st.none() | _cell.filter(bool))))
-def test_comment_rows_round_trip(replies):
+                          parent_author=st.none() | _cell.filter(bool))),
+       st.lists(st.builds(Residual, news_type=_label, state=_state,
+                          residual=st.floats(allow_nan=False,
+                                             allow_infinity=False))),
+       st.lists(st.builds(FirstExposure, url=_cell, label=_label,
+                          states=st.lists(_state, min_size=1, unique=True)
+                          .map(" ".join))))
+def test_comment_rows_round_trip(replies, residuals, exposures):
+    # a float is written as its `.12g` text, and so reads back rounded
+    rounded = [dataclasses.replace(r, residual=float(f"{r.residual:.12g}"))
+               for r in residuals]
     with tempfile.TemporaryDirectory() as tmp:
         run = cli.Run(tmp)
-        assert run.write_records("replies.csv", Reply, replies) == \
-            len(replies)
-        path = os.path.join(tmp, "replies.csv")
-        assert list(cli._read_records(path, Reply)) == replies
+        for name, cls, records, expected in [
+                ("replies.csv", Reply, replies, replies),
+                ("residuals.csv", Residual, residuals, rounded),
+                ("first_exposures.csv", FirstExposure, exposures, exposures)]:
+            assert run.write_records(name, cls, records) == len(records)
+            path = os.path.join(tmp, name)
+            assert list(cli._read_records(path, cls)) == expected, name
+
+
+def test_residuals_table_needs_its_header(outdir, tmp_path, caplog):
+    out = str(tmp_path / "out")
+    shutil.copytree(outdir, out)
+    path = os.path.join(out, "residuals.csv")
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["news_type", "state", "residual"]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    assert main(["regress", "--config", cfg, "--out-dir", out]) == 5
+    assert f"regress: FormatError: {path}: header {rows[0]} does not match " \
+        "the Residual fields" in caplog.text
+
+
+@pytest.fixture(scope="module")
+def table_io(tmp_path_factory):
+    """`all` on PIPELINE_CONFIG, noting each record class a stage writes
+    with `Run.write_records` and each path `states.read_table` opens:
+    (output directory, classes, paths)."""
+    tmp = tmp_path_factory.mktemp("table_io")
+    cfg = write_config(tmp, PIPELINE_CONFIG)
+    out = str(tmp / "out")
+    assert main(["synth", "--config", cfg, "--out-dir", out]) == 0
+    classes, paths = set(), []
+    write_records, read_table = cli.Run.write_records, states.read_table
+
+    def noting_write(run, name, cls, records):
+        classes.add(cls)
+        return write_records(run, name, cls, records)
+
+    def noting_read(path, columns):
+        paths.append(path)
+        return read_table(path, columns)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli.Run, "write_records", noting_write)
+        # every module that imported the function holds it under its name
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("newsgeo") and \
+                    getattr(module, "read_table", None) is read_table:
+                mp.setattr(module, "read_table", noting_read)
+        assert main(["all", "--config", cfg, "--out-dir", out]) == 0
+    return out, classes, paths
+
+
+def test_every_record_field_has_a_cell_rule(table_io):
+    _, classes, _ = table_io
+    assert {cls.__name__ for cls in classes} >= {
+        "UrlMention", "SubredditCount", "Reply", "NewsComment",
+        "UserLocation", "Residual", "FirstExposure"}
+    for cls in classes:
+        for f in dataclasses.fields(cls):
+            # an annotation outside the table has no rule for its cells
+            assert f.type == "str" or f.type in states.CELL_RULES, \
+                (cls.__name__, f.name, f.type)
+            if f.name in ("state", "states", "label", "news_type"):
+                assert f.type in states.CELL_RULES, (cls.__name__, f.name)
+                assert states.CELL_RULES[f.type][1] is not None, \
+                    (cls.__name__, f.name)
+
+
+def test_no_stage_artifact_is_read_as_a_state_table(table_io):
+    out, _, paths = table_io
+    # the subreddit map (twice), the centroids and the populations
+    assert len(paths) == 4
+    for path in paths:
+        assert os.path.relpath(path, out) not in cli.PRODUCERS, path
 
 
 def test_deleted_author_is_no_reached_author(tmp_path, catalog):

@@ -91,7 +91,7 @@ class TestLoad:
     def test_non_number_cell_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         write_csv(path, ["state", "openness"], [["OH", "high"]])
-        with pytest.raises(FormatError, match="line 2: not float: 'high'"):
+        with pytest.raises(FormatError, match="line 2: 'high' is not a finite number"):
             load_attributes(str(path))
 
     def test_non_utf8_file_rejected(self, tmp_path):

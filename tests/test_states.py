@@ -73,5 +73,7 @@ def test_state_code():
 def test_number():
     assert number(int, "12", "w") == 12
     assert number(float, "-1.5", "w") == -1.5
-    with pytest.raises(FormatError, match="w: not int: '1.5'"):
+    with pytest.raises(FormatError, match="w: '1.5' is not an integer"):
         number(int, "1.5", "w")
+    with pytest.raises(FormatError, match="w: 'nan' is not a finite number"):
+        number(float, "nan", "w")
