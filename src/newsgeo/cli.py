@@ -113,15 +113,20 @@ def _read_records(path, cls):
     cell read by the `states.CELL_RULES` entry of its field's annotation. A
     wrong header, a row with the wrong number of fields or a cell outside
     its field's domain raises FormatError, as does what `open_table`
-    rejects."""
+    rejects. A record that repeats an earlier one's `cls.KEY` fields, if
+    `cls` declares them, raises DataIntegrityError."""
     from .states import CELL_RULES, open_table
     columns = dataclasses.fields(cls)
+    names = [f.name for f in columns]
     width = len(columns)
     rules = [(i, *CELL_RULES[f.type]) for i, f in enumerate(columns)
              if f.type != "str"]
+    key = getattr(cls, "KEY", None)
+    key_of = key and operator.itemgetter(*map(names.index, key))
+    keys = set()
     with open_table(path) as reader:
         header = next(reader, None)
-        if header != [f.name for f in columns]:
+        if header != names:
             raise FormatError(f"{path}: header {header} does not match "
                               f"the {cls.__name__} fields")
         for row in reader:
@@ -134,6 +139,12 @@ def _read_records(path, cls):
                 except (KeyError, ValueError):
                     raise FormatError(f"{path}: line {reader.line_num}: "
                                       f"{row[i]!r} is not {domain}") from None
+            if key_of:
+                if (value := key_of(row)) in keys:
+                    raise DataIntegrityError(f"{path}: line {reader.line_num}: "
+                                             f"repeated {'/'.join(key)} "
+                                             f"{value!r}")
+                keys.add(value)
             yield cls(*row)
 
 
@@ -291,15 +302,17 @@ def stage_scale(cfg, run):
         [[state, label, tallies[label][state], users.get(state, 0)]
          for label in sorted(tallies) for state in sorted(tallies[label])])
 
-    table = scaling_laws.circulation_residual(tallies, users)
+    # each circulation law: a label's counts against users
+    laws = {label: fit_scaling(users, tallies[label])
+            for label in sorted(tallies)}
     run.write_records("residuals.csv", scaling_laws.Residual,
                       (scaling_laws.Residual(label, state, residuals[state])
-                       for label, (_, residuals) in table.items()
+                       for label, (_, residuals) in laws.items()
                        for state in sorted(residuals)))
     run.write_json("scaling_fits.json", {
         "adoption": dataclasses.asdict(adoption),
         **{label: dataclasses.asdict(fit)
-           for label, (fit, _) in table.items()}})
+           for label, (fit, _) in laws.items()}})
     return {}, {"cells": n_cells}
 
 
@@ -490,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None,
                         help="JSON run configuration file")
     parser.add_argument("--out-dir", required=True)
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("-v", "--verbose", action="store_true")
     return parser
 
@@ -522,8 +534,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = config_mod.config_load(args.config) if args.config \
             else config_mod.RunConfig()
-        if args.seed is not None:
-            cfg.seed = args.seed
         for stage in stages:
             _run_stage(stage, cfg, args.out_dir)
     except NewsgeoError as exc:

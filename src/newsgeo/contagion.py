@@ -5,7 +5,8 @@ its events to the first post per state, in time order, and writes that
 order to `first_exposures.csv`; the chain rule links consecutive first
 exposures, the star rule links the origin state to every later one. Both
 rules deposit (#states - 1) units of weight per URL, a conservation property
-the tests exploit.
+the tests exploit. No edge is a self-loop: the codec's `StateOrder` rule
+refuses an order that repeats a state.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ class StateGraph:
         return sum(self.edges.values())
 
     def add_edge(self, src: str, dst: str, weight: float = 1.0) -> None:
-        if src == dst:
-            return
         self.edges[(src, dst)] = self.edges.get((src, dst), 0.0) + weight
 
 

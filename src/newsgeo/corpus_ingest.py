@@ -51,6 +51,7 @@ class UrlMention:
 class SubredditCount:
     """A row of author_subreddits.csv: an author's comments in a subreddit."""
 
+    KEY = ("author", "subreddit")   # the fields no two rows share
     author: str
     subreddit: str
     comments: int
@@ -110,14 +111,12 @@ _MAX_TIMESTAMP = 2**63 - 1
 _decode = json.JSONDecoder().raw_decode
 
 
-def _parse_line(line: str | bytes) -> Comment | None:
-    # bytes are decoded strictly (a UTF-8-encoded surrogate is invalid
+def _parse_line(line: bytes) -> Comment | None:
+    # the line is decoded strictly (a UTF-8-encoded surrogate is invalid
     # UTF-8, and UnicodeDecodeError a ValueError); a leading BOM is dropped.
     # As in json.loads, only JSON whitespace may surround the value.
     try:
-        if isinstance(line, bytes):
-            line = line.decode().removeprefix("\ufeff")
-        text = line.strip(" \t\n\r")
+        text = line.decode().removeprefix("\ufeff").strip(" \t\n\r")
         obj, end = _decode(text)
     except (ValueError, RecursionError):
         return None
@@ -144,7 +143,7 @@ def _parse_line(line: str | bytes) -> Comment | None:
         return None
     # only a \uD800-\uDFFF escape decodes to a lone surrogate, which no
     # UTF-8 writer can encode; lines holding one are the only ones checked
-    if "\\ud" in line or "\\uD" in line:
+    if "\\ud" in text or "\\uD" in text:
         try:
             "".join((comment_id, author, subreddit, body,
                      parent or "")).encode("utf-8")
@@ -154,11 +153,11 @@ def _parse_line(line: str | bytes) -> Comment | None:
 
 
 def stream_comments(
-    lines: Iterable[str | bytes],
+    lines: Iterable[bytes],
     *,
     ledger: StreamLedger | None = None,
 ) -> Iterator[Comment]:
-    """Yield Comments from NDJSON lines (bytes or text), in file order.
+    """Yield Comments from NDJSON byte lines, in file order.
 
     Malformed lines are skipped and counted on `ledger`. If more than half of
     the first 10k lines are malformed the stream is almost certainly not a

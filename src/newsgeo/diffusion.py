@@ -16,28 +16,18 @@ if TYPE_CHECKING:
 SECONDS_PER_DAY = 86_400.0
 
 UNITS = ("authors", "states")
-# unit -> the getter of the event field it counts: the author (None when
-# deleted), or the state (None when untagged)
-_UNIT_OF = {"authors": operator.attrgetter("author"),
-            "states": operator.attrgetter("state")}
-
-
-# total order of a timeline: timestamp, then comment id for stable ties
-_EVENT_ORDER = operator.attrgetter("created_utc", "comment_id")
-
-
-@dataclass(slots=True)
-class TimelineEvent:
-    created_utc: int
-    author: str | None
-    state: str | None
-    comment_id: str
+# A timeline event is a (created_utc, comment_id, author, state) tuple, its
+# author None when deleted and its state None when untagged.
+# unit -> the getter of the event item it counts
+_UNIT_OF = {"authors": operator.itemgetter(2),
+            "states": operator.itemgetter(3)}
 
 
 @dataclass(slots=True)
 class FirstExposure:
     """A URL's states in the order they were first exposed, space-joined;
     a row of `first_exposures.csv`."""
+    KEY = ("url",)                  # the field no two rows share
     url: str
     label: Label
     states: StateOrder
@@ -47,10 +37,8 @@ class FirstExposure:
 class UrlTimeline:
     url: str
     label: str
-    events: list[TimelineEvent] = field(default_factory=list)
-
-    def sort(self) -> None:
-        self.events.sort(key=_EVENT_ORDER)
+    events: list[tuple[int, str, str | None, str | None]] = \
+        field(default_factory=list)
 
     def spread(self, unit: str) -> Spread:
         """One walk over the sorted events. An event without the unit (an
@@ -60,7 +48,7 @@ class UrlTimeline:
         units: list[str] = []
         seconds: list[int] = []
         if self.events:
-            first = self.events[0].created_utc
+            first = self.events[0][0]
             seen = set()
             for e in self.events:
                 key = unit_of(e)
@@ -68,7 +56,7 @@ class UrlTimeline:
                     continue
                 seen.add(key)
                 units.append(key)
-                seconds.append(e.created_utc - first)
+                seconds.append(e[0] - first)
         return self, units, seconds
 
     def distinct_units(self, unit: str) -> int:
@@ -99,15 +87,13 @@ def build_url_timelines(
         tl = timelines.get(nc.url)
         if tl is None:
             tl = timelines[nc.url] = UrlTimeline(url=nc.url, label=nc.label)
-        tl.events.append(TimelineEvent(
-            created_utc=nc.created_utc,
-            author=nc.author,
-            state=locations.get(nc.author),
-            comment_id=nc.comment_id,
-        ))
+        tl.events.append((nc.created_utc, nc.comment_id, nc.author,
+                          locations.get(nc.author)))
+    # by timestamp, then comment id for stable ties; the author and state,
+    # which may be None, are never compared
     for tl in timelines.values():
         if len(tl.events) > 1:
-            tl.sort()
+            tl.events.sort(key=operator.itemgetter(0, 1))
     return timelines
 
 

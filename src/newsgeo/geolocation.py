@@ -19,6 +19,7 @@ from .states import State, read_table, state_code
 class UserLocation:
     """A row of `user_locations.csv`."""
 
+    KEY = ("author",)                       # the field no two rows share
     author: str
     state: State | None                     # None means unassigned (tie)
 

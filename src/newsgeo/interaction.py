@@ -66,9 +66,9 @@ class PairSet:
     skipped: int = 0
     self_replies: int = 0
 
-    def add(self, a: str, b: str, weight: int = 1) -> None:
+    def add(self, a: str, b: str) -> None:
         pair = (a, b) if a <= b else (b, a)
-        self.counts[pair] = self.counts.get(pair, 0) + weight
+        self.counts[pair] = self.counts.get(pair, 0) + 1
 
 
 def build_interaction_pairs(

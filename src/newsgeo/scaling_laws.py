@@ -1,14 +1,13 @@
 """Circulation residuals and the regression suites.
 
 The circulation score of a state for a news type is the residual of the
-log-log regression of that state's news-comment count on its user count:
-what is left after size is accounted for. The log-log fit includes an
-intercept, which makes the residuals sum to zero.
+log-log regression of that state's news-comment count on its user count
+(`stats_core.fit_scaling`): what is left after size is accounted for. The
+log-log fit includes an intercept, which makes the residuals sum to zero.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,31 +16,13 @@ from .config import LABELS, Label
 from .errors import InsufficientDataError
 from .state_attributes import MODEL_GROUPS, StateAttributeTable, zscore
 from .states import State
-from .stats_core import ScalingFit, StepwiseResult, fit_scaling, step_aic
-
-logger = logging.getLogger(__name__)
-
-
-def circulation_residual(
-    tallies: dict[str, dict[str, int]],
-    user_counts: dict[str, int],
-) -> dict[str, tuple[ScalingFit, dict[str, float]]]:
-    """Per news type, the log-log fit of counts on users and its residuals,
-    the circulation scores. States with users and no count are left out of
-    the fit (`ScalingFit.excluded_states`) and logged."""
-    table = {}
-    for label, per_state in sorted(tallies.items()):
-        fit, residuals = fit_scaling(user_counts, per_state)
-        table[label] = fit, residuals
-        if fit.excluded_states:
-            logger.info("%s: %d zero-count states excluded from the log fit",
-                        label, len(fit.excluded_states))
-    return table
+from .stats_core import StepwiseResult, step_aic
 
 
 @dataclass(slots=True)
 class Residual:
     """A row of `residuals.csv`: a state's circulation score."""
+    KEY = ("news_type", "state")    # the fields no two rows share
     news_type: Label
     state: State
     residual: float

@@ -232,7 +232,6 @@ def _planted_count(expected: float, planted: int, keys: str) -> int:
 
 
 def generate(config: SynthConfig) -> SynthOutput:
-    config.validate()
     streams = np.random.SeedSequence(config.seed).spawn(8)
     rng_users = np.random.default_rng(streams[0])
     rng_ties = np.random.default_rng(streams[1])

@@ -47,7 +47,13 @@ def ndjson_line(comment_id, author="alice", subreddit="general",
            "created_utc": created_utc, "body": body}
     if parent_id is not None:
         rec["parent_id"] = parent_id
-    return json.dumps(rec)
+    return json.dumps(rec).encode()
+
+
+def archive_lines(output):
+    """The lines of a synth output's archive, as the bytes `ingest` reads
+    from the file `synth.write_outputs` writes."""
+    return (line.encode() for line in output.archive)
 
 
 def artifact_bytes(outdir):

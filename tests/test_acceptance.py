@@ -9,6 +9,7 @@ import csv
 import itertools
 import json
 import math
+import operator
 import os
 import time
 
@@ -18,12 +19,11 @@ import pytest
 from newsgeo.cli import main as cli_main
 from newsgeo.contagion import (StateGraph, assortativity, infer_state_network,
                                pagerank)
-from newsgeo.diffusion import (TimelineEvent, UrlTimeline, cascade_times,
-                               reach_distribution, walk)
+from newsgeo.diffusion import (UrlTimeline, cascade_times, reach_distribution,
+                               walk)
 from newsgeo.interaction import PairSet, centroid_distance, connectivity_profile
 from newsgeo.news_catalog import (label_counts, load_catalog,
                                   validate_trust_scores)
-from newsgeo.scaling_laws import circulation_residual
 from newsgeo.stats_core import classify_exponent, fit_scaling, ols_fit, step_aic
 from newsgeo.states import STATE_CODES
 
@@ -90,16 +90,17 @@ def test_criterion_02_residual_orthogonality(capsys):
                    for label, beta in [("fake", 0.8), ("lowcred", 1.0),
                                        ("satire", 1.1), ("reputable", 1.2)]}
         int_users = {s: int(u) for s, u in users.items()}
-        table = circulation_residual(tallies, int_users)
+        table = {label: fit_scaling(int_users, tallies[label])
+                 for label in sorted(tallies)}
         for _, residuals in table.values():
             states = sorted(residuals)
             eps = np.array([residuals[s] for s in states])
             logs = np.array([math.log(int_users[s]) for s in states])
             assert abs(eps.sum()) < 1e-9
             assert abs(eps @ logs) < 1e-9
-        scaled = circulation_residual(
-            {lb: {s: 10 * c for s, c in t.items()}
-             for lb, t in tallies.items()}, int_users)
+        scaled = {label: fit_scaling(int_users, {s: 10 * c for s, c in
+                                                 tallies[label].items()})
+                  for label in sorted(tallies)}
         for label, (_, residuals) in table.items():
             for s, r in residuals.items():
                 assert abs(scaled[label][1][s] - r) < 1e-9
@@ -233,13 +234,11 @@ def test_criterion_06_connectivity(capsys):
 
 
 def _random_timeline(rng, url, n_events, n_authors=6):
-    events = [TimelineEvent(created_utc=int(rng.integers(0, 100_000)),
-                            author=f"a{int(rng.integers(0, n_authors))}",
-                            state=None, comment_id=f"{url}_{j}")
+    events = [(int(rng.integers(0, 100_000)), f"{url}_{j}",
+               f"a{int(rng.integers(0, n_authors))}", None)
               for j in range(n_events)]
-    tl = UrlTimeline(url=url, label="fake", events=events)
-    tl.sort()
-    return tl
+    events.sort(key=operator.itemgetter(0, 1))
+    return UrlTimeline(url=url, label="fake", events=events)
 
 
 def test_criterion_07_diffusion(capsys):
@@ -260,8 +259,8 @@ def test_criterion_07_diffusion(capsys):
                                   qualify="at_least")
             expected = []
             for tl in tls:
-                events = sorted((e.created_utc, e.comment_id, e.author)
-                                for e in tl.events)
+                events = sorted((ts, cid, author)
+                                for ts, cid, author, _ in tl.events)
                 seen = set()
                 for ts, _, author in events:
                     seen.add(author)

@@ -232,9 +232,9 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_synth_block_seed_exits_2(self, tmp_path, caplog):
-        # the top-level seed, which --seed overrides, is the one synth seed
+        # the top-level seed is the one synth seed
         cfg = write_config(tmp_path, {"synth": {"n_states": 5, "seed": 4}})
-        assert main(["synth", "--config", cfg, "--seed", "1",
+        assert main(["synth", "--config", cfg,
                      "--out-dir", str(tmp_path / "out")]) == 2
         assert "top-level key 'seed'" in caplog.text
         assert not (tmp_path / "out").exists()
@@ -1187,6 +1187,37 @@ def test_bad_table_row_exits_with_its_code(outdir, tmp_path, table, row,
         in proc.stderr
 
 
+# keyed stage table -> (the stage that reads it, its first data row with
+# only the cells outside the key changed)
+REPEATED_KEY_ROWS = {
+    "user_locations.csv": ("scale", lambda author, state:
+                           [author, "AL" if state == "WY" else "WY"]),
+    "author_subreddits.csv": ("geolocate", lambda author, subreddit, _:
+                              [author, subreddit, "1"]),
+    "residuals.csv": ("regress", lambda news_type, state, _:
+                      [news_type, state, "5"]),
+    "first_exposures.csv": ("contagion", lambda *row: list(row)),
+}
+
+
+@pytest.mark.parametrize("table", REPEATED_KEY_ROWS)
+def test_repeated_key_exits_4(outdir, tmp_path, table):
+    stage, repeat = REPEATED_KEY_ROWS[table]
+    out = str(tmp_path / "out")
+    shutil.copytree(outdir, out)
+    path = os.path.join(out, table)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    with open(path, "a", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(repeat(*rows[1]))
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    proc = run_cli_process(stage, "--config", cfg, "--out-dir", out)
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"{stage}: DataIntegrityError: {path}: line {len(rows) + 1}: " \
+        "repeated " in proc.stderr
+
+
 @pytest.mark.parametrize("table,stage", [
     ("synth/populations.csv", "scale"),
     ("synth/attributes.csv", "attributes"),
@@ -1283,12 +1314,15 @@ _label = st.sampled_from(LABELS)
 @given(st.lists(st.builds(Reply, author=_cell, subreddit=_cell,
                           parent_id=st.just("t1_x") | _cell,
                           parent_author=st.none() | _cell.filter(bool))),
+       # a keyed table holds each key once
        st.lists(st.builds(Residual, news_type=_label, state=_state,
                           residual=st.floats(allow_nan=False,
-                                             allow_infinity=False))),
+                                             allow_infinity=False)),
+                unique_by=lambda r: (r.news_type, r.state)),
        st.lists(st.builds(FirstExposure, url=_cell, label=_label,
                           states=st.lists(_state, min_size=1, unique=True)
-                          .map(" ".join))))
+                          .map(" ".join)),
+                unique_by=lambda e: e.url))
 def test_comment_rows_round_trip(replies, residuals, exposures):
     # a float is written as its `.12g` text, and so reads back rounded
     rounded = [dataclasses.replace(r, residual=float(f"{r.residual:.12g}"))
@@ -1350,12 +1384,24 @@ def table_io(tmp_path_factory):
     return out, classes, paths
 
 
+# the stage tables where a legitimate row can repeat another's cells: a
+# comment may link one URL twice, or reply twice to one parent
+KEYLESS_RECORDS = {"UrlMention", "Reply", "NewsComment"}
+
+
 def test_every_record_field_has_a_cell_rule(table_io):
     _, classes, _ = table_io
     assert {cls.__name__ for cls in classes} >= {
         "UrlMention", "SubredditCount", "Reply", "NewsComment",
         "UserLocation", "Residual", "FirstExposure"}
     for cls in classes:
+        # a record declares the fields no two of its rows share, or is
+        # keyless
+        if cls.__name__ in KEYLESS_RECORDS:
+            assert not hasattr(cls, "KEY"), cls.__name__
+        else:
+            assert cls.KEY and set(cls.KEY) <= \
+                {f.name for f in dataclasses.fields(cls)}, cls.__name__
         for f in dataclasses.fields(cls):
             # an annotation outside the table has no rule for its cells
             assert f.type == "str" or f.type in states.CELL_RULES, \
@@ -1453,14 +1499,17 @@ class TestParameterPropagation:
         assert all(strict_urls[lb] <= base[lb] for lb in base)
         assert strict_urls != base
 
-    def test_seed_flag_overrides_config(self, tmp_path):
+    def test_config_seed_is_the_synth_seed(self, tmp_path):
         out_a = str(tmp_path / "a")
         out_b = str(tmp_path / "b")
-        cfg = write_config(tmp_path, {"synth": {"n_states": 5}})
-        assert main(["synth", "--config", cfg, "--out-dir", out_a,
-                     "--seed", "1"]) == 0
-        assert main(["synth", "--config", cfg, "--out-dir", out_b,
-                     "--seed", "2"]) == 0
+        for out, seed in ((out_a, 1), (out_b, 2)):
+            cfg = write_config(tmp_path, {"seed": seed,
+                                          "synth": {"n_states": 5}})
+            assert main(["synth", "--config", cfg, "--out-dir", out]) == 0
+        # no flag sets it beside the config
+        with pytest.raises(SystemExit):
+            main(["synth", "--config", cfg, "--out-dir", out_a,
+                  "--seed", "1"])
         a = open(os.path.join(out_a, "synth", "archive.ndjson"), "rb").read()
         b = open(os.path.join(out_b, "synth", "archive.ndjson"), "rb").read()
         assert a != b

@@ -1,4 +1,5 @@
 import csv
+import operator
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from newsgeo.contagion import (
     infer_state_network,
     pagerank,
 )
-from newsgeo.diffusion import (FirstExposure, TimelineEvent, UrlTimeline,
-                               first_exposures, walk)
+from newsgeo.diffusion import (FirstExposure, UrlTimeline, first_exposures,
+                               walk)
 from newsgeo.errors import UndefinedCorrelationError
 
 from conftest import DEFAULTS, run_contagion
@@ -19,13 +20,10 @@ from conftest import DEFAULTS, run_contagion
 def exposure(url, label, state_order, start=0, gap=100):
     """The first-exposure record `diffusion` writes for a URL whose i-th
     post comes from state_order[i]."""
-    events = []
-    for i, state in enumerate(state_order):
-        events.append(TimelineEvent(created_utc=start + i * gap,
-                                    author=f"a{i}", state=state,
-                                    comment_id=f"{url}_{i}"))
+    events = [(start + i * gap, f"{url}_{i}", f"a{i}", state)
+              for i, state in enumerate(state_order)]
+    events.sort(key=operator.itemgetter(0, 1))
     tl = UrlTimeline(url=url, label=label, events=events)
-    tl.sort()
     [record] = first_exposures(walk([tl], "states").spreads)
     return record
 
@@ -84,8 +82,7 @@ class TestInference:
         assert graph.metadata["urls"] == 1
 
     def test_repeat_posts_after_first_exposure_ignored(self):
-        events = [TimelineEvent(created_utc=t, author=f"a{t}", state=s,
-                                comment_id=f"c{t}")
+        events = [(t, f"c{t}", f"a{t}", s)
                   for t, s in [(0, "CA"), (1, "TX"), (2, "CA"), (3, "NY")]]
         tl = UrlTimeline(url="u", label="fake", events=events)
         assert tl.spread("states")[1] == ["CA", "TX", "NY"]

@@ -1,3 +1,4 @@
+import operator
 import statistics
 
 import numpy as np
@@ -8,7 +9,6 @@ from newsgeo.diffusion import (
     SECONDS_PER_DAY,
     UNITS,
     UrlTimeline,
-    TimelineEvent,
     build_url_timelines,
     cascade_times,
     first_exposures,
@@ -21,14 +21,12 @@ from conftest import DEFAULTS
 
 
 def event(ts, author, state, cid):
-    return TimelineEvent(created_utc=ts, author=author, state=state,
-                         comment_id=cid)
+    return ts, cid, author, state
 
 
 def timeline(url, label, events):
-    tl = UrlTimeline(url=url, label=label, events=list(events))
-    tl.sort()
-    return tl
+    return UrlTimeline(url=url, label=label,
+                       events=sorted(events, key=operator.itemgetter(0, 1)))
 
 
 def news(cid, author, url, ts, label="fake"):
@@ -58,8 +56,8 @@ class TestBuildTimelines:
             [news("c2", "a", "u", 10), news("c1", "b", "u", 10),
              news("c0", "c", "u", 5), news("d1", "a", "v", 3),
              news("d0", "b", "v", 3)], locations)
-        assert [e.comment_id for e in tls["u"].events] == ["c0", "c1", "c2"]
-        assert [e.comment_id for e in tls["v"].events] == ["d0", "d1"]
+        assert [cid for _, cid, _, _ in tls["u"].events] == ["c0", "c1", "c2"]
+        assert [cid for _, cid, _, _ in tls["v"].events] == ["d0", "d1"]
 
     def test_planted_cascade_plan(self, rng):
         plan = {}
@@ -79,7 +77,8 @@ class TestBuildTimelines:
             plan[url] = events
         tls = build_url_timelines(comments, {})
         for url, events in plan.items():
-            assert [(e.created_utc, e.author) for e in tls[url].events] == events
+            assert [(ts, author) for ts, _, author, _ in tls[url].events] \
+                == events
 
 
 class TestReach:
@@ -116,7 +115,8 @@ class TestReach:
                                 [event(j, f"a{int(rng.integers(0, 6))}", None,
                                        f"c{i}_{j}") for j in range(k)]))
         curve = dict(reach_distribution(walk(tls, "authors").reaches)["fake"])
-        reaches = [len({e.author for e in tl.events}) for tl in tls]
+        reaches = [len({author for _, _, author, _ in tl.events})
+                   for tl in tls]
         for k in range(1, max(reaches) + 1):
             assert curve[k] == pytest.approx(
                 sum(1 for r in reaches if r >= k) / len(reaches))
@@ -192,8 +192,8 @@ class TestCascadeTimes:
             # oracle: recompute from raw event lists
             expected = []
             for tl in tls:
-                events = sorted((e.created_utc, e.comment_id, e.author)
-                                for e in tl.events)
+                events = sorted((ts, cid, author)
+                                for ts, cid, author, _ in tl.events)
                 seen = set()
                 hit = None
                 for ts, _, author in events:
@@ -252,33 +252,33 @@ def test_reach_curves_on_fuzzed_corpora(seed):
 # a set per reach, a walk per (unit, k), and the first-exposure loop.
 def distinct_units_oracle(tl, unit):
     if unit == "authors":
-        return len({e.author for e in tl.events})
-    return len({e.state for e in tl.events if e.state is not None})
+        return len({author for _, _, author, _ in tl.events})
+    return len({state for *_, state in tl.events if state is not None})
 
 
 def time_to_reach_oracle(tl, unit, k):
     if not tl.events:
         return None
-    first_ts = tl.events[0].created_utc
+    first_ts = tl.events[0][0]
     seen = set()
-    for e in tl.events:
-        key = e.author if unit == "authors" else e.state
+    for ts, _, author, state in tl.events:
+        key = author if unit == "authors" else state
         if unit == "states" and key is None:
             continue
         seen.add(key)
         if len(seen) >= k:
-            return float(e.created_utc - first_ts)
+            return float(ts - first_ts)
     return None
 
 
 def first_exposure_order_oracle(tl):
     order = []
     seen = set()
-    for e in tl.events:
-        if e.state is None or e.state in seen:
+    for *_, state in tl.events:
+        if state is None or state in seen:
             continue
-        seen.add(e.state)
-        order.append(e.state)
+        seen.add(state)
+        order.append(state)
     return order
 
 

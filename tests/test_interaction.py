@@ -14,7 +14,8 @@ from newsgeo.interaction import (
 )
 from newsgeo.synth import SynthConfig, generate
 
-from conftest import DEFAULTS, assign_states, ingest_tables, make_record
+from conftest import (DEFAULTS, archive_lines, assign_states, ingest_tables,
+                      make_record)
 
 
 CENTROIDS = {
@@ -146,7 +147,7 @@ class TestBuildPairs:
                                    deleted_comment_fraction=0.05,
                                    interaction_users_per_state=3,
                                    connectivity_base=0.5))
-        corpus = list(stream_comments(out.archive))
+        corpus = list(stream_comments(archive_lines(out)))
         locations, _ = assign_states(corpus, out.subreddit_states)
         # plant the drops the generator does not make
         target = next(r for r in corpus if r.author in locations)

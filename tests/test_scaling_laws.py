@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from newsgeo.errors import InsufficientDataError
 from newsgeo.scaling_laws import (
     circulation_models,
-    circulation_residual,
     suite_rows,
 )
 from newsgeo.state_attributes import MODEL_GROUPS, StateAttributeTable
@@ -91,17 +90,16 @@ class TestClassifyExponent:
 
 class TestCirculationResidual:
     def test_exact_line_zero_residuals(self, user_counts):
-        tallies = {"fake": {s: int(0.5 * u) for s, u in user_counts.items()}}
-        table = circulation_residual(tallies, user_counts)
-        _, residuals = table["fake"]
+        _, residuals = fit_scaling(
+            user_counts, {s: int(0.5 * u) for s, u in user_counts.items()})
         # counts proportional to users: residuals only from integer rounding
         assert all(abs(r) < 0.05 for r in residuals.values())
 
     def test_orthogonality(self, user_counts, rng):
         tallies = {label: planted_counts(b, 0.3, user_counts, 0.2, rng)
                    for label, b in [("fake", 0.9), ("reputable", 1.1)]}
-        table = circulation_residual(tallies, user_counts)
-        for _, residuals in table.values():
+        for label in sorted(tallies):
+            _, residuals = fit_scaling(user_counts, tallies[label])
             eps = np.array([residuals[s] for s in sorted(residuals)])
             logs = np.array([math.log(user_counts[s])
                              for s in sorted(residuals)])
@@ -129,19 +127,17 @@ class TestCirculationResidual:
             assert residuals[s] == pytest.approx(planted[i], abs=1e-9)
 
     def test_scale_invariance_of_residuals(self, user_counts, rng):
-        tallies = {"fake": planted_counts(1.0, 0.3, user_counts, 0.2, rng)}
-        base = circulation_residual(tallies, user_counts)
-        scaled = circulation_residual(
-            {"fake": {s: 10 * c for s, c in tallies["fake"].items()}},
-            user_counts)
-        for s, r in base["fake"][1].items():
-            assert abs(r - scaled["fake"][1][s]) < 1e-9
+        counts = planted_counts(1.0, 0.3, user_counts, 0.2, rng)
+        _, base = fit_scaling(user_counts, counts)
+        _, scaled = fit_scaling(user_counts,
+                                {s: 10 * c for s, c in counts.items()})
+        for s, r in base.items():
+            assert abs(r - scaled[s]) < 1e-9
 
     def test_zero_count_states_excluded(self, user_counts):
-        tallies = {"fake": {s: (0 if i < 3 else 50 + i)
-                            for i, s in enumerate(sorted(user_counts))}}
-        table = circulation_residual(tallies, user_counts)
-        fit, residuals = table["fake"]
+        fit, residuals = fit_scaling(
+            user_counts, {s: (0 if i < 3 else 50 + i)
+                          for i, s in enumerate(sorted(user_counts))})
         assert len(fit.excluded_states) == 3
         assert all(s not in residuals for s in fit.excluded_states)
 

@@ -27,11 +27,7 @@ from newsgeo.synth import (
     write_outputs,
 )
 
-from conftest import DEFAULTS, assign_states, ingest_tables
-
-
-def archive_lines(output):
-    return output.archive
+from conftest import DEFAULTS, archive_lines, assign_states, ingest_tables
 
 
 def records_of(output, ledger=None):
