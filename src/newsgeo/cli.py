@@ -71,11 +71,12 @@ class Run:
     def input(self, name, configured=None):
         """Path of input `name`: the configured path if set, else the
         artifact under `outdir`. A missing input raises DependencyError."""
-        path = configured or os.path.join(self.outdir, name)
+        path = configured if configured is not None \
+            else os.path.join(self.outdir, name)
         if os.path.exists(path):
             self.inputs.append(path)
             return path
-        if configured:
+        if configured is not None:
             raise DependencyError(f"configured input {path!r} does not exist")
         producer = "synth" if name.startswith("synth/") else PRODUCERS[name]
         raise DependencyError(f"missing artifact {path!r}; "
@@ -163,7 +164,7 @@ def stage_synth(cfg, run):
 
 
 def stage_ingest(cfg, run):
-    from . import corpus_ingest
+    from . import corpus_ingest, states
     # one pass: each parsed comment is noted for the tables written after it
     # on its way to the URL extractor, so the archive is never held in memory
     ledger = corpus_ingest.StreamLedger()
@@ -173,14 +174,14 @@ def stage_ingest(cfg, run):
             corpus_ingest.stream_comments(fh, ledger=ledger),
             counts, authors, replies, ledger=ledger)
         n_mentions = run.write_records(
-            "mentions.csv", corpus_ingest.UrlMention,
+            "mentions.csv", states.UrlMention,
             corpus_ingest.iter_url_mentions(records, ledger=ledger))
     n_counts = run.write_records(
-        "author_subreddits.csv", corpus_ingest.SubredditCount,
-        (corpus_ingest.SubredditCount(*key, counts[key])
+        "author_subreddits.csv", states.SubredditCount,
+        (states.SubredditCount(*key, counts[key])
          for key in sorted(counts)))
     n_replies = run.write_records(
-        "replies.csv", corpus_ingest.Reply,
+        "replies.csv", states.Reply,
         (corpus_ingest.resolve_reply(reply, authors) for reply in replies))
     return {}, {"records": ledger.records, "malformed": ledger.malformed,
                 "deleted_author": ledger.deleted_author,
@@ -191,7 +192,7 @@ def stage_ingest(cfg, run):
 
 
 def stage_classify(cfg, run):
-    from . import corpus_ingest, news_catalog
+    from . import news_catalog, states
     mentions_path = run.input("mentions.csv")
     catalog = news_catalog.load_catalog(
         [(run.input(f"synth/catalog_{label}.txt", path), label)
@@ -199,9 +200,9 @@ def stage_classify(cfg, run):
     tallies = {}
     ledger = news_catalog.MatchLedger()
     n_news = run.write_records(
-        "news_comments.csv", news_catalog.NewsComment,
+        "news_comments.csv", states.NewsComment,
         news_catalog.classify_mentions(
-            _read_records(mentions_path, corpus_ingest.UrlMention),
+            _read_records(mentions_path, states.UrlMention),
             catalog, tallies, ledger=ledger))
     run.write_csv("tallies.csv",
                   ["news_type", "unique_comments", "unique_users",
@@ -214,18 +215,18 @@ def stage_classify(cfg, run):
 
 
 def stage_geolocate(cfg, run):
-    from . import corpus_ingest, geolocation
+    from . import geolocation, states
     counts_path = run.input("author_subreddits.csv")
     map_path = run.input("synth/subreddit_states.csv", cfg.subreddit_map)
     subreddit_states = geolocation.load_subreddit_state_map(map_path)
     ledger = geolocation.TallyLedger()
     locations, summary = geolocation.resolve_assignments(
         geolocation.tally_user_states(
-            _read_records(counts_path, corpus_ingest.SubredditCount),
+            _read_records(counts_path, states.SubredditCount),
             subreddit_states, ledger=ledger))
     n_authors = run.write_records(
-        "user_locations.csv", geolocation.UserLocation,
-        (geolocation.UserLocation(author, locations[author])
+        "user_locations.csv", states.UserLocation,
+        (states.UserLocation(author, locations[author])
          for author in sorted(locations)))
     run.write_json("geolocate_summary.json", dataclasses.asdict(summary))
     return {}, {"authors": n_authors, "assigned": summary.assigned,
@@ -245,9 +246,9 @@ def _read_populations(path):
 
 def _read_locations(path):
     """author -> state, None for a tie"""
-    from . import geolocation
+    from . import states
     return {loc.author: loc.state
-            for loc in _read_records(path, geolocation.UserLocation)}
+            for loc in _read_records(path, states.UserLocation)}
 
 
 def stage_attributes(cfg, run):
@@ -272,9 +273,9 @@ def stage_attributes(cfg, run):
 
 
 def _state_type_counts(news_path, locations):
-    from . import news_catalog
+    from . import states
     tallies = {}
-    for nc in _read_records(news_path, news_catalog.NewsComment):
+    for nc in _read_records(news_path, states.NewsComment):
         state = locations.get(nc.author)
         if state is None:
             continue
@@ -284,7 +285,7 @@ def _state_type_counts(news_path, locations):
 
 
 def stage_scale(cfg, run):
-    from . import geolocation, scaling_laws
+    from . import geolocation, states
     from .stats_core import fit_scaling
     news_path = run.input("news_comments.csv")
     locations = _read_locations(run.input("user_locations.csv"))
@@ -305,8 +306,8 @@ def stage_scale(cfg, run):
     # each circulation law: a label's counts against users
     laws = {label: fit_scaling(users, tallies[label])
             for label in sorted(tallies)}
-    run.write_records("residuals.csv", scaling_laws.Residual,
-                      (scaling_laws.Residual(label, state, residuals[state])
+    run.write_records("residuals.csv", states.Residual,
+                      (states.Residual(label, state, residuals[state])
                        for label, (_, residuals) in laws.items()
                        for state in sorted(residuals)))
     run.write_json("scaling_fits.json", {
@@ -317,12 +318,12 @@ def stage_scale(cfg, run):
 
 
 def stage_regress(cfg, run):
-    from . import scaling_laws, state_attributes
+    from . import scaling_laws, state_attributes, states
     resid_path = run.input("residuals.csv")
     attrs = state_attributes.load_attributes(
         run.input("synth/attributes.csv", cfg.attributes))
     metric = {}  # news type -> state -> circulation residual
-    for r in _read_records(resid_path, scaling_laws.Residual):
+    for r in _read_records(resid_path, states.Residual):
         metric.setdefault(r.news_type, {})[r.state] = r.residual
     suite = scaling_laws.circulation_models(metric, attrs)
     rows = scaling_laws.suite_rows(suite)
@@ -334,11 +335,11 @@ def stage_regress(cfg, run):
 
 
 def stage_diffusion(cfg, run):
-    from . import diffusion, news_catalog
+    from . import diffusion, states
     news_path = run.input("news_comments.csv")
     locations = _read_locations(run.input("user_locations.csv"))
     timelines = diffusion.build_url_timelines(
-        _read_records(news_path, news_catalog.NewsComment), locations)
+        _read_records(news_path, states.NewsComment), locations)
     reach_rows = []
     time_rows = []
     for unit in diffusion.UNITS:
@@ -362,13 +363,13 @@ def stage_diffusion(cfg, run):
                   ["news_type", "unit", "k", "mean_days", "median_days",
                    "n_urls"], time_rows)
     n_exposures = run.write_records("first_exposures.csv",
-                                    diffusion.FirstExposure, exposures)
+                                    states.FirstExposure, exposures)
     return ({"qualify": cfg.reach_qualify, "ks": cfg.cascade_ks},
             {"timelines": len(timelines), "first_exposures": n_exposures})
 
 
 def stage_connectivity(cfg, run):
-    from . import corpus_ingest, geolocation, interaction
+    from . import geolocation, interaction, states
     replies_path = run.input("replies.csv")
     locations = _read_locations(run.input("user_locations.csv"))
     centroids = interaction.load_centroids(
@@ -378,7 +379,7 @@ def stage_connectivity(cfg, run):
     # the replies go first and by position: the benchmark's tracer
     # (pipebench/tracer.py) counts them from the first positional argument
     pairs = interaction.build_interaction_pairs(
-        _read_records(replies_path, corpus_ingest.Reply), locations,
+        _read_records(replies_path, states.Reply), locations,
         cfg.scope, state_subs)
     bins = interaction.connectivity_profile(pairs, locations, centroids,
                                             cfg.bin_km)
@@ -405,9 +406,9 @@ def stage_connectivity(cfg, run):
 
 
 def stage_contagion(cfg, run):
-    from . import contagion, diffusion, state_attributes
+    from . import contagion, state_attributes, states
     exposures = list(_read_records(run.input("first_exposures.csv"),
-                                   diffusion.FirstExposure))
+                                   states.FirstExposure))
     attrs = state_attributes.load_attributes(
         run.input("synth/attributes.csv", cfg.attributes))
 

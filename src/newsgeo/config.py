@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, field
@@ -12,7 +13,9 @@ from .errors import ConfigurationError
 # the news types, most severe first: a domain listed under several labels
 # takes the first
 LABELS = ("fake", "lowcred", "satire", "reputable")
-Label = str     # one of LABELS, as a record field annotation
+
+# the radius of the sphere that centroid distances are measured on
+EARTH_RADIUS_KM = 6371.0
 
 
 @dataclass
@@ -118,7 +121,11 @@ def _validate(cfg: RunConfig) -> None:
             f"bad value for key 'reach_qualify': {cfg.reach_qualify!r}")
     if not 0.0 < cfg.damping < 1.0:
         raise ConfigurationError(f"bad value for key 'damping': {cfg.damping}")
-    if cfg.bin_km <= 0:
+    # a bin is finite (JSON's 1e400 reads as inf), and so is the number of
+    # the bin the longest great-circle distance, half the circumference,
+    # falls in
+    if not 0 < cfg.bin_km < math.inf or \
+            not math.isfinite(math.pi * EARTH_RADIUS_KM / cfg.bin_km):
         raise ConfigurationError(f"bad value for key 'bin_km': {cfg.bin_km}")
     if cfg.min_states < 2:
         raise ConfigurationError(f"bad value for key 'min_states': {cfg.min_states}")

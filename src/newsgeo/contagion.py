@@ -14,14 +14,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .errors import UndefinedCorrelationError
-
-if TYPE_CHECKING:
-    from .diffusion import FirstExposure
+from .states import FirstExposure
 
 logger = logging.getLogger(__name__)
 

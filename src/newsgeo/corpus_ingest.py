@@ -17,15 +17,13 @@ from typing import Iterable, Iterator
 from urllib.parse import urlsplit
 
 from .errors import DataIntegrityError, FormatError
-
-DELETED_AUTHOR = "[deleted]"
+from .states import DELETED_AUTHOR, Reply, UrlMention
 
 # >50% malformed in this many leading lines means we are reading the wrong file
 _FORMAT_PROBE_LINES = 10_000
 
 
-# Records are slotted and mutable: a frozen dataclass sets each field through
-# object.__setattr__, which makes building one about four times as slow.
+# slotted and mutable, as the stage-table records in `states` are
 @dataclass(slots=True)
 class Comment:
     """A parsed archive comment."""
@@ -36,42 +34,6 @@ class Comment:
     created_utc: int
     body: str
     parent_id: str | None = None
-
-
-@dataclass(slots=True)
-class UrlMention:
-    comment_id: str
-    author: str | None
-    created_utc: int
-    url: str
-    host: str
-
-
-@dataclass(slots=True)
-class SubredditCount:
-    """A row of author_subreddits.csv: an author's comments in a subreddit."""
-
-    KEY = ("author", "subreddit")   # the fields no two rows share
-    author: str
-    subreddit: str
-    comments: int
-
-
-@dataclass(slots=True)
-class Reply:
-    """A row of `replies.csv`: a reply by a non-deleted author, and the
-    author of its parent comment; None when `resolve_reply` finds none."""
-
-    author: str
-    subreddit: str
-    parent_id: str
-    parent_author: str | None = None
-
-    # never true; pipebench/tracer.py reads it and `parent_id` from each
-    # reply that interaction.build_interaction_pairs is given
-    @property
-    def is_deleted_author(self) -> bool:
-        return self.author == DELETED_AUTHOR
 
 
 @dataclass

@@ -6,12 +6,9 @@ from __future__ import annotations
 import operator
 import statistics
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
-if TYPE_CHECKING:
-    from .config import Label
-    from .news_catalog import NewsComment
-    from .states import StateOrder
+from .states import FirstExposure, NewsComment
 
 SECONDS_PER_DAY = 86_400.0
 
@@ -21,16 +18,6 @@ UNITS = ("authors", "states")
 # unit -> the getter of the event item it counts
 _UNIT_OF = {"authors": operator.itemgetter(2),
             "states": operator.itemgetter(3)}
-
-
-@dataclass(slots=True)
-class FirstExposure:
-    """A URL's states in the order they were first exposed, space-joined;
-    a row of `first_exposures.csv`."""
-    KEY = ("url",)                  # the field no two rows share
-    url: str
-    label: Label
-    states: StateOrder
 
 
 @dataclass

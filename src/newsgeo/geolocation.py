@@ -10,18 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .corpus_ingest import SubredditCount
 from .errors import ConfigurationError
-from .states import State, read_table, state_code
-
-
-@dataclass
-class UserLocation:
-    """A row of `user_locations.csv`."""
-
-    KEY = ("author",)                       # the field no two rows share
-    author: str
-    state: State | None                     # None means unassigned (tie)
+from .states import SubredditCount, read_table, state_code
 
 
 @dataclass

@@ -13,12 +13,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .corpus_ingest import Reply
+from .config import EARTH_RADIUS_KM
 from .errors import ConfigurationError, FormatError
 from .geolocation import state_user_counts
-from .states import by_state, number, read_table, state_code
-
-EARTH_RADIUS_KM = 6371.0
+from .states import Reply, by_state, number, read_table, state_code
 
 
 def load_centroids(path: str) -> dict[str, tuple[float, float]]:

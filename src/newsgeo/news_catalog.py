@@ -11,22 +11,13 @@ import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .config import LABELS, Label
-from .corpus_ingest import UrlMention
+from .config import LABELS
 from .errors import ConfigurationError, FormatError
+from .states import NewsComment, UrlMention
 
 logger = logging.getLogger(__name__)
 
 _SEVERITY = {label: i for i, label in enumerate(LABELS)}
-
-
-@dataclass(slots=True)
-class NewsComment:
-    comment_id: str
-    author: str | None
-    created_utc: int
-    url: str
-    label: Label
 
 
 @dataclass

@@ -12,20 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import LABELS, Label
+from .config import LABELS
 from .errors import InsufficientDataError
 from .state_attributes import MODEL_GROUPS, StateAttributeTable, zscore
-from .states import State
 from .stats_core import StepwiseResult, step_aic
-
-
-@dataclass(slots=True)
-class Residual:
-    """A row of `residuals.csv`: a state's circulation score."""
-    KEY = ("news_type", "state")    # the fields no two rows share
-    news_type: Label
-    state: State
-    residual: float
 
 
 @dataclass

@@ -58,7 +58,8 @@ class StateAttributeTable:
 
 
 def load_attributes(path: str) -> StateAttributeTable:
-    """Read the attribute CSV (header `state` plus known columns). A state
+    """Read the attribute CSV (header `state` plus known columns, each named
+    once; an unknown or repeated column is a ConfigurationError). A state
     code outside the 50 states is a ConfigurationError, a second row for a
     state a DataIntegrityError, and a row of another width than the header
     or a cell that is not a number a FormatError, as is what `open_table`
@@ -72,9 +73,11 @@ def _read_attributes(path: str, reader) -> StateAttributeTable:
     if "state" not in header:
         raise ConfigurationError("attribute CSV is missing a 'state' column")
     known = set(ATTRIBUTE_COLUMNS)
-    for col in header:
+    for i, col in enumerate(header):
         if col != "state" and col not in known:
             raise ConfigurationError(f"unknown attribute column {col!r}")
+        if col in header[:i]:
+            raise ConfigurationError(f"repeated attribute column {col!r}")
     columns = [c for c in header if c != "state"]
     values: dict[str, dict[str, float | None]] = {}
     for cells in reader:

@@ -1,12 +1,18 @@
 """The 50 U.S. state codes, and the one CSV codec: every table a stage
-reads or writes is opened by `open_table` or written by `write_table`, and
-`CELL_RULES` reads each cell of a stage table by its record field's type.
+reads or writes is opened by `open_table` or written by `write_table`. Each
+stage table's record class is declared here, and `CELL_RULES` reads each
+cell of a stage table by its record field's type.
 DC and territories are excluded end to end."""
+
+# field annotations stay text: `CELL_RULES` is keyed by it, since State,
+# StateOrder and Label are all `str` at run time
+from __future__ import annotations
 
 import contextlib
 import csv
 import math
 import re
+from dataclasses import dataclass
 
 from .config import LABELS
 from .errors import ConfigurationError, DataIntegrityError, FormatError
@@ -24,6 +30,100 @@ STATE_SET = frozenset(STATE_CODES)
 # record field annotations, each naming the domain `CELL_RULES` checks
 State = str         # one of STATE_CODES
 StateOrder = str    # distinct State codes joined by single spaces
+Label = str         # one of config.LABELS
+
+# the author of a deleted comment
+DELETED_AUTHOR = "[deleted]"
+
+
+# The stage-table records, one per row of the table each docstring names:
+# `cli.Run.write_records` writes a column per field, and `cli._read_records`
+# reads each cell by the `CELL_RULES` entry of its field's annotation. `KEY`
+# names the fields no two rows share. Records are slotted and mutable: a
+# frozen dataclass sets each field through object.__setattr__, which makes
+# building one about four times as slow.
+
+@dataclass(slots=True)
+class UrlMention:
+    """A row of `mentions.csv`: a URL in a comment's body."""
+
+    comment_id: str
+    author: str | None
+    created_utc: int
+    url: str
+    host: str
+
+
+@dataclass(slots=True)
+class SubredditCount:
+    """A row of `author_subreddits.csv`: an author's comments in a
+    subreddit."""
+
+    KEY = ("author", "subreddit")
+    author: str
+    subreddit: str
+    comments: int
+
+
+@dataclass(slots=True)
+class Reply:
+    """A row of `replies.csv`: a reply by a non-deleted author, and the
+    author of its parent comment; None when
+    `corpus_ingest.resolve_reply` finds none."""
+
+    author: str
+    subreddit: str
+    parent_id: str
+    parent_author: str | None = None
+
+    # never true; pipebench/tracer.py reads it and `parent_id` from each
+    # reply that interaction.build_interaction_pairs is given
+    @property
+    def is_deleted_author(self) -> bool:
+        return self.author == DELETED_AUTHOR
+
+
+@dataclass(slots=True)
+class NewsComment:
+    """A row of `news_comments.csv`: a mention whose host a catalog
+    labels."""
+
+    comment_id: str
+    author: str | None
+    created_utc: int
+    url: str
+    label: Label
+
+
+@dataclass(slots=True)
+class UserLocation:
+    """A row of `user_locations.csv`."""
+
+    KEY = ("author",)
+    author: str
+    state: State | None                     # None means unassigned (tie)
+
+
+@dataclass(slots=True)
+class Residual:
+    """A row of `residuals.csv`: a state's circulation score."""
+
+    KEY = ("news_type", "state")
+    news_type: Label
+    state: State
+    residual: float
+
+
+@dataclass(slots=True)
+class FirstExposure:
+    """A row of `first_exposures.csv`: a URL's states in the order they
+    were first exposed, space-joined."""
+
+    KEY = ("url",)
+    url: str
+    label: Label
+    states: StateOrder
+
 
 # a byte that is not UTF-8, decoded with "surrogateescape"
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")

@@ -36,7 +36,7 @@ import numpy as np
 
 from .config import LABELS, check_keys
 from .errors import ConfigurationError
-from .states import STATE_CODES, write_table
+from .states import DELETED_AUTHOR, STATE_CODES, write_table
 
 EPOCH_2016 = 1_451_606_400
 SPAN_SECONDS = 4 * 365 * 86_400
@@ -401,7 +401,7 @@ def generate(config: SynthConfig) -> SynthOutput:
     n_deleted = _planted_count(config.deleted_comment_fraction * len(times),
                                len(times), "deleted_comment_fraction")
     for _ in range(n_deleted):
-        new_comment("[deleted]", GENERAL_SUBREDDIT, stamp(rng_deleted),
+        new_comment(DELETED_AUTHOR, GENERAL_SUBREDDIT, stamp(rng_deleted),
                     "ghost comment")
 
     # --- state attribute fixture ----------------------------------------

@@ -7,10 +7,10 @@ import pytest
 
 from newsgeo.cli import main
 from newsgeo.config import RunConfig
-from newsgeo.corpus_ingest import (Comment, SubredditCount, note_comments,
-                                   resolve_reply)
+from newsgeo.corpus_ingest import Comment, note_comments, resolve_reply
 from newsgeo.geolocation import resolve_assignments, tally_user_states
 from newsgeo.news_catalog import load_catalog
+from newsgeo.states import SubredditCount
 
 # the analysis parameters a run takes when its config sets none; a test that
 # does not vary a parameter takes it from here

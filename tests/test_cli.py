@@ -21,13 +21,11 @@ import newsgeo
 from newsgeo import cli, errors, states
 from newsgeo.cli import STAGES, main
 from newsgeo.config import LABELS, RunConfig, config_from_dict, config_load
-from newsgeo.corpus_ingest import (DELETED_AUTHOR, Reply, StreamLedger,
-                                   SubredditCount, extract_urls,
-                                   stream_comments)
-from newsgeo.diffusion import FirstExposure
+from newsgeo.corpus_ingest import StreamLedger, extract_urls, stream_comments
 from newsgeo.errors import ConfigurationError, NewsgeoError
-from newsgeo.scaling_laws import Residual
-from newsgeo.states import STATE_CODES
+from newsgeo.states import (DELETED_AUTHOR, STATE_CODES, FirstExposure,
+                            NewsComment, Reply, Residual, SubredditCount,
+                            UrlMention)
 from newsgeo.synth import SynthConfig
 
 from conftest import DEFAULTS, artifact_bytes, make_record, run_contagion
@@ -90,6 +88,8 @@ class TestConfig:
         ("seed", True),
         ("synth", []),
         ("cascade_ks", [3, 2, 3]),         # a repeated k writes its rows twice
+        ("bin_km", 1e-310),                # pi * 6371 km / bin_km overflows
+        ("bin_km", 1e400),                 # JSON's 1e400 reads as inf
     ])
     def test_bad_value_names_key(self, key, value):
         with pytest.raises(ConfigurationError, match=key):
@@ -581,6 +581,18 @@ class TestStageInputs:
         assert f"configured input {missing!r} does not exist" in caplog.text
         assert "stage first" not in caplog.text
 
+    # an empty path is a configured path, which names no file
+    @pytest.mark.parametrize("key", ["archive", "attributes", "catalog_fake"])
+    def test_empty_configured_input_exits_3(self, outdir, tmp_path, caplog,
+                                            key):
+        stage = {"archive": "ingest", "attributes": "attributes",
+                 "catalog_fake": "classify"}[key]
+        out = str(tmp_path / "out")
+        shutil.copytree(outdir, out)
+        cfg = write_config(tmp_path, dict(PIPELINE_CONFIG, **{key: ""}))
+        assert main([stage, "--config", cfg, "--out-dir", out]) == 3
+        assert "configured input '' does not exist" in caplog.text
+
     def test_only_ingest_reads_the_archive(self, outdir, tmp_path):
         out = str(tmp_path / "out")
         shutil.copytree(outdir, out)
@@ -895,6 +907,25 @@ def test_mid_file_header_row_is_data(outdir, tmp_path, caplog):
     assert main(["scale", "--config", cfg, "--out-dir", out]) == 2
     assert f"scale: ConfigurationError: {path}: line 4: 'state' is " \
         "not one of the 50 states" in caplog.text
+
+
+def test_repeated_attribute_column_exits_2(outdir, tmp_path, caplog):
+    # a second gdp column would replace the first's values, and correlate
+    # gdp with itself; main returns the exit code, so no exception escapes
+    out = str(tmp_path / "out")
+    shutil.copytree(outdir, out)
+    path = os.path.join(out, "synth", "attributes.csv")
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    gdp = rows[0].index("gdp")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(row + [row[gdp]] for row in rows)
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    for stage in ("attributes", "regress", "contagion"):
+        caplog.clear()
+        assert main([stage, "--config", cfg, "--out-dir", out]) == 2, stage
+        assert f"{stage}: ConfigurationError: repeated attribute column " \
+            "'gdp'" in caplog.text
 
 
 def test_populations_led_by_a_byte_order_mark(tmp_path):
@@ -1395,6 +1426,8 @@ def test_every_record_field_has_a_cell_rule(table_io):
         "UrlMention", "SubredditCount", "Reply", "NewsComment",
         "UserLocation", "Residual", "FirstExposure"}
     for cls in classes:
+        # every stage table is declared in the codec module
+        assert cls.__module__ == "newsgeo.states", cls.__name__
         # a record declares the fields no two of its rows share, or is
         # keyless
         if cls.__name__ in KEYLESS_RECORDS:
@@ -1434,13 +1467,13 @@ def test_deleted_author_is_no_reached_author(tmp_path, catalog):
         make_record("c3", author=DELETED_AUTHOR, created_utc=300,
                     body="https://fakery.com/u2")]
     run = cli.Run(str(tmp_path))
-    run.write_records("mentions.csv", corpus_ingest.UrlMention,
+    run.write_records("mentions.csv", UrlMention,
                       corpus_ingest.iter_url_mentions(records))
     tallies = {}
-    run.write_records("news_comments.csv", news_catalog.NewsComment,
+    run.write_records("news_comments.csv", NewsComment,
                       news_catalog.classify_mentions(
                           cli._read_records(str(tmp_path / "mentions.csv"),
-                                            corpus_ingest.UrlMention),
+                                            UrlMention),
                           catalog, tallies))
     for name in ("mentions.csv", "news_comments.csv"):
         with open(tmp_path / name, newline="", encoding="utf-8") as fh:
@@ -1449,7 +1482,7 @@ def test_deleted_author_is_no_reached_author(tmp_path, catalog):
     assert tallies["fake"].counts()["unique_users"] == 1
     timelines = diffusion.build_url_timelines(
         cli._read_records(str(tmp_path / "news_comments.csv"),
-                          news_catalog.NewsComment),
+                          NewsComment),
         {"alice": "AL"})
     for unit in diffusion.UNITS:
         walked = diffusion.walk(timelines.values(), unit)

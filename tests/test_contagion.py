@@ -10,9 +10,9 @@ from newsgeo.contagion import (
     infer_state_network,
     pagerank,
 )
-from newsgeo.diffusion import (FirstExposure, UrlTimeline, first_exposures,
-                               walk)
+from newsgeo.diffusion import UrlTimeline, first_exposures, walk
 from newsgeo.errors import UndefinedCorrelationError
+from newsgeo.states import FirstExposure
 
 from conftest import DEFAULTS, run_contagion
 

@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from newsgeo.corpus_ingest import (
-    DELETED_AUTHOR,
     StreamLedger,
-    Reply,
     _parse_line,
     extract_urls,
     host_of,
@@ -17,6 +15,7 @@ from newsgeo.corpus_ingest import (
     stream_comments,
 )
 from newsgeo.errors import DataIntegrityError, FormatError
+from newsgeo.states import DELETED_AUTHOR, Reply
 
 from conftest import ingest_tables, make_record, ndjson_line
 

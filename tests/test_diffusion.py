@@ -15,7 +15,7 @@ from newsgeo.diffusion import (
     reach_distribution,
     walk,
 )
-from newsgeo.news_catalog import NewsComment
+from newsgeo.states import NewsComment
 
 from conftest import DEFAULTS
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from newsgeo.corpus_ingest import DELETED_AUTHOR, SubredditCount
 from newsgeo.errors import ConfigurationError, InsufficientDataError
 from newsgeo.geolocation import (
     TallyLedger,
@@ -11,6 +10,7 @@ from newsgeo.geolocation import (
     state_user_counts,
     tally_user_states,
 )
+from newsgeo.states import DELETED_AUTHOR, SubredditCount
 from newsgeo.stats_core import fit_scaling
 
 from conftest import assign_states, ingest_tables, make_record

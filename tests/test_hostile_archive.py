@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from newsgeo import cli
 from newsgeo.cli import main
-from newsgeo.corpus_ingest import Reply, SubredditCount
+from newsgeo.states import Reply, SubredditCount
 
 CONFIG = {
     "seed": 5,

@@ -30,24 +30,23 @@ CONFIG = {
 
 # every stage loads newsgeo, cli, config and errors
 _BASE = {"cli", "config", "errors"}
-_SCALING = {"scaling_laws", "state_attributes", "states", "stats_core"}
 
-# stage -> (newsgeo modules loaded, numpy loaded); no stage loads scipy
+# stage -> (newsgeo modules loaded, numpy loaded); no stage loads scipy.
+# A stage table's record class is declared in `states`, so a stage loads no
+# analysis module for a row type alone.
 IMPORT_BUDGET = {
     "synth": ({"states", "synth"}, True),
     "ingest": ({"corpus_ingest", "states"}, False),
-    "classify": ({"corpus_ingest", "news_catalog", "states"}, False),
-    "geolocate": ({"corpus_ingest", "geolocation", "states"}, False),
+    "classify": ({"news_catalog", "states"}, False),
+    "geolocate": ({"geolocation", "states"}, False),
     "attributes": ({"state_attributes", "states", "stats_core"}, True),
-    "scale": (_SCALING | {"corpus_ingest", "geolocation", "news_catalog"},
-              True),
-    "regress": (_SCALING, True),
-    "diffusion": ({"corpus_ingest", "diffusion", "geolocation",
-                   "news_catalog", "states"}, False),
-    "connectivity": ({"corpus_ingest", "geolocation", "interaction",
-                      "states"}, False),
-    "contagion": ({"contagion", "diffusion", "state_attributes", "states",
-                   "stats_core"}, True),
+    "scale": ({"geolocation", "states", "stats_core"}, True),
+    "regress": ({"scaling_laws", "state_attributes", "states", "stats_core"},
+                True),
+    "diffusion": ({"diffusion", "states"}, False),
+    "connectivity": ({"geolocation", "interaction", "states"}, False),
+    "contagion": ({"contagion", "state_attributes", "states", "stats_core"},
+                  True),
     "report": (set(), False),
 }
 

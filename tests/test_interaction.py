@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from newsgeo import interaction
-from newsgeo.corpus_ingest import DELETED_AUTHOR, stream_comments
+from newsgeo.corpus_ingest import stream_comments
 from newsgeo.interaction import (
     PairSet,
     _bin_of,
@@ -12,6 +12,7 @@ from newsgeo.interaction import (
     centroid_distance,
     connectivity_profile,
 )
+from newsgeo.states import DELETED_AUTHOR
 from newsgeo.synth import SynthConfig, generate
 
 from conftest import (DEFAULTS, archive_lines, assign_states, ingest_tables,

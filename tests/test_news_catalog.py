@@ -1,6 +1,6 @@
 import pytest
 
-from newsgeo.corpus_ingest import UrlMention, host_of
+from newsgeo.corpus_ingest import host_of
 from newsgeo.errors import ConfigurationError, FormatError
 from newsgeo.news_catalog import (
     classify_mentions,
@@ -9,6 +9,7 @@ from newsgeo.news_catalog import (
     match_host,
     validate_trust_scores,
 )
+from newsgeo.states import UrlMention
 
 
 def mention(comment_id, url, author="alice", host=None):

@@ -4,14 +4,14 @@ through object.__setattr__ and is several times slower to build."""
 
 import pytest
 
-from newsgeo.corpus_ingest import Comment, Reply, SubredditCount, UrlMention
-from newsgeo.diffusion import FirstExposure
-from newsgeo.news_catalog import NewsComment
-from newsgeo.scaling_laws import Residual
+from newsgeo.corpus_ingest import Comment
+from newsgeo.states import (FirstExposure, NewsComment, Reply, Residual,
+                            SubredditCount, UrlMention, UserLocation)
 
 
 @pytest.mark.parametrize("cls", [Comment, UrlMention, SubredditCount, Reply,
-                                 NewsComment, FirstExposure, Residual],
+                                 NewsComment, UserLocation, FirstExposure,
+                                 Residual],
                          ids=lambda cls: cls.__name__)
 def test_record_is_slotted_and_not_frozen(cls):
     assert "__slots__" in vars(cls)
