@@ -8,10 +8,11 @@ or replaced by hand. Stage outputs are pure functions of (inputs, config,
 seed); reruns are byte-identical apart from manifest timestamps.
 
 A stage function resolves every input it reads through its `Run` before
-its first write: each input is required, and is the configured path, else
-the artifact under the output directory. It returns its manifest
-parameters and row counts; `_run_stage` times every stage and writes every
-manifest, listing each input the stage read.
+its first write: each input is required, and is either an input key of
+`config.INPUT_FILES` or an artifact that an earlier stage wrote under the
+output directory. It returns its manifest parameters and row counts;
+`_run_stage` times every stage and writes every manifest, listing each
+input the stage read.
 """
 
 from __future__ import annotations
@@ -64,23 +65,31 @@ class Run:
     """One stage invocation: resolves the inputs it reads, records each one
     for the manifest, and writes outputs under `outdir`."""
 
-    def __init__(self, outdir):
+    def __init__(self, outdir, cfg):
         self.outdir = outdir
+        self.cfg = cfg
         self.inputs = []
 
-    def input(self, name, configured=None):
-        """Path of input `name`: the configured path if set, else the
-        artifact under `outdir`. A missing input raises DependencyError."""
-        path = configured if configured is not None \
-            else os.path.join(self.outdir, name)
-        if os.path.exists(path):
-            self.inputs.append(path)
-            return path
-        if configured is not None:
-            raise DependencyError(f"configured input {path!r} does not exist")
-        producer = "synth" if name.startswith("synth/") else PRODUCERS[name]
-        raise DependencyError(f"missing artifact {path!r}; "
-                              f"run the {producer!r} stage first")
+    def input(self, name):
+        """Path of input `name`. An input key of `config.INPUT_FILES` is its
+        configured path if set, else the file synth writes in its place; any
+        other name is an artifact under `outdir`. A missing input raises
+        DependencyError naming the key and its configured path, or the stage
+        that writes the file."""
+        if name not in config_mod.INPUT_FILES:
+            path, producer = os.path.join(self.outdir, name), PRODUCERS[name]
+        elif (path := getattr(self.cfg, name)) is None:
+            path = os.path.join(self.outdir, "synth",
+                                config_mod.INPUT_FILES[name])
+            producer = "synth"
+        elif not os.path.exists(path):
+            raise DependencyError(f"configured input {name!r} ({path!r}) "
+                                  "does not exist")
+        if not os.path.exists(path):
+            raise DependencyError(f"missing artifact {path!r}; "
+                                  f"run the {producer!r} stage first")
+        self.inputs.append(path)
+        return path
 
     def out(self, name):
         path = os.path.join(self.outdir, name)
@@ -159,8 +168,8 @@ def stage_synth(cfg, run):
     scfg = synth.SynthConfig.from_dict({**cfg.synth, "seed": cfg.seed})
     output = synth.generate(scfg)
     paths = synth.write_outputs(output, os.path.join(run.outdir, "synth"))
-    return synth._config_as_dict(scfg), {"records": output.ledger["n_records"],
-                                         "files": len(paths)}
+    return dataclasses.asdict(scfg), {"records": output.ledger["n_records"],
+                                      "files": len(paths)}
 
 
 def stage_ingest(cfg, run):
@@ -169,7 +178,7 @@ def stage_ingest(cfg, run):
     # on its way to the URL extractor, so the archive is never held in memory
     ledger = corpus_ingest.StreamLedger()
     counts, authors, replies = {}, {}, []
-    with open(run.input("synth/archive.ndjson", cfg.archive), "rb") as fh:
+    with open(run.input("archive"), "rb") as fh:
         records = corpus_ingest.note_comments(
             corpus_ingest.stream_comments(fh, ledger=ledger),
             counts, authors, replies, ledger=ledger)
@@ -195,8 +204,8 @@ def stage_classify(cfg, run):
     from . import news_catalog, states
     mentions_path = run.input("mentions.csv")
     catalog = news_catalog.load_catalog(
-        [(run.input(f"synth/catalog_{label}.txt", path), label)
-         for path, label in cfg.catalog_files()])
+        [(run.input(f"catalog_{label}"), label)
+         for label in config_mod.LABELS])
     tallies = {}
     ledger = news_catalog.MatchLedger()
     n_news = run.write_records(
@@ -217,20 +226,18 @@ def stage_classify(cfg, run):
 def stage_geolocate(cfg, run):
     from . import geolocation, states
     counts_path = run.input("author_subreddits.csv")
-    map_path = run.input("synth/subreddit_states.csv", cfg.subreddit_map)
+    map_path = run.input("subreddit_map")
     subreddit_states = geolocation.load_subreddit_state_map(map_path)
-    ledger = geolocation.TallyLedger()
-    locations, summary = geolocation.resolve_assignments(
-        geolocation.tally_user_states(
-            _read_records(counts_path, states.SubredditCount),
-            subreddit_states, ledger=ledger))
+    tallies, unmapped = geolocation.tally_user_states(
+        _read_records(counts_path, states.SubredditCount), subreddit_states)
+    locations, summary = geolocation.resolve_assignments(tallies)
     n_authors = run.write_records(
         "user_locations.csv", states.UserLocation,
         (states.UserLocation(author, locations[author])
          for author in sorted(locations)))
     run.write_json("geolocate_summary.json", dataclasses.asdict(summary))
     return {}, {"authors": n_authors, "assigned": summary.assigned,
-                "tied": summary.unassigned, "unmapped": ledger.unmapped}
+                "tied": summary.unassigned, "unmapped": unmapped}
 
 
 def _read_populations(path):
@@ -253,8 +260,7 @@ def _read_locations(path):
 
 def stage_attributes(cfg, run):
     from . import state_attributes
-    table = state_attributes.load_attributes(
-        run.input("synth/attributes.csv", cfg.attributes))
+    table = state_attributes.load_attributes(run.input("attributes"))
     variables = table.columns
     # run for its checks: a column with zero variance over the complete-case
     # states, or fewer than two such states, exits 1
@@ -289,8 +295,7 @@ def stage_scale(cfg, run):
     from .stats_core import fit_scaling
     news_path = run.input("news_comments.csv")
     locations = _read_locations(run.input("user_locations.csv"))
-    populations = _read_populations(
-        run.input("synth/populations.csv", cfg.populations))
+    populations = _read_populations(run.input("populations"))
     users = geolocation.state_user_counts(locations)
     if unknown := sorted(users.keys() - populations.keys()):
         raise ConfigurationError(f"no population for state {unknown[0]!r} "
@@ -320,8 +325,7 @@ def stage_scale(cfg, run):
 def stage_regress(cfg, run):
     from . import scaling_laws, state_attributes, states
     resid_path = run.input("residuals.csv")
-    attrs = state_attributes.load_attributes(
-        run.input("synth/attributes.csv", cfg.attributes))
+    attrs = state_attributes.load_attributes(run.input("attributes"))
     metric = {}  # news type -> state -> circulation residual
     for r in _read_records(resid_path, states.Residual):
         metric.setdefault(r.news_type, {})[r.state] = r.residual
@@ -372,10 +376,9 @@ def stage_connectivity(cfg, run):
     from . import geolocation, interaction, states
     replies_path = run.input("replies.csv")
     locations = _read_locations(run.input("user_locations.csv"))
-    centroids = interaction.load_centroids(
-        run.input("synth/centroids.csv", cfg.centroids))
+    centroids = interaction.load_centroids(run.input("centroids"))
     state_subs = geolocation.load_subreddit_state_map(
-        run.input("synth/subreddit_states.csv", cfg.subreddit_map))
+        run.input("subreddit_map"))
     # the replies go first and by position: the benchmark's tracer
     # (pipebench/tracer.py) counts them from the first positional argument
     pairs = interaction.build_interaction_pairs(
@@ -409,8 +412,7 @@ def stage_contagion(cfg, run):
     from . import contagion, state_attributes, states
     exposures = list(_read_records(run.input("first_exposures.csv"),
                                    states.FirstExposure))
-    attrs = state_attributes.load_attributes(
-        run.input("synth/attributes.csv", cfg.attributes))
+    attrs = state_attributes.load_attributes(run.input("attributes"))
 
     summary = {}
     scores = {}  # pagerank.csv column -> state -> score
@@ -488,8 +490,8 @@ STAGE_TABLE = {
     "report": (stage_report, ()),
 }
 STAGES = tuple(STAGE_TABLE)
-# artifact a stage requires -> the stage that writes it; everything under
-# synth/ is written by the synth stage
+# artifact a stage requires -> the stage that writes it; an input key's
+# synth/ stand-in is written by the synth stage
 PRODUCERS = {artifact: stage for stage, (_, outputs) in STAGE_TABLE.items()
              for artifact in outputs}
 
@@ -511,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_stage(stage, cfg, outdir):
     """Run one stage and write its manifest."""
     started = time.monotonic()
-    run = Run(outdir)
+    run = Run(outdir, cfg)
     parameters, rows = STAGE_TABLE[stage][0](cfg, run)
     run.write_json(f"manifests/{stage}.json", {
         "stage": stage,

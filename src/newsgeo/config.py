@@ -43,9 +43,17 @@ class RunConfig:
     # synth stage parameters other than the seed (passed to SynthConfig)
     synth: dict = field(default_factory=dict)
 
-    def catalog_files(self) -> list[tuple[str | None, str]]:
-        """(configured catalog path or None, label) for every label."""
-        return [(getattr(self, f"catalog_{label}"), label) for label in LABELS]
+
+# input path key -> the file the synth stage writes in its place under
+# <out-dir>/synth/, which a stage reads when the key is not set
+INPUT_FILES = {
+    "archive": "archive.ndjson",
+    **{f"catalog_{label}": f"catalog_{label}.txt" for label in LABELS},
+    "subreddit_map": "subreddit_states.csv",
+    "populations": "populations.csv",
+    "centroids": "centroids.csv",
+    "attributes": "attributes.csv",
+}
 
 
 def config_load(path: str) -> RunConfig:

@@ -24,14 +24,6 @@ class AssignmentSummary:
     fraction_unassigned: float
 
 
-@dataclass
-class TallyLedger:
-    """Counter of one `tally_user_states` pass: non-deleted authors with
-    comments but none in a mapped subreddit, so left out of the tallies."""
-
-    unmapped: int = 0
-
-
 def load_subreddit_state_map(path: str) -> dict[str, str]:
     """Table `subreddit,state` -> lowercase subreddit -> state code."""
     mapping: dict[str, str] = {}
@@ -45,11 +37,10 @@ def load_subreddit_state_map(path: str) -> dict[str, str]:
 
 def tally_user_states(
     counts: Iterable[SubredditCount], subreddit_states: dict[str, str],
-    *, ledger: TallyLedger | None = None,
-) -> dict[str, dict[str, int]]:
-    """Per-author, per-state mapped-comment counts. Authors with no mapped
-    comment are counted on `ledger`, so the authors of `counts` = authors
-    tallied + `ledger.unmapped`."""
+) -> tuple[dict[str, dict[str, int]], int]:
+    """Per-author, per-state mapped-comment counts, and the number of
+    authors left out for having no mapped comment: the authors of `counts`
+    = authors tallied + that number."""
     tallies: dict[str, dict[str, int]] = {}
     unmapped_comment_authors = set()
     for row in counts:
@@ -59,9 +50,7 @@ def tally_user_states(
             continue
         per_state = tallies.setdefault(row.author, {})
         per_state[state] = per_state.get(state, 0) + row.comments
-    if ledger is not None:
-        ledger.unmapped = len(unmapped_comment_authors.difference(tallies))
-    return tallies
+    return tallies, len(unmapped_comment_authors.difference(tallies))
 
 
 def resolve_assignments(

@@ -13,7 +13,7 @@ from .errors import (
     DegenerateVariableError,
     FormatError,
 )
-from .states import number, open_table, state_code
+from .states import by_state, number, open_table, state_code
 from .stats_core import pearson
 
 # Canonical attribute columns, grouped the way the regression suites use them.
@@ -60,26 +60,29 @@ class StateAttributeTable:
 def load_attributes(path: str) -> StateAttributeTable:
     """Read the attribute CSV (header `state` plus known columns, each named
     once; an unknown or repeated column is a ConfigurationError). A state
-    code outside the 50 states is a ConfigurationError, a second row for a
-    state a DataIntegrityError, and a row of another width than the header
-    or a cell that is not a number a FormatError, as is what `open_table`
-    rejects."""
+    code outside the 50 states is a ConfigurationError; a second row for a
+    state, a `swing_state` other than 0 or 1, a percent outside [0, 100] or
+    a population not above 0 a DataIntegrityError; and a row of another
+    width than the header or a cell that is not a number a FormatError, as
+    is what `open_table` rejects. Each error names the file and line."""
     with open_table(path) as reader:
         return _read_attributes(path, reader)
 
 
 def _read_attributes(path: str, reader) -> StateAttributeTable:
     header = next(reader, [])
+    # an empty file is an empty header on line 1
+    where = f"{path}: line {reader.line_num or 1}"
     if "state" not in header:
-        raise ConfigurationError("attribute CSV is missing a 'state' column")
+        raise ConfigurationError(f"{where}: missing a 'state' column")
     known = set(ATTRIBUTE_COLUMNS)
     for i, col in enumerate(header):
         if col != "state" and col not in known:
-            raise ConfigurationError(f"unknown attribute column {col!r}")
+            raise ConfigurationError(f"{where}: unknown attribute column {col!r}")
         if col in header[:i]:
-            raise ConfigurationError(f"repeated attribute column {col!r}")
+            raise ConfigurationError(f"{where}: repeated attribute column {col!r}")
     columns = [c for c in header if c != "state"]
-    values: dict[str, dict[str, float | None]] = {}
+    rows = []
     for cells in reader:
         if not cells:
             continue
@@ -89,28 +92,26 @@ def _read_attributes(path: str, reader) -> StateAttributeTable:
                               f"expected {len(header)}")
         row = dict(zip(header, cells))
         state = state_code(row["state"], where)
-        if state in values:
-            raise DataIntegrityError(f"{where}: duplicate state row {state!r}")
         parsed: dict[str, float | None] = {}
         for col in columns:
             cell = row[col].strip()
             parsed[col] = number(float, cell, where) if cell else None
-        _validate_row(state, parsed)
-        values[state] = parsed
-    return StateAttributeTable(columns=columns, values=values)
+        _validate_row(where, parsed)
+        rows.append((state, parsed, where))
+    return StateAttributeTable(columns=columns, values=by_state(rows))
 
 
-def _validate_row(state: str, row: dict[str, float | None]) -> None:
+def _validate_row(where: str, row: dict[str, float | None]) -> None:
     swing = row.get("swing_state")
     if swing is not None and swing not in (0.0, 1.0):
-        raise DataIntegrityError(f"{state}: swing_state must be 0 or 1, got {swing}")
+        raise DataIntegrityError(f"{where}: swing_state must be 0 or 1, got {swing}")
     for col in _PERCENT_COLUMNS:
         v = row.get(col)
         if v is not None and not 0.0 <= v <= 100.0:
-            raise DataIntegrityError(f"{state}: {col}={v} outside [0, 100]")
+            raise DataIntegrityError(f"{where}: {col}={v} outside [0, 100]")
     pop = row.get("population")
     if pop is not None and pop <= 0:
-        raise DataIntegrityError(f"{state}: population must be positive")
+        raise DataIntegrityError(f"{where}: population must be positive")
 
 
 def zscore(

@@ -34,7 +34,7 @@ from json.encoder import encode_basestring_ascii as _escape
 
 import numpy as np
 
-from .config import LABELS, check_keys
+from .config import INPUT_FILES, LABELS, check_keys
 from .errors import ConfigurationError
 from .states import DELETED_AUTHOR, STATE_CODES, write_table
 
@@ -433,7 +433,7 @@ def generate(config: SynthConfig) -> SynthOutput:
     state_user_totals = {s: len(v) for s, v in state_users.items()}
     ledger = {
         "seed": config.seed,
-        "config": _config_as_dict(config),
+        "config": asdict(config),
         "states": states,
         "populations": populations,
         "n_records": n_records,
@@ -458,51 +458,35 @@ def generate(config: SynthConfig) -> SynthOutput:
                        domains=domains, attributes=attributes)
 
 
-def _config_as_dict(config: SynthConfig) -> dict:
-    d = asdict(config)
-    for k, v in d.items():
-        if isinstance(v, tuple):
-            d[k] = list(v)
-    return d
-
-
 def write_outputs(output: SynthOutput, outdir: str) -> dict[str, str]:
-    """Write the archive plus every auxiliary fixture file a pipeline run
-    needs. Returns a name -> path map."""
+    """Write the file of each input key of `config.INPUT_FILES`, plus the
+    ledger. Returns input key -> path, and `ledger` -> the ledger's path."""
     os.makedirs(outdir, exist_ok=True)
-    paths = {}
+    paths = {key: os.path.join(outdir, name)
+             for key, name in INPUT_FILES.items()}
+    paths["ledger"] = os.path.join(outdir, "ledger.json")
 
-    paths["archive"] = os.path.join(outdir, "archive.ndjson")
     with open(paths["archive"], "w", encoding="utf-8", newline="\n") as fh:
         for line in output.archive:
             fh.write(line)
             fh.write("\n")
 
-    paths["ledger"] = os.path.join(outdir, "ledger.json")
     with open(paths["ledger"], "w", encoding="utf-8") as fh:
         json.dump(output.ledger, fh, indent=1, sort_keys=True)
 
     for label, domain_list in sorted(output.domains.items()):
-        key = f"catalog_{label}"
-        paths[key] = os.path.join(outdir, f"{key}.txt")
-        with open(paths[key], "w", encoding="utf-8") as fh:
+        with open(paths[f"catalog_{label}"], "w", encoding="utf-8") as fh:
             fh.write(f"# synthetic {label} domains\n")
             fh.writelines(d + "\n" for d in domain_list)
 
-    paths["subreddit_map"] = os.path.join(outdir, "subreddit_states.csv")
     write_table(paths["subreddit_map"], ["subreddit", "state"],
                 sorted(output.subreddit_states.items()))
-
-    paths["populations"] = os.path.join(outdir, "populations.csv")
     write_table(paths["populations"], ["state", "population"],
                 sorted(output.populations.items()))
-
-    paths["centroids"] = os.path.join(outdir, "centroids.csv")
     write_table(paths["centroids"], ["state", "lat", "lon"],
                 ([state, f"{lat:.6f}", f"{lon:.6f}"]
                  for state, (lat, lon) in sorted(output.centroids.items())))
 
-    paths["attributes"] = os.path.join(outdir, "attributes.csv")
     columns = list(output.attributes[0])
     write_table(paths["attributes"], columns,
                 ([row[c] for c in columns] for row in output.attributes))

@@ -34,11 +34,10 @@ def ingest_tables(records):
             [resolve_reply(reply, authors) for reply in replies])
 
 
-def assign_states(records, subreddit_states, ledger=None):
+def assign_states(records, subreddit_states):
     """What `geolocate` makes of the table ingest writes for `records`."""
     counts, _ = ingest_tables(records)
-    return resolve_assignments(tally_user_states(counts, subreddit_states,
-                                                 ledger=ledger))
+    return resolve_assignments(tally_user_states(counts, subreddit_states)[0])
 
 
 def ndjson_line(comment_id, author="alice", subreddit="general",

@@ -20,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 import newsgeo
 from newsgeo import cli, errors, states
 from newsgeo.cli import STAGES, main
-from newsgeo.config import LABELS, RunConfig, config_from_dict, config_load
+from newsgeo.config import (INPUT_FILES, LABELS, RunConfig, config_from_dict,
+                            config_load)
 from newsgeo.corpus_ingest import StreamLedger, extract_urls, stream_comments
 from newsgeo.errors import ConfigurationError, NewsgeoError
 from newsgeo.states import (DELETED_AUTHOR, STATE_CODES, FirstExposure,
@@ -100,11 +101,18 @@ def test_every_config_field_is_read_by_the_cli():
     # a key no stage reads is a dead knob: wire it up or delete it
     source = inspect.getsource(cli)
     read = set(re.findall(r"\bcfg\.(\w+)\b(?!\s*=[^=])", source))
-    if "cfg.catalog_files()" in source:
-        read |= {f.name for f in dataclasses.fields(RunConfig)
-                 if f.name.startswith("catalog_")}
+    # an input key is read through `run.input`, the catalogs one per label
+    for name in re.findall(r'\brun\.input\(f?"([\w{}]+)"\)', source):
+        read |= {name.format(label=label) for label in LABELS}
     unread = {f.name for f in dataclasses.fields(RunConfig)} - read
     assert not unread, f"config keys never read by a stage: {sorted(unread)}"
+
+
+def test_input_files_name_every_input_key():
+    # an input path key is one whose default is None, and synth writes a
+    # file in its place for each
+    assert set(INPUT_FILES) == {f.name for f in dataclasses.fields(RunConfig)
+                                if f.default is None}
 
 
 def test_only_the_config_defaults_an_analysis_parameter():
@@ -566,32 +574,35 @@ class TestStageInputs:
             # every input is resolved before the first write
             assert file_stamps(out) == before, consumer
 
-    @pytest.mark.parametrize("key", ["archive", "catalog_fake",
-                                     "subreddit_map", "populations"])
+    # input key -> the first stage that reads it; the rest are catalogs
+    FIRST_READER = {"archive": "ingest", "subreddit_map": "geolocate",
+                    "populations": "scale", "centroids": "connectivity",
+                    "attributes": "attributes"}
+
+    @pytest.mark.parametrize("key", sorted(INPUT_FILES))
     def test_missing_configured_input_exits_3(self, outdir, tmp_path, caplog,
                                               key):
-        stage = {"archive": "ingest", "catalog_fake": "classify",
-                 "subreddit_map": "geolocate",
-                 "populations": "scale"}[key]
+        stage = self.FIRST_READER.get(key, "classify")
         out = str(tmp_path / "out")
         shutil.copytree(outdir, out)
         missing = str(tmp_path / "no.txt")
         cfg = write_config(tmp_path, dict(PIPELINE_CONFIG, **{key: missing}))
         assert main([stage, "--config", cfg, "--out-dir", out]) == 3
-        assert f"configured input {missing!r} does not exist" in caplog.text
+        assert f"{stage}: DependencyError: configured input {key!r} " \
+            f"({missing!r}) does not exist" in caplog.text
         assert "stage first" not in caplog.text
 
     # an empty path is a configured path, which names no file
-    @pytest.mark.parametrize("key", ["archive", "attributes", "catalog_fake"])
+    @pytest.mark.parametrize("key", sorted(INPUT_FILES))
     def test_empty_configured_input_exits_3(self, outdir, tmp_path, caplog,
                                             key):
-        stage = {"archive": "ingest", "attributes": "attributes",
-                 "catalog_fake": "classify"}[key]
+        stage = self.FIRST_READER.get(key, "classify")
         out = str(tmp_path / "out")
         shutil.copytree(outdir, out)
         cfg = write_config(tmp_path, dict(PIPELINE_CONFIG, **{key: ""}))
         assert main([stage, "--config", cfg, "--out-dir", out]) == 3
-        assert "configured input '' does not exist" in caplog.text
+        assert f"{stage}: DependencyError: configured input {key!r} ('') " \
+            "does not exist" in caplog.text
 
     def test_only_ingest_reads_the_archive(self, outdir, tmp_path):
         out = str(tmp_path / "out")
@@ -924,8 +935,33 @@ def test_repeated_attribute_column_exits_2(outdir, tmp_path, caplog):
     for stage in ("attributes", "regress", "contagion"):
         caplog.clear()
         assert main([stage, "--config", cfg, "--out-dir", out]) == 2, stage
-        assert f"{stage}: ConfigurationError: repeated attribute column " \
-            "'gdp'" in caplog.text
+        assert f"{stage}: ConfigurationError: {path}: line 1: repeated " \
+            "attribute column 'gdp'" in caplog.text
+
+
+@pytest.mark.parametrize("column,value,message", [
+    ("swing_state", "2", "swing_state must be 0 or 1, got 2.0"),
+    ("no_highschool", "101", "no_highschool=101.0 outside [0, 100]"),
+    ("population", "0", "population must be positive"),
+], ids=["swing_state", "percent", "population"])
+def test_bad_attribute_value_names_its_line(outdir, tmp_path, caplog, column,
+                                            value, message):
+    # the error names the file and line of the row, not its state alone
+    out = str(tmp_path / "out")
+    shutil.copytree(outdir, out)
+    path = os.path.join(out, "synth", "attributes.csv")
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[1][rows[0].index(column)] = value
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    for stage in ("attributes", "regress", "contagion"):
+        caplog.clear()
+        assert main([stage, "--config", cfg, "--out-dir", out]) == 4, stage
+        assert f"{stage}: DataIntegrityError: {path}: line 2: {message}" \
+            in caplog.text
+        assert "Traceback" not in caplog.text
 
 
 def test_populations_led_by_a_byte_order_mark(tmp_path):
@@ -1359,7 +1395,7 @@ def test_comment_rows_round_trip(replies, residuals, exposures):
     rounded = [dataclasses.replace(r, residual=float(f"{r.residual:.12g}"))
                for r in residuals]
     with tempfile.TemporaryDirectory() as tmp:
-        run = cli.Run(tmp)
+        run = cli.Run(tmp, RunConfig())
         for name, cls, records, expected in [
                 ("replies.csv", Reply, replies, replies),
                 ("residuals.csv", Residual, residuals, rounded),
@@ -1466,7 +1502,7 @@ def test_deleted_author_is_no_reached_author(tmp_path, catalog):
                     body="https://fakery.com/u1"),
         make_record("c3", author=DELETED_AUTHOR, created_utc=300,
                     body="https://fakery.com/u2")]
-    run = cli.Run(str(tmp_path))
+    run = cli.Run(str(tmp_path), RunConfig())
     run.write_records("mentions.csv", UrlMention,
                       corpus_ingest.iter_url_mentions(records))
     tallies = {}

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from newsgeo.errors import ConfigurationError, InsufficientDataError
 from newsgeo.geolocation import (
-    TallyLedger,
     load_subreddit_state_map,
     resolve_assignments,
     state_user_counts,
@@ -70,25 +69,26 @@ class TestAssignment:
         locations, _ = assign_states(corpus, SUB_MAP)
         assert locations["a"] == "WA"
         assert tally_user_states(ingest_tables(corpus)[0], SUB_MAP) == \
-            {"a": {"WA": 1}}
+            ({"a": {"WA": 1}}, 0)
 
     def test_tally_sums_comment_counts(self):
         rows = [SubredditCount("a", "Seattle", 2),
                 SubredditCount("a", "seattle", 3),
                 SubredditCount("a", "texas", 4)]
-        assert tally_user_states(rows, SUB_MAP) == {"a": {"WA": 5, "TX": 4}}
-        assert resolve_assignments(tally_user_states(rows, SUB_MAP))[0] \
-            ["a"] == "WA"
+        tallies, unmapped = tally_user_states(rows, SUB_MAP)
+        assert (tallies, unmapped) == ({"a": {"WA": 5, "TX": 4}}, 0)
+        assert resolve_assignments(tallies)[0]["a"] == "WA"
 
     def test_ledger_counts_authors_with_no_mapped_comment(self):
         corpus = (posts("a", "seattle", 1) + posts("a", "knitting", 2)
                   + posts("b", "knitting", 3) + posts("c", "general", 1)
                   + posts("[deleted]", "knitting", 4))
-        ledger = TallyLedger()
-        locations, summary = assign_states(corpus, SUB_MAP, ledger=ledger)
+        tallies, unmapped = tally_user_states(ingest_tables(corpus)[0],
+                                              SUB_MAP)
+        locations, summary = resolve_assignments(tallies)
         assert set(locations) == {"a"}
-        assert ledger.unmapped == 2          # b and c; never [deleted]
-        assert summary.mapped_authors + ledger.unmapped == \
+        assert unmapped == 2          # b and c; never [deleted]
+        assert summary.mapped_authors + unmapped == \
             len({r.author for r in corpus if r.author != DELETED_AUTHOR})
 
     def test_summary_fractions(self):

@@ -63,7 +63,18 @@ class TestLoad:
     def test_unknown_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         write_csv(path, ["state", "charisma"], [["OH", 1.0]])
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError,
+                           match="bad.csv: line 1: unknown attribute column "
+                                 "'charisma'"):
+            load_attributes(str(path))
+
+    @pytest.mark.parametrize("text", ["", "openness\n1.0\n"],
+                             ids=["empty", "no_state"])
+    def test_missing_state_column_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError,
+                           match="bad.csv: line 1: missing a 'state' column"):
             load_attributes(str(path))
 
     def test_duplicate_state_rejected(self, tmp_path):

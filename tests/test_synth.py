@@ -9,6 +9,7 @@ import tracemalloc
 
 import pytest
 
+from newsgeo.config import INPUT_FILES
 from newsgeo.corpus_ingest import (
     StreamLedger,
     iter_url_mentions,
@@ -365,9 +366,11 @@ class TestPlantedRecovery:
     def test_write_outputs_files(self, tmp_path):
         output = generate(SynthConfig(seed=3, n_states=5))
         paths = write_outputs(output, str(tmp_path))
-        for key in ("archive", "ledger", "subreddit_map", "populations",
-                    "centroids", "attributes", "catalog_fake"):
-            assert key in paths
+        # a file for each input key, under the name the stages look for
+        assert paths == {key: str(tmp_path / name) for key, name in
+                         [*INPUT_FILES.items(), ("ledger", "ledger.json")]}
+        assert sorted(os.listdir(tmp_path)) == \
+            sorted([*INPUT_FILES.values(), "ledger.json"])
         ledger = json.loads(open(paths["ledger"]).read())
         assert ledger["seed"] == 3
 
