@@ -5,7 +5,8 @@ artifacts under the output directory, and drops a machine-readable manifest.
 `all` runs every stage after `synth` in order, in one process.
 All cross-stage artifacts are flat CSV/NDJSON so any stage can be inspected
 or replaced by hand. Stage outputs are pure functions of (inputs, config,
-seed); reruns are byte-identical apart from manifest timestamps.
+seed); reruns are byte-identical apart from the manifest fields
+`wall_time_s`, `peak_rss_mb` and `written_at`.
 
 A stage function resolves every input it reads through its `Run` before
 its first write: each input is required, and is either an input key of
@@ -510,6 +511,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _peak_rss_mb():
+    """This process's peak resident set size so far, in MB: `VmHWM` from
+    /proc/self/status, or `ru_maxrss` where /proc is absent."""
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"VmHWM:"):
+                    return round(int(line.split()[1]) / 1024, 2)
+    except OSError:
+        pass
+    import resource
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in bytes on macOS and in kB elsewhere
+    return round(peak / (2**20 if sys.platform == "darwin" else 1024), 2)
+
+
 def _run_stage(stage, cfg, outdir):
     """Run one stage and write its manifest."""
     started = time.monotonic()
@@ -521,11 +538,17 @@ def _run_stage(stage, cfg, outdir):
         "parameters": parameters,
         "rows": rows,
         "wall_time_s": round(time.monotonic() - started, 3),
+        "peak_rss_mb": _peak_rss_mb(),
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     })
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Before any stage imports numpy: every matrix a stage builds is at most
+    # 50 x 50 and the outputs are byte-identical with one BLAS thread, while
+    # starting OpenBLAS's thread pool costs about 65 ms of every process
+    # that loads numpy, on a 2-core host. A caller's own setting stands.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,

@@ -414,7 +414,8 @@ def test_criterion_10_end_to_end(capsys, tmp_path):
         for label, per_state in ledger["news_tallies"].items():
             assert tallies[label] == per_state
 
-        # byte-identical rerun (manifests carry timestamps and are excluded)
+        # byte-identical rerun (manifests carry wall times, peaks and
+        # timestamps, and are excluded)
         outdir2 = str(tmp_path / "out2")
         _run_e2e(str(cfg_path), outdir2)
         first = artifact_bytes(outdir)

@@ -317,12 +317,18 @@ def outdir(tmp_path_factory):
 
 class TestPipeline:
     def test_all_manifests_written(self, outdir):
+        peaks = []
         for stage in STAGES:
             path = os.path.join(outdir, "manifests", f"{stage}.json")
             assert os.path.exists(path)
             manifest = json.loads(open(path).read())
             assert manifest["stage"] == stage
             assert manifest["wall_time_s"] >= 0
+            assert manifest["peak_rss_mb"] > 0
+            peaks.append(manifest["peak_rss_mb"])
+        # `all` runs its stages in one process, so each manifest holds the
+        # process's high-water mark so far
+        assert peaks[1:] == sorted(peaks[1:])
 
     def test_report_bundle_complete(self, outdir):
         report = os.path.join(outdir, "report")
@@ -1585,3 +1591,17 @@ class TestParameterPropagation:
         for out, seed in ((out_a, 1), (out_b, 2)):
             with open(os.path.join(out, "manifests", "synth.json")) as fh:
                 assert json.load(fh)["parameters"]["seed"] == seed
+
+
+def test_peak_rss_falls_back_to_getrusage(monkeypatch):
+    # where /proc is absent the peak is ru_maxrss, in kB on Linux
+    import resource
+
+    def no_proc(path, *args, **kwargs):
+        raise FileNotFoundError(path)
+    with_proc = cli._peak_rss_mb()
+    monkeypatch.setattr(cli, "open", no_proc, raising=False)
+    peak = cli._peak_rss_mb()
+    assert peak == round(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2)
+    assert peak == pytest.approx(with_proc, rel=0.01)

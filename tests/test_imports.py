@@ -1,6 +1,6 @@
-"""A stage process imports only the modules it runs, and the lazily imported
-package still serves `newsgeo.<module>` to code that looks modules up by
-name, as pipebench/tracer.py does."""
+"""A stage process imports only the modules it runs and starts no BLAS
+thread, and the lazily imported package still serves `newsgeo.<module>` to
+code that looks modules up by name, as pipebench/tracer.py does."""
 
 import json
 import os
@@ -50,8 +50,9 @@ IMPORT_BUDGET = {
     "report": (set(), False),
 }
 
+# the OS threads are counted where /proc lists them, and are None elsewhere
 _PROBE = """
-import json, sys
+import json, os, sys
 from newsgeo.cli import main
 code = main(sys.argv[1:])
 print(json.dumps({
@@ -60,12 +61,31 @@ print(json.dumps({
                       if m.startswith("newsgeo.")),
     "numpy": "numpy" in sys.modules,
     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "threads": len(os.listdir("/proc/self/task"))
+               if os.path.isdir("/proc/self/task") else None,
+    "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
 }))
 """
 
 
 def _env():
     return dict(os.environ, PYTHONPATH=SRC)
+
+
+def _probe(stage, cfg, out, **env):
+    """Run `stage` under `main` in a fresh process, with no
+    OPENBLAS_NUM_THREADS in its environment unless `env` sets it; return
+    what the probe reports."""
+    base = _env()
+    # an in-process `main` may have set it in this process's environment
+    base.pop("OPENBLAS_NUM_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, stage, "--config", cfg,
+         "--out-dir", out],
+        check=True, capture_output=True, text=True, env={**base, **env})
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["code"] == 0, proc.stderr
+    return loaded
 
 
 @pytest.fixture(scope="module")
@@ -77,24 +97,31 @@ def pipeline(tmp_path_factory):
     with open(cfg, "w", encoding="utf-8") as fh:
         json.dump(CONFIG, fh)
     out = str(tmp / "out")
-    assert main(["synth", "--config", cfg, "--out-dir", out]) == 0
-    assert main(["all", "--config", cfg, "--out-dir", out]) == 0
+    # `main` sets OPENBLAS_NUM_THREADS for its own process; undo that here
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert main(["synth", "--config", cfg, "--out-dir", out]) == 0
+        assert main(["all", "--config", cfg, "--out-dir", out]) == 0
     return cfg, out
 
 
 @pytest.mark.parametrize("stage", STAGES)
 def test_stage_imports_only_what_it_runs(pipeline, stage):
-    cfg, out = pipeline
-    proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, stage, "--config", cfg,
-         "--out-dir", out],
-        check=True, capture_output=True, text=True, env=_env())
-    loaded = json.loads(proc.stdout.splitlines()[-1])
+    loaded = _probe(stage, *pipeline)
     modules, numpy = IMPORT_BUDGET[stage]
-    assert loaded["code"] == 0, proc.stderr
     assert set(loaded["newsgeo"]) == _BASE | modules
     assert loaded["numpy"] is numpy
     assert loaded["scipy"] == []
+    # numpy loads OpenBLAS with one thread, so no pool is started; on a
+    # 1-core host OpenBLAS starts none anyway
+    assert loaded["blas_threads"] == "1"
+    assert loaded["threads"] in (1, None)
+
+
+def test_stage_keeps_callers_blas_threads(pipeline):
+    loaded = _probe("scale", *pipeline, OPENBLAS_NUM_THREADS="2")
+    assert loaded["numpy"] is True
+    assert loaded["blas_threads"] == "2"
 
 
 def test_readme_numpy_table_matches_the_budget():
