@@ -93,8 +93,9 @@ def _least_squares(
     (design, coefficients, fitted, residuals, RSS). Raises
     SingularDesignError naming the first linearly dependent column.
 
-    The core of `ols_fit`, and what `step_aic` scores each move with, so a
-    move's AIC is bit-for-bit the one its full fit would report."""
+    The core of `ols_fit`. `step_aic` scores with it the near-best moves
+    its screen finds, and every move the screen cannot vouch for, so every
+    AIC in its trace is bit-for-bit the one the move's full fit reports."""
     n, k = X.shape
     design = np.column_stack([np.ones(n), X]) if k else np.ones((n, 1))
     _check_rank(design, names)
@@ -306,6 +307,48 @@ def fit_scaling(
     )
 
 
+# `step_aic`'s screen: a Gram block is near-singular when a Cholesky pivot
+# squared falls below _PIVOT_SHARE of its largest diagonal entry, far above
+# where `_check_rank` rejects a column. Elsewhere a screened AIC whose bound
+# on rounding exceeds _SCREEN_ERROR is not vouched for, and every move within
+# _SCREEN_WINDOW (> 2 * _SCREEN_ERROR) of the screened best is scored exactly.
+_PIVOT_SHARE = 1e-8
+_SCREEN_ERROR = 2.5e-7
+_SCREEN_WINDOW = 1e-6
+
+
+def _screened_aics(gram: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """For each row of `index`, the AIC of the least-squares fit of its
+    last Gram column (the response) on its others (the intercept's first),
+    from one stacked Cholesky factorization; all rows are of one length.
+    NaN for a model whose design is near-singular or whose AIC may be off
+    by more than _SCREEN_ERROR, and for every model if any block is not
+    numerically positive definite."""
+    q = index.shape[1] - 1
+    blocks = gram[index[:, :, None], index[:, None, :]]
+    try:
+        chol = np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError:
+        return np.full(len(index), np.nan)
+    pivots = np.diagonal(chol, axis1=1, axis2=2)
+    norms = np.sqrt(np.diagonal(blocks, axis1=1, axis2=2))
+    rss = pivots[:, -1] ** 2
+    coef = np.linalg.solve(np.swapaxes(chol[:, :-1, :-1], 1, 2),
+                           chol[:, -1, :-1, None])[..., 0]
+    # First order, rounding moves the Gram entry of columns i and j by at
+    # most (n + size^2) eps |x_i| |x_j|, and the Cholesky factor acts like a
+    # change of the same kind, so the RSS moves by at most that constant
+    # times (|y| + sum_i |coef_i| |x_i|)^2
+    spread = norms[:, -1] + np.sum(np.abs(coef) * norms[:, :-1], axis=1)
+    rounding = (n + (q + 1) ** 2) * np.finfo(float).eps * spread ** 2
+    floor = _PIVOT_SHARE * np.max(norms[:, :-1], axis=1) ** 2
+    trusted = (n * rounding <= _SCREEN_ERROR * rss) \
+        & np.all(pivots[:, :-1] ** 2 >= floor[:, None], axis=1)
+    aics = np.full(len(index), np.nan)
+    aics[trusted] = n * np.log(rss[trusted] / n) + 2.0 * q
+    return aics
+
+
 @dataclass(frozen=True)
 class StepRecord:
     action: str                 # "start" | "add" | "drop"
@@ -330,10 +373,21 @@ def step_aic(
     lowers AIC; stop when no move lowers it. Ties break toward fewer
     predictors, then lexicographic variable order. Always fits with an
     intercept.
+
+    Each iteration screens every move from one Gram matrix of
+    [1, candidates, y], one stacked factorization per move kind. Only the
+    moves within _SCREEN_WINDOW of the screened best, and those the screen
+    cannot vouch for, are scored by `_least_squares`, in the order every
+    move would be, so the chosen moves, the trace's AICs and any
+    SingularDesignError are those of scoring every move exactly.
     """
     names = sorted(candidates)
     y = np.asarray(y, dtype=float)
     n = len(y)
+    # Gram columns: the intercept, the candidates in name order, then y
+    column = {v: i + 1 for i, v in enumerate(names)}
+    full = np.column_stack([np.ones(n), *(candidates[v] for v in names), y])
+    gram = full.T @ full
 
     def design_of(subset: tuple[str, ...]) -> np.ndarray:
         if subset:
@@ -346,25 +400,39 @@ def step_aic(
         rss = _least_squares(design_of(subset), y, subset)[-1]
         return aic_from_rss(n, rss, len(subset) + 1)
 
+    def screen(subsets: list[tuple[str, ...]]) -> list[float]:
+        if not subsets:
+            return []
+        index = [[0, *map(column.get, s), len(names) + 1] for s in subsets]
+        return _screened_aics(gram, np.array(index), n).tolist()
+
     current: tuple[str, ...] = tuple(names)
     start_fit = ols_fit(design_of(current), y, names=list(current))
     current_aic = start_fit.aic
     trace = [StepRecord("start", None, current_aic, current)]
 
     while True:
-        moves: list[tuple[float, int, tuple[str, ...], str, str]] = []
-        for v in current:
-            subset = tuple(u for u in current if u != v)
-            moves.append((aic_of(subset), len(subset), subset, "drop", v))
-        for v in names:
-            if v in current:
-                continue
-            subset = tuple(sorted(current + (v,)))
-            moves.append((aic_of(subset), len(subset), subset, "add", v))
+        drops = [(tuple(u for u in current if u != v), "drop", v)
+                 for v in current]
+        adds = [(tuple(sorted(current + (v,))), "add", v)
+                for v in names if v not in current]
+        moves = drops + adds
         if not moves:
             break
-        moves.sort(key=lambda m: (m[0], m[1], m[2]))
-        best_aic, _, best_subset, action, variable = moves[0]
+        screened = screen([m[0] for m in drops]) + screen([m[0] for m in adds])
+        vouched = [a for a in screened if not math.isnan(a)]
+        # a vouched-for move beyond the window of the best cannot be the
+        # best, nor can any once the best is beyond the window of current
+        best = min(vouched, default=math.inf)
+        cutoff = best + _SCREEN_WINDOW if best < current_aic + _SCREEN_WINDOW \
+            else -math.inf
+        scored = [(aic_of(subset), len(subset), subset, action, v)
+                  for (subset, action, v), a in zip(moves, screened)
+                  if math.isnan(a) or a <= cutoff]
+        if not scored:
+            break
+        scored.sort(key=lambda m: (m[0], m[1], m[2]))
+        best_aic, _, best_subset, action, variable = scored[0]
         if best_aic >= current_aic:
             break
         current, current_aic = best_subset, best_aic

@@ -977,21 +977,80 @@ def test_populations_led_by_a_byte_order_mark(tmp_path):
     assert cli._read_populations(str(path)) == {"AL": 100, "WY": 7}
 
 
-def run_cli_process(*args):
+def run_cli_process(*args, entry=("-m", "newsgeo.cli")):
     """Run the CLI as `python -m newsgeo.cli`, as the README runs stages, so
-    that a traceback and the logger name show."""
+    that a traceback and the logger name show; `entry` replaces the
+    `-m newsgeo.cli`."""
     return subprocess.run(
-        [sys.executable, "-m", "newsgeo.cli", *args], capture_output=True,
+        [sys.executable, *entry, *args], capture_output=True,
         text=True, env=dict(
             os.environ,
             PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))))
 
 
 def test_module_run_logs_under_the_package_logger(tmp_path):
+    # the whole line shows that stderr is flushed before the hard exit
     proc = run_cli_process("ingest", "--out-dir", str(tmp_path / "out"))
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("ERROR newsgeo.cli: ingest: "
                                   "DependencyError: "), proc.stderr
+    assert proc.stderr.endswith("run the 'synth' stage first\n"), proc.stderr
+
+
+class TestProcessExit:
+    """A stage process ends through `process_main`: the exit code of `main`,
+    and argparse's and an unexpected exception's exits as they were."""
+
+    def test_unknown_stage_prints_usage_and_exits_2(self, tmp_path):
+        proc = run_cli_process("nosuchstage", "--out-dir", str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: newsgeo "), proc.stderr
+        assert "invalid choice: 'nosuchstage'" in proc.stderr
+
+    def test_help_exits_0(self):
+        proc = run_cli_process("--help")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: newsgeo ")
+
+    def test_unexpected_exception_prints_traceback_and_exits_1(self, tmp_path):
+        code = ("import sys\n"
+                "from newsgeo import cli\n"
+                "def boom(cfg, run):\n"
+                "    raise RuntimeError('boom')\n"
+                "cli.STAGE_TABLE['report'] = (boom, ())\n"
+                "cli.process_main()\n")
+        proc = run_cli_process("report", "--out-dir", str(tmp_path),
+                               entry=("-c", code))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("Traceback (most recent call last):")
+        assert proc.stderr.endswith("RuntimeError: boom\n"), proc.stderr
+
+    def test_stage_processes_write_what_main_writes(self, outdir, tmp_path):
+        cfg = write_config(tmp_path, PIPELINE_CONFIG)
+        out = str(tmp_path / "out")
+        for stage in STAGES:
+            proc = run_cli_process(stage, "--config", cfg, "--out-dir", out)
+            assert proc.returncode == 0, (stage, proc.stderr)
+        assert artifact_bytes(out) == artifact_bytes(outdir)
+
+    def test_main_leaves_the_environment_as_it_found_it(self, outdir,
+                                                        tmp_path,
+                                                        monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        out = str(tmp_path / "out")
+        shutil.copytree(outdir, out)
+        cfg = write_config(tmp_path, PIPELINE_CONFIG)
+        before = dict(os.environ)
+        assert main(["regress", "--config", cfg, "--out-dir", out]) == 0
+        assert dict(os.environ) == before
+
+    def test_console_script_is_the_process_entry(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        root = os.path.dirname(os.path.dirname(os.path.dirname(
+            cli.__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"newsgeo": "newsgeo.cli:process_main"}
 
 
 def test_non_utf8_catalog_exits_5(outdir, tmp_path, caplog):

@@ -50,21 +50,30 @@ IMPORT_BUDGET = {
     "report": (set(), False),
 }
 
-# the OS threads are counted where /proc lists them, and are None elsewhere
+# Runs a stage through `process_main`, the benchmark's entry, with
+# `os._exit` wrapped: the wrapper prints what the process loaded and its exit
+# code, then exits. The OS threads are counted where /proc lists them, and
+# are None elsewhere.
 _PROBE = """
 import json, os, sys
-from newsgeo.cli import main
-code = main(sys.argv[1:])
-print(json.dumps({
-    "code": code,
-    "newsgeo": sorted(m.split(".", 1)[1] for m in sys.modules
-                      if m.startswith("newsgeo.")),
-    "numpy": "numpy" in sys.modules,
-    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
-    "threads": len(os.listdir("/proc/self/task"))
-               if os.path.isdir("/proc/self/task") else None,
-    "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
-}))
+from newsgeo import cli
+
+def report(code):
+    print(json.dumps({
+        "code": code,
+        "newsgeo": sorted(m.split(".", 1)[1] for m in sys.modules
+                          if m.startswith("newsgeo.")),
+        "numpy": "numpy" in sys.modules,
+        "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+        "threads": len(os.listdir("/proc/self/task"))
+                   if os.path.isdir("/proc/self/task") else None,
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }), flush=True)
+    hard_exit(code)
+
+hard_exit, os._exit = os._exit, report
+cli.process_main()
+print(json.dumps({"code": "process_main returned"}))
 """
 
 
@@ -73,11 +82,12 @@ def _env():
 
 
 def _probe(stage, cfg, out, **env):
-    """Run `stage` under `main` in a fresh process, with no
+    """Run `stage` under `process_main` in a fresh process, with no
     OPENBLAS_NUM_THREADS in its environment unless `env` sets it; return
-    what the probe reports."""
+    what the probe reports once the stage ends through `os._exit` with
+    code 0."""
     base = _env()
-    # an in-process `main` may have set it in this process's environment
+    # the caller's environment may set it
     base.pop("OPENBLAS_NUM_THREADS", None)
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, stage, "--config", cfg,
@@ -97,11 +107,8 @@ def pipeline(tmp_path_factory):
     with open(cfg, "w", encoding="utf-8") as fh:
         json.dump(CONFIG, fh)
     out = str(tmp / "out")
-    # `main` sets OPENBLAS_NUM_THREADS for its own process; undo that here
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        assert main(["synth", "--config", cfg, "--out-dir", out]) == 0
-        assert main(["all", "--config", cfg, "--out-dir", out]) == 0
+    assert main(["synth", "--config", cfg, "--out-dir", out]) == 0
+    assert main(["all", "--config", cfg, "--out-dir", out]) == 0
     return cfg, out
 
 
