@@ -254,6 +254,9 @@ def _read_populations(path):
         state, population = state_code(cell, where), number(int, count, where)
         if population <= 0:
             raise ConfigurationError(f"{where}: population must be positive")
+        # numpy holds a larger int only as an object, which it cannot log
+        if population >= 2 ** 63:
+            raise ConfigurationError(f"{where}: population must be below 2^63")
         rows.append((state, population, where))
     return by_state(rows)
 

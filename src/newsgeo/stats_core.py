@@ -4,6 +4,11 @@ OLS with full inference output, Pearson tests, the log-log scaling-law
 fit, the RSS-form AIC, and both-direction greedy stepwise selection.
 Everything here is a pure function of its inputs; no global state, no
 randomness.
+
+`ols_fit` and `step_aic` share one kernel, `_factor`: the QR of [1, X, y],
+one matrix or a stack of them. It checks each design's rank, and R's last
+entry gives the RSS behind each AIC. A design that passes the rank check
+raises no numpy LinAlgError.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ class OlsResult:
     df_resid: int
     fstat: float
     df_model: int
-    aic: float
+    aic: float                    # from R's last entry; see ols_fit
     residuals: np.ndarray
     fitted: np.ndarray
     n: int
@@ -75,34 +80,24 @@ class OlsResult:
         return float(self.coefficients[1 + self.names.index(name)])
 
 
-def _check_rank(design: np.ndarray, names: Sequence[str]) -> None:
-    # QR diagonal localizes the first dependent column for the error message;
-    # design's first column is the intercept, and `names` name the rest
-    r = np.linalg.qr(design, mode="r")
-    diag = np.abs(np.diag(r))
-    tol = design.shape[0] * np.finfo(float).eps * (diag.max() if diag.size else 1.0)
-    for j, d in enumerate(diag):
-        if d <= tol:
-            raise SingularDesignError(names[j - 1] if j else "(intercept)")
+def _factor(augmented: np.ndarray,
+            names: Sequence[Sequence[str]]) -> np.ndarray:
+    """R of the Householder QR of each n x (k + 2) matrix [1, X, y] in the
+    stack `augmented`; `names[i]` names the k columns of X in matrix i.
+    R's last diagonal entry is +-sqrt(RSS) of the least-squares fit of y
+    on [1, X].
 
-
-def _least_squares(
-    X: np.ndarray, y: np.ndarray, names: Sequence[str],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Least squares of y on an intercept and the n x k columns of X:
-    (design, coefficients, fitted, residuals, RSS). Raises
-    SingularDesignError naming the first linearly dependent column.
-
-    The core of `ols_fit`. `step_aic` scores with it the near-best moves
-    its screen finds, and every move the screen cannot vouch for, so every
-    AIC in its trace is bit-for-bit the one the move's full fit reports."""
-    n, k = X.shape
-    design = np.column_stack([np.ones(n), X]) if k else np.ones((n, 1))
-    _check_rank(design, names)
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    fitted = design @ coef
-    residuals = y - fitted
-    return design, coef, fitted, residuals, float(residuals @ residuals)
+    Raises SingularDesignError naming the first linearly dependent column
+    of the first design, in stack order, whose R diagonal has an entry
+    |d| <= n * eps * max|d|."""
+    r = np.linalg.qr(augmented, mode="r")
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2)[:, :-1])
+    tol = augmented.shape[1] * np.finfo(float).eps * diag.max(axis=1)
+    dependent = np.argwhere(diag <= tol[:, None])
+    if len(dependent):
+        i, j = dependent[0]
+        raise SingularDesignError(names[i][j - 1] if j else "(intercept)")
+    return r
 
 
 def _beta_fraction(a: float, b: float, x: float) -> float:
@@ -181,7 +176,13 @@ def ols_fit(
     inference quantities.
 
     X is n x k (k may be 0 for the intercept-only model). Raises
-    SingularDesignError naming the first linearly dependent column.
+    SingularDesignError naming the first linearly dependent column; a
+    design that passes that check raises no LinAlgError.
+
+    The coefficients, fitted values, residuals and `rss` come from a
+    least-squares solve. The rank check, the standard errors and `aic` come
+    from the R of [1, X, y]: the AIC's RSS is R's last entry squared, which
+    agrees with `rss` up to rounding.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -195,13 +196,19 @@ def ols_fit(
     if n <= k + 1:
         raise InsufficientDataError(f"n={n} too small for {k} predictors")
 
-    design, coef, fitted, residuals, rss = _least_squares(X, y, names)
+    design = np.column_stack([np.ones(n), X])
+    r = _factor(np.column_stack([design, y])[None], [names])[0]
+    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
+    fitted = design @ coef
+    residuals = y - fitted
+    rss = float(residuals @ residuals)
     # n > k + 1, so at least one residual degree of freedom is left
     df_resid = n - (k + 1)
     sigma2 = rss / df_resid
 
-    xtx_inv = np.linalg.inv(design.T @ design)
-    stderr = np.sqrt(np.maximum(np.diag(xtx_inv), 0.0) * sigma2)
+    # diag((X'X)^-1) = diag(R^-1 R^-T); R passed the rank check, so its
+    # triangle has a non-zero diagonal and inverts
+    stderr = np.sqrt(np.sum(np.linalg.inv(r[:-1, :-1]) ** 2, axis=1) * sigma2)
     with np.errstate(divide="ignore", invalid="ignore"):
         tstats = np.where(stderr > 0, coef / stderr, np.inf * np.sign(coef))
 
@@ -225,7 +232,7 @@ def ols_fit(
         df_resid=df_resid,
         fstat=fstat,
         df_model=k,
-        aic=aic_from_rss(n, rss, k + 1),
+        aic=aic_from_rss(n, float(r[-1, -1]) ** 2, k + 1),
         residuals=residuals,
         fitted=fitted,
         n=n,
@@ -307,48 +314,6 @@ def fit_scaling(
     )
 
 
-# `step_aic`'s screen: a Gram block is near-singular when a Cholesky pivot
-# squared falls below _PIVOT_SHARE of its largest diagonal entry, far above
-# where `_check_rank` rejects a column. Elsewhere a screened AIC whose bound
-# on rounding exceeds _SCREEN_ERROR is not vouched for, and every move within
-# _SCREEN_WINDOW (> 2 * _SCREEN_ERROR) of the screened best is scored exactly.
-_PIVOT_SHARE = 1e-8
-_SCREEN_ERROR = 2.5e-7
-_SCREEN_WINDOW = 1e-6
-
-
-def _screened_aics(gram: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
-    """For each row of `index`, the AIC of the least-squares fit of its
-    last Gram column (the response) on its others (the intercept's first),
-    from one stacked Cholesky factorization; all rows are of one length.
-    NaN for a model whose design is near-singular or whose AIC may be off
-    by more than _SCREEN_ERROR, and for every model if any block is not
-    numerically positive definite."""
-    q = index.shape[1] - 1
-    blocks = gram[index[:, :, None], index[:, None, :]]
-    try:
-        chol = np.linalg.cholesky(blocks)
-    except np.linalg.LinAlgError:
-        return np.full(len(index), np.nan)
-    pivots = np.diagonal(chol, axis1=1, axis2=2)
-    norms = np.sqrt(np.diagonal(blocks, axis1=1, axis2=2))
-    rss = pivots[:, -1] ** 2
-    coef = np.linalg.solve(np.swapaxes(chol[:, :-1, :-1], 1, 2),
-                           chol[:, -1, :-1, None])[..., 0]
-    # First order, rounding moves the Gram entry of columns i and j by at
-    # most (n + size^2) eps |x_i| |x_j|, and the Cholesky factor acts like a
-    # change of the same kind, so the RSS moves by at most that constant
-    # times (|y| + sum_i |coef_i| |x_i|)^2
-    spread = norms[:, -1] + np.sum(np.abs(coef) * norms[:, :-1], axis=1)
-    rounding = (n + (q + 1) ** 2) * np.finfo(float).eps * spread ** 2
-    floor = _PIVOT_SHARE * np.max(norms[:, :-1], axis=1) ** 2
-    trusted = (n * rounding <= _SCREEN_ERROR * rss) \
-        & np.all(pivots[:, :-1] ** 2 >= floor[:, None], axis=1)
-    aics = np.full(len(index), np.nan)
-    aics[trusted] = n * np.log(rss[trusted] / n) + 2.0 * q
-    return aics
-
-
 @dataclass(frozen=True)
 class StepRecord:
     action: str                 # "start" | "add" | "drop"
@@ -374,37 +339,35 @@ def step_aic(
     predictors, then lexicographic variable order. Always fits with an
     intercept.
 
-    Each iteration screens every move from one Gram matrix of
-    [1, candidates, y], one stacked factorization per move kind. Only the
-    moves within _SCREEN_WINDOW of the screened best, and those the screen
-    cannot vouch for, are scored by `_least_squares`, in the order every
-    move would be, so the chosen moves, the trace's AICs and any
-    SingularDesignError are those of scoring every move exactly.
+    Each iteration scores every drop with one stacked QR of the moves'
+    [1, X, y] matrices, then every add with another, each AIC from R's last
+    entry as `ols_fit` takes it. So every AIC in the trace is bit-for-bit
+    the one the move's full fit reports, and a singular move raises the
+    SingularDesignError of the first such fit, drops before adds.
     """
     names = sorted(candidates)
     y = np.asarray(y, dtype=float)
     n = len(y)
-    # Gram columns: the intercept, the candidates in name order, then y
+    # columns: the intercept, the candidates in name order, then y
     column = {v: i + 1 for i, v in enumerate(names)}
     full = np.column_stack([np.ones(n), *(candidates[v] for v in names), y])
-    gram = full.T @ full
 
     def design_of(subset: tuple[str, ...]) -> np.ndarray:
         if subset:
             return np.column_stack([candidates[v] for v in subset])
         return np.empty((n, 0))
 
-    def aic_of(subset: tuple[str, ...]) -> float:
-        # a move is scored by its AIC alone; only the start and the
-        # selected model get a full ols_fit
-        rss = _least_squares(design_of(subset), y, subset)[-1]
-        return aic_from_rss(n, rss, len(subset) + 1)
-
-    def screen(subsets: list[tuple[str, ...]]) -> list[float]:
+    def aics_of(subsets: list[tuple[str, ...]]) -> list[float]:
+        # subsets of one size, so their matrices stack; a move is scored by
+        # its AIC alone, and only the start and the selected model get a
+        # full ols_fit. Each R entry is squared as a Python float, as
+        # ols_fit squares it: numpy's vectorised square can differ by an ulp
         if not subsets:
             return []
         index = [[0, *map(column.get, s), len(names) + 1] for s in subsets]
-        return _screened_aics(gram, np.array(index), n).tolist()
+        r = _factor(full.T[index].swapaxes(1, 2), subsets)
+        return [aic_from_rss(n, float(d) ** 2, len(s) + 1)
+                for d, s in zip(r[:, -1, -1], subsets)]
 
     current: tuple[str, ...] = tuple(names)
     start_fit = ols_fit(design_of(current), y, names=list(current))
@@ -419,20 +382,10 @@ def step_aic(
         moves = drops + adds
         if not moves:
             break
-        screened = screen([m[0] for m in drops]) + screen([m[0] for m in adds])
-        vouched = [a for a in screened if not math.isnan(a)]
-        # a vouched-for move beyond the window of the best cannot be the
-        # best, nor can any once the best is beyond the window of current
-        best = min(vouched, default=math.inf)
-        cutoff = best + _SCREEN_WINDOW if best < current_aic + _SCREEN_WINDOW \
-            else -math.inf
-        scored = [(aic_of(subset), len(subset), subset, action, v)
-                  for (subset, action, v), a in zip(moves, screened)
-                  if math.isnan(a) or a <= cutoff]
-        if not scored:
-            break
-        scored.sort(key=lambda m: (m[0], m[1], m[2]))
-        best_aic, _, best_subset, action, variable = scored[0]
+        aics = aics_of([m[0] for m in drops]) + aics_of([m[0] for m in adds])
+        best_aic, _, best_subset, action, variable = min(
+            (aic, len(subset), subset, action, v)
+            for aic, (subset, action, v) in zip(aics, moves))
         if best_aic >= current_aic:
             break
         current, current_aic = best_subset, best_aic

@@ -1095,6 +1095,53 @@ def test_missing_population_exits_2(outdir, tmp_path, caplog):
         in caplog.text
 
 
+def test_population_beyond_64_bits_exits_2(outdir, tmp_path):
+    # a state with users: at 2^63 and beyond, numpy holds the count as an
+    # object, and the log-log fit cannot take its log
+    out = str(tmp_path / "out")
+    shutil.copytree(outdir, out)
+    with open(os.path.join(out, "user_locations.csv"), newline="") as fh:
+        state = max(row["state"] for row in csv.DictReader(fh) if row["state"])
+    path = os.path.join(out, "synth", "populations.csv")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    [line] = [i for i, text in enumerate(lines, 1)
+              if text.startswith(f"{state},")]
+    lines[line - 1] = f"{state},{2 ** 63}\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    proc = run_cli_process("scale", "--config", cfg, "--out-dir", out)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"scale: ConfigurationError: {path}: line {line}: population " \
+        "must be below 2^63" in proc.stderr
+
+
+def test_near_affine_attribute_regresses(outdir, tmp_path):
+    # minority is an affine function of density and gdp plus noise of scale
+    # 1e-11: the designs that hold all three pass the rank check, and their
+    # X'X is too near singular to invert
+    import numpy as np
+    out = str(tmp_path / "out")
+    shutil.copytree(outdir, out)
+    path = os.path.join(out, "synth", "attributes.csv")
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    density, gdp, minority = map(rows[0].index, ("density", "gdp", "minority"))
+    rng = np.random.default_rng(15)
+    for row in rows[1:]:
+        row[minority] = repr(20 + 0.01 * float(row[density])
+                             + 2e-4 * (float(row[gdp]) - 6e4)
+                             + 1e-11 * rng.standard_normal())
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    proc = run_cli_process("regress", "--config", cfg, "--out-dir", out)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_two_states_are_located_but_not_fitted(tmp_path, caplog):
     # a log-log fit needs three states; assigning users, and the stages
     # that read only the assignments, do not
@@ -1269,6 +1316,8 @@ HOSTILE_TABLE_ROWS = [
     ("synth/populations.csv", b"DC,700000", "scale", 2,
      "ConfigurationError"),
     ("synth/populations.csv", b"WY,0", "scale", 2, "ConfigurationError"),
+    ("synth/populations.csv", b"WY,100000000000000000000", "scale", 2,
+     "ConfigurationError"),
     ("synth/centroids.csv", b"AL", "connectivity", 5, "FormatError"),
     ("synth/centroids.csv", b"AL,north,5", "connectivity", 5, "FormatError"),
     ("synth/centroids.csv", b"WY,nan,-95", "connectivity", 5, "FormatError"),
